@@ -3,7 +3,7 @@ polynomial rings, with exact certificates at desk scale."""
 
 from .bounds import (BoundTable, B_recursion, cubic_eta_A, default_cubic_B3,
                      eta_A_i, phi, quadric_B, quadric_thresholds, stillman_C)
-from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
+from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
 from .certify import (RetaCertificate, check_reta, determinant,
                       is_regular_sequence, minors_height_check, minors_ideal,
                       singular_locus_codim)

@@ -1,8 +1,9 @@
-"""Computation budgets.
+"""Computation budgets and the distinguished failure outcomes.
 
 Every potentially long-running computation takes an explicit budget.
 Exceeding it raises :class:`BudgetExceededError`, a distinguished
-outcome that is never silently converted into a wrong answer.
+outcome that is never silently converted into a wrong answer.  A broken
+internal invariant raises :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"budget exceeded: {what} limit {limit}")
         self.what = what
         self.limit = limit
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug, never a property of the input."""
 
 
 @dataclass(frozen=True)

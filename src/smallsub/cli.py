@@ -2,10 +2,11 @@
 
 One binary, subcommands for every operation, deterministic JSON reports
 (schema 1).  Exit codes: 0 success, 1 verdict failure, 2 budget
-exceeded, 3 parse error.  Budgets come from flags or the environment
-(SMALLSUB_MAX_PAIRS, SMALLSUB_MAX_DEGREE, SMALLSUB_MAX_CANDIDATES,
-SMALLSUB_MAX_STEPS).  Reports are byte-identical across runs for fixed
-inputs, seed and budgets; wall-clock timing is added only on request.
+exceeded, 3 parse error, 4 internal error.  Budgets come from flags or
+the environment (SMALLSUB_MAX_PAIRS, SMALLSUB_MAX_DEGREE,
+SMALLSUB_MAX_CANDIDATES, SMALLSUB_MAX_STEPS), else from ``Budget()``.
+Reports are byte-identical across runs for fixed inputs, seed and
+budgets; wall-clock timing is added only on request.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .bounds import (BoundTable, B_recursion, cubic_eta_A, phi, quadric_B,
                      quadric_thresholds, stillman_C)
-from .budget import Budget, BudgetExceededError
+from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
 from .certify import check_reta, minors_height_check
 from .descent import ThresholdPolicy, small_subalgebra
 from .fields import parse_field_spec
@@ -53,19 +54,19 @@ def _num(x):
 
 
 def _budget(args) -> Budget:
-    def pick(flag, env, default):
+    def pick(flag, name):
         if flag is not None:
             return flag
-        raw = os.environ.get(env)
-        return int(raw) if raw else default
+        raw = os.environ.get(f"SMALLSUB_{name.upper()}")
+        return int(raw) if raw else getattr(DEFAULT_BUDGET, name)
     candidates = args.max_candidates
     if candidates is None and getattr(args, "budget", None) is not None:
         candidates = args.budget  # shorthand for the enumeration cap
     return Budget(
-        max_pairs=pick(args.max_pairs, "SMALLSUB_MAX_PAIRS", 200_000),
-        max_degree=pick(args.max_degree, "SMALLSUB_MAX_DEGREE", None),
-        max_candidates=pick(candidates, "SMALLSUB_MAX_CANDIDATES", 20_000),
-        max_steps=pick(args.max_steps, "SMALLSUB_MAX_STEPS", 100_000),
+        max_pairs=pick(args.max_pairs, "max_pairs"),
+        max_degree=pick(args.max_degree, "max_degree"),
+        max_candidates=pick(candidates, "max_candidates"),
+        max_steps=pick(args.max_steps, "max_steps"),
     )
 
 
@@ -455,6 +456,11 @@ def run(argv=None) -> tuple[int, dict | None]:
                   "error": str(exc), "budget_exceeded": True}
         print(json.dumps(report, sort_keys=True, indent=2))
         return 2, report
+    except InternalError as exc:
+        report = {"schema": SCHEMA, "command": args.command,
+                  "error": str(exc), "internal_error": True}
+        print(json.dumps(report, sort_keys=True, indent=2))
+        return 4, report
     report = {
         "schema": SCHEMA,
         "command": args.command,

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
+from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
 from .fields import CoefficientField
 from .groebner import elimination_order, groebner_basis, normal_form
 from .poly import (DimensionSequence, Form, GradedSpace, Polynomial, as_form,
@@ -126,7 +126,7 @@ def descend_step(space: GradedSpace, degree: int,
         new_forms.append(h)
     result = GradedSpace.from_forms(new_forms)
     if not result.dimension_sequence < space.dimension_sequence:
-        raise AssertionError("descent step failed to shrink the dimension sequence")
+        raise InternalError("descent step failed to shrink the dimension sequence")
     return result
 
 

@@ -6,12 +6,17 @@ membership of F in an ideal generated by k such forms.  The *strength*
 of F is the least k with a (k+1)-collapse but no k-collapse; nonzero
 linear forms have strength +infinity.
 
-Exhaustive search runs over small prime fields only and enumerates
-candidate generator tuples up to scalar rescaling, testing membership
-by Groebner normal form; a witness, when found, is reconstructed by
-lifting the tracked reduction and is verified exactly on construction.
-A "no collapse" answer is reported only when the enumeration finished;
-running out of budget is a distinguished outcome.  Exhaustive results
+Exhaustive search runs over small prime fields only.  It enumerates
+candidate generator tuples up to scalar rescaling, in one pass of
+ascending size, and decides each one by linear algebra in degree
+d = deg F: F lies in (g_1..g_k) exactly when it lies in the span of
+the products m*g_i with m of degree d - deg g_i.  Tuples sharing a
+prefix share that prefix's row echelon form and the reduced F.  A
+witness, when found, is lifted to explicit cofactors by a tracked
+Groebner reduction, which cross-checks the linear-algebra verdict, and
+is verified exactly on construction.  A "no collapse" answer is
+reported only when the enumeration finished; running out of budget is
+a distinguished outcome.  Exhaustive results
 are tagged as specific to the ground field, while the Jacobian height
 bound is stable under field extension.
 """
@@ -19,14 +24,14 @@ bound is stable under field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import combinations, product
 from math import ceil, inf
 
-from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET
+from .budget import (Budget, BudgetExceededError, Counter, DEFAULT_BUDGET,
+                     InternalError)
 from .fields import CoefficientField
-from .groebner import Ideal, groebner_basis, membership_cofactors, normal_form
-from .poly import Form, Monomial, Polynomial, as_form, gradient, grevlex_key
+from .groebner import Ideal, membership_cofactors
+from .poly import (Form, Monomial, Polynomial, as_form, gradient, grevlex_key,
+                   mono_mul)
 
 #: Hard cap on a single enumeration class (forms of one degree, up to scalar).
 ENUMERATION_DOMAIN_CAP = 200_000
@@ -88,31 +93,47 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _form_classes(nvars: int, degree: int, p: int) -> tuple[Form, ...]:
-    """All nonzero degree-d forms up to scalar, in a fixed deterministic order."""
+def _class_domain(nvars: int, degree: int, p: int) -> tuple[list[Monomial], int]:
+    """Degree-d monomials (grevlex, largest first) and the number of
+    projective classes of nonzero degree-d forms over F_p."""
     monos = sorted(_monomials_of_degree(nvars, degree), key=grevlex_key, reverse=True)
-    m = len(monos)
-    count = (p ** m - 1) // (p - 1)
+    count = (p ** len(monos) - 1) // (p - 1)
     if count > ENUMERATION_DOMAIN_CAP:
         raise BudgetExceededError("collapse enumeration domain", ENUMERATION_DOMAIN_CAP)
-    field = CoefficientField(p)
-    out = []
-    for lead in range(m):
-        for tail in product(range(p), repeat=m - lead - 1):
-            terms = {monos[lead]: 1}
-            for mono, c in zip(monos[lead + 1:], tail):
-                if c:
-                    terms[mono] = c
-            out.append(Form(Polynomial(nvars, field, terms)))
-    return tuple(out)
+    return monos, count
+
+
+def _class_support(index: int, m: int, p: int) -> list[tuple[int, int]]:
+    """(monomial position, coefficient) pairs of the index-th class.
+
+    Classes are ordered by the position of their leading coefficient 1,
+    then by the tail of coefficients after it, lexicographically.
+    """
+    lead, block = 0, p ** (m - 1)
+    while index >= block:
+        index -= block
+        lead += 1
+        block //= p
+    tail = []
+    for pos in range(m - 1, lead, -1):
+        index, c = divmod(index, p)
+        if c:
+            tail.append((pos, c))
+    return [(lead, 1)] + tail[::-1]
+
+
+def _class_form(monos: list[Monomial], support: list[tuple[int, int]],
+                nvars: int, field: CoefficientField) -> Form:
+    return Form(Polynomial(nvars, field, {monos[a]: c for a, c in support}))
 
 
 def enumerate_forms(nvars: int, degree: int, field: CoefficientField):
     """Iterate the projective classes of degree-d forms over a prime field."""
     if field.p is None:
         raise ValueError("exhaustive enumeration needs a finite prime field")
-    return iter(_form_classes(nvars, degree, field.p))
+    monos, count = _class_domain(nvars, degree, field.p)
+    return (_class_form(monos, _class_support(i, len(monos), field.p), nvars, field)
+            for i in range(count))
 
 
 def _degree_profiles(size: int, max_degree: int):
@@ -127,12 +148,106 @@ def _degree_profiles(size: int, max_degree: int):
     yield from rec(1, size)
 
 
+def _collapse_search(target: Form, max_size: int, budget: Budget):
+    """For each size 1..max_size in turn, yield the first generator tuple of
+    that size whose ideal contains the target, or None once every tuple of
+    that size is ruled out.
+
+    Tuples run over degree profiles, and within one degree over increasing
+    class indices.  A tuple (g_1..g_k) is decided in degree d = deg F:
+    F lies in (g_1..g_k) exactly when it lies in the span of the products
+    m*g_i, m a monomial of degree d - deg g_i.  Those rows are kept in
+    echelon form (each row's first nonzero column is its pivot, scaled to
+    1) along a depth-first walk over tuple prefixes, together with F
+    reduced at every pivot, so a prefix's rows are reduced once for all
+    tuples extending it.  Every tuple ticks one candidate counter.
+    """
+    p, nvars, d = target.field.p, target.nvars, target.degree
+    counter = Counter("collapse candidates", budget.max_candidates)
+    columns = {m: j for j, m in enumerate(_monomials_of_degree(nvars, d))}
+    ncols = len(columns)
+    rows: list[list[int] | None] = [None] * ncols  # indexed by pivot column
+    domains: dict[int, tuple] = {}
+
+    def domain(e: int):
+        if e not in domains:
+            monos, count = _class_domain(nvars, e, p)
+            products = [[columns[mono_mul(u, m)] for m in monos]
+                        for u in _monomials_of_degree(nvars, d - e)]
+            domains[e] = (monos, count, products)
+        return domains[e]
+
+    def reduce(vec: list[int]) -> list[int]:
+        for j in range(ncols):
+            f = vec[j]
+            if f and rows[j] is not None:
+                vec = [(a - f * b) % p for a, b in zip(vec, rows[j])]
+        return vec
+
+    def add_rows(support, products, residual):
+        """Insert the rows m*g of one class; return the residual and new pivots."""
+        pivots = []
+        for cols in products:
+            vec = [0] * ncols
+            for a, c in support:
+                vec[cols[a]] = c
+            vec = reduce(vec)
+            lead = next((j for j, x in enumerate(vec) if x), None)
+            if lead is None:
+                continue
+            if vec[lead] != 1:
+                inv = pow(vec[lead], p - 2, p)
+                vec = [x * inv % p for x in vec]
+            rows[lead] = vec
+            pivots.append(lead)
+            f = residual[lead]
+            if f:
+                residual = [(a - f * b) % p for a, b in zip(residual, vec)]
+        return residual, pivots
+
+    def walk(profile, pos, start, residual):
+        e = profile[pos]
+        monos, count, products = domain(e)
+        last = pos == len(profile) - 1
+        # leave room for the later positions of the same degree
+        stop = count - profile[pos + 1:].count(e)
+        for i in range(start, stop):
+            if last:
+                counter.tick()
+            support = _class_support(i, len(monos), p)
+            reduced, pivots = add_rows(support, products, residual)
+            if last:
+                found = None if any(reduced) else []
+            else:
+                nxt = i + 1 if profile[pos + 1] == e else 0
+                found = walk(profile, pos + 1, nxt, reduced)
+            for j in pivots:
+                rows[j] = None
+            if found is not None:
+                return [_class_form(monos, support, nvars, target.field)] + found
+        return None
+
+    residual = [0] * ncols
+    for m, c in target.poly.terms.items():
+        residual[columns[m]] = c
+    for size in range(1, max_size + 1):
+        found = None
+        for profile in _degree_profiles(size, d - 1):
+            found = walk(profile, 0, 0, residual)
+            if found is not None:
+                break
+        yield found
+        if found is not None:
+            return
+
+
 def _lift_witness(target: Form, gens: list[Form],
                   budget: Budget | None) -> CollapseWitness:
     cofactors = membership_cofactors(target.poly, [g.poly for g in gens],
                                      budget=budget)
     if cofactors is None:
-        raise AssertionError("membership vanished during witness lifting")
+        raise InternalError("Groebner lifting rejected a collapse that the "
+                            "degree-d membership test accepted")
     pairs = []
     d = target.degree
     for g, c in zip(gens, cofactors):
@@ -146,8 +261,12 @@ def find_collapse(target: Form | Polynomial, k: int,
                   budget: Budget | None = None) -> CollapseWitness | None:
     """Search exhaustively for a collapse with at most k pairs.
 
-    Returns the first witness in a fixed enumeration order (smallest pair
-    count first), or None only when the whole enumeration completed.
+    Generator tuples of sizes 1..k are tried in a fixed order, and each is
+    decided by the degree-d membership test (no Groebner basis per
+    candidate).  Returns the witness of the first tuple that works, lifted
+    to explicit cofactors, or None only when the whole enumeration
+    completed.  Every call counts its own candidates against
+    ``budget.max_candidates``.
     """
     target = as_form(target)
     budget = budget or DEFAULT_BUDGET
@@ -157,30 +276,9 @@ def find_collapse(target: Form | Polynomial, k: int,
         return None
     if target.field.p is None:
         raise ValueError("exhaustive collapse search needs a finite prime field")
-    counter = Counter("collapse candidates", budget.max_candidates)
-    nvars, d = target.nvars, target.degree
-
-    def tuples(groups: list[tuple[int, int]], idx: int):
-        # lazy product of per-degree combinations; never materialized
-        if idx == len(groups):
-            yield ()
-            return
-        deg, mult = groups[idx]
-        classes = _form_classes(nvars, deg, target.field.p)
-        for combo in combinations(classes, mult):
-            for rest in tuples(groups, idx + 1):
-                yield combo + rest
-
-    for size in range(1, k + 1):
-        for profile in _degree_profiles(size, d - 1):
-            grouped: dict[int, int] = {}
-            for deg in profile:
-                grouped[deg] = grouped.get(deg, 0) + 1
-            for gens in tuples(sorted(grouped.items()), 0):
-                counter.tick()
-                gb = groebner_basis([g.poly for g in gens], budget=budget)
-                if normal_form(target.poly, gb).is_zero():
-                    return _lift_witness(target, list(gens), budget)
+    for gens in _collapse_search(target, k, budget):
+        if gens is not None:
+            return _lift_witness(target, gens, budget)
     return None
 
 
@@ -188,8 +286,12 @@ def strength_exact(target: Form | Polynomial, budget: Budget | None = None,
                    max_k: int | None = None) -> StrengthReport:
     """Exact strength by exhaustive search over a small prime field.
 
-    Linear forms report +infinity.  If the budget runs out, the report
-    degrades honestly to the interval established so far.
+    One pass ascends through collapse sizes 1, 2, ... (up to ``max_k``,
+    default the variable count) and tests each tuple once, under one
+    candidate counter, so it stops where ``find_collapse(size)`` for the
+    largest size reached would stop.  Linear forms report +infinity.  If
+    the budget runs out, the report degrades honestly to the interval
+    established so far.
     """
     target = as_form(target)
     budget = budget or DEFAULT_BUDGET
@@ -199,18 +301,18 @@ def strength_exact(target: Form | Polynomial, budget: Budget | None = None,
         raise ValueError("exact strength needs a finite prime field")
     cap = max_k if max_k is not None else target.nvars
     completed = 0
-    for size in range(1, cap + 1):
-        try:
-            witness = find_collapse(target, size, budget)
-        except BudgetExceededError:
-            # sizes <= completed were ruled out exhaustively
-            return StrengthReport(lower=completed, upper=inf,
-                                  field_caveat=completed > 0, exhausted=True)
-        if witness is not None:
-            value = witness.k - 1
-            return StrengthReport(lower=value, upper=value, exact=value,
-                                  field_caveat=value > 0, witness=witness)
-        completed = size
+    try:
+        for gens in _collapse_search(target, cap, budget):
+            if gens is not None:
+                witness = _lift_witness(target, gens, budget)
+                value = witness.k - 1
+                return StrengthReport(lower=value, upper=value, exact=value,
+                                      field_caveat=value > 0, witness=witness)
+            completed += 1
+    except BudgetExceededError:
+        # sizes <= completed were ruled out exhaustively
+        return StrengthReport(lower=completed, upper=inf,
+                              field_caveat=completed > 0, exhausted=True)
     return StrengthReport(lower=completed, upper=inf, field_caveat=True)
 
 

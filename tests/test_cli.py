@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from smallsub import strength
+from smallsub.budget import Budget
 from smallsub.cli import main, run
 
 
@@ -127,6 +129,27 @@ def test_budget_exceeded_exit_code(capsys):
     assert code == 2
     report = _json_out(capsys)
     assert report["budget_exceeded"] is True
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # witness lifting disagreeing with the collapse verdict is a bug, not a verdict
+    monkeypatch.setattr(strength, "membership_cofactors", lambda *a, **kw: None)
+    code = main(["collapse", "--field", "p=2", "--form", "x1*x2", "--k", "1"])
+    assert code == 4
+    report = _json_out(capsys)
+    assert report["internal_error"] is True
+    assert report["command"] == "collapse"
+
+
+def test_default_budgets_come_from_budget(monkeypatch):
+    for env in ("SMALLSUB_MAX_PAIRS", "SMALLSUB_MAX_DEGREE",
+                "SMALLSUB_MAX_CANDIDATES", "SMALLSUB_MAX_STEPS"):
+        monkeypatch.delenv(env, raising=False)
+    _, report = run(["bounds", "--table", "quadric-B", "--n", "2"])
+    default = Budget()
+    assert report["config"]["budgets"] == {
+        "max_pairs": default.max_pairs, "max_degree": default.max_degree,
+        "max_candidates": default.max_candidates, "max_steps": default.max_steps}
 
 
 def test_unknown_flag_exit_code(capsys):
