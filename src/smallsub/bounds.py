@@ -133,40 +133,58 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _descent_children(d: tuple, table: BoundTable):
+    """Every sequence reachable from d by one descent step: the degree-i
+    entry drops by one and the lower entries gain 2 * threshold in total."""
+    for i in range(2, len(d) + 1):
+        if d[i - 1] == 0:
+            continue
+        t = eta_A_i(d, i, table)
+        for extra in _compositions(2 * t, i - 1):
+            child = list(d)
+            child[i - 1] -= 1
+            for j, amount in enumerate(extra):
+                child[j] += amount
+            while child and child[-1] == 0:
+                child.pop()
+            yield tuple(child)
+
+
 def B_recursion(delta, table: BoundTable, budget: Budget | None = None) -> int:
     """Upper bound for the generator count reachable by descent from delta.
 
     Memoized over the well-order: the value at delta is the maximum of
     its total dimension and the values at every sequence reachable by
-    one descent step (degree-i entry drops by one, lower entries gain
-    2 * threshold in total, maximized over all distributions).
+    one descent step, maximized over all distributions.  The walk is
+    depth-first on an explicit stack, bounded by the node budget alone.
+    Entries can grow geometrically along a descent chain, so a node
+    costs one step plus one per 64 bits of its entries: the budget then
+    bounds the memory of the stack as well as the node count.
     """
     budget = budget or DEFAULT_BUDGET
     counter = Counter("bound recursion nodes", budget.max_steps)
     memo: dict[tuple, int] = {}
 
-    def rec(d: tuple) -> int:
-        if d in memo:
-            return memo[d]
-        counter.tick()
-        n = sum(d)
-        best = n
-        for i in range(2, len(d) + 1):
-            if d[i - 1] == 0:
-                continue
-            t = eta_A_i(d, i, table)
-            for extra in _compositions(2 * t, i - 1):
-                child = list(d)
-                child[i - 1] -= 1
-                for j, amount in enumerate(extra):
-                    child[j] += amount
-                while child and child[-1] == 0:
-                    child.pop()
-                best = max(best, rec(tuple(child)))
-        memo[d] = best
-        return best
+    def enter(d: tuple) -> list:
+        counter.tick(1 + sum(x.bit_length() for x in d) // 64)
+        return [d, _descent_children(d, table), sum(d)]
 
-    return rec(tuple(DimensionSequence(delta)))
+    root = tuple(DimensionSequence(delta))
+    stack = [enter(root)]  # frames: [node, its unvisited children, best so far]
+    while stack:
+        frame = stack[-1]
+        for child in frame[1]:
+            if child in memo:
+                frame[2] = max(frame[2], memo[child])
+            else:
+                stack.append(enter(child))
+                break
+        else:
+            stack.pop()
+            memo[frame[0]] = frame[2]
+            if stack:
+                stack[-1][2] = max(stack[-1][2], frame[2])
+    return memo[root]
 
 
 def stillman_C(m: int, n: int, d: int, table: BoundTable,

@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+from functools import lru_cache
 from math import inf
 from pathlib import Path
 
@@ -421,6 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``run`` and reused after it."""
+    return build_parser()
+
+
 def _print_payload(report: dict, output: str):
     if output == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -437,9 +444,8 @@ def _print_payload(report: dict, output: str):
 
 
 def run(argv=None) -> tuple[int, dict | None]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3, None

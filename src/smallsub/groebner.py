@@ -7,6 +7,16 @@ Orders are key-based: a term order supplies a sort key for ring
 monomials and is extended position-over-term to modules; Schreyer keys
 for resolutions are built on top of these (see :mod:`smallsub.modules`).
 
+Division runs on packed terms.  A prepared divisor (:func:`_prep`) and
+the live terms of a reduction hold each term as one int, with a field of
+EXPONENT_BITS bits plus a guard bit per variable and the component
+above them, so a product is one add and a divisibility test one masked
+subtract.  The reduction keeps its live terms in a max-heap in the style
+of Monagan and Pearce ("Sparse polynomial division using a heap", JSC
+2011), so each term's order key is computed once, when it enters.  An
+exponent above MAX_EXPONENT, in the input or in a product, raises
+:class:`BudgetExceededError`; a field never wraps into its neighbour.
+
 The pair loop uses the normal selection strategy (smallest lcm first)
 with the coprimality criterion (ideal case only) and the treated-pair
 chain criterion.  All runs are budgeted: exceeding the configured pair
@@ -16,13 +26,25 @@ or degree cap raises, it never degrades into a wrong answer.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from itertools import combinations
 from math import inf
+from operator import add, lshift, sub
 from typing import Callable, Iterable, Sequence
 
 from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET
 from .fields import CoefficientField
 from .poly import Monomial, Polynomial, grevlex_key, mono_degree
+
+try:  # public from Python 3.14
+    from heapq import heapify_max as _heapify_max, heappop_max as _heappop_max, \
+        heappush_max as _heappush_max
+except ImportError:
+    from heapq import _heapify_max, _heappop_max, _siftdown_max
+
+    def _heappush_max(heap: list, item):
+        heap.append(item)
+        _siftdown_max(heap, 0, len(heap) - 1)
 
 Term = tuple[int, Monomial]
 VecDict = dict[Term, object]
@@ -78,6 +100,50 @@ def pot_key(order: TermOrder) -> Callable[[Term], object]:
     return key
 
 
+# ----- packed terms -----
+#
+# Over n variables, variable i has a field of EXPONENT_BITS value bits
+# and one guard bit at shift _FIELD*(n-1-i); the component sits above the
+# n fields.  lt divides t exactly when bias - lt + t has no guard bit and
+# a zero component field: the lowest failing field borrows into its own
+# guard bit, and the bias bit above the component keeps the difference
+# nonnegative.
+
+#: Value bits of a packed exponent; a larger exponent raises
+#: BudgetExceededError("monomial exponent", MAX_EXPONENT).
+EXPONENT_BITS = 15
+MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
+_FIELD = EXPONENT_BITS + 1
+_COMP_BITS = 32
+_MAX_COMPONENT = (1 << _COMP_BITS) - 1
+
+
+class _Layout:
+    """Shifts and masks of the packed terms over ``n`` variables."""
+
+    __slots__ = ("shifts", "comp_shift", "guard", "mask", "bias")
+
+    def __init__(self, n: int):
+        self.shifts = tuple(_FIELD * (n - 1 - i) for i in range(n))
+        self.comp_shift = _FIELD * n
+        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        self.mask = self.guard | (_MAX_COMPONENT << self.comp_shift)
+        self.bias = 1 << (self.comp_shift + _COMP_BITS)
+
+    def pack(self, term: Term) -> int:
+        comp, mono = term
+        if mono and max(mono) > MAX_EXPONENT:
+            raise BudgetExceededError("monomial exponent", MAX_EXPONENT)
+        if comp > _MAX_COMPONENT:
+            raise BudgetExceededError("module component", _MAX_COMPONENT)
+        return (comp << self.comp_shift) + sum(map(lshift, mono, self.shifts))
+
+
+@lru_cache(maxsize=64)
+def _layout(nvars: int) -> _Layout:
+    return _Layout(nvars)
+
+
 # ----- raw engine -----
 
 
@@ -90,7 +156,7 @@ def _scale_vec(vec: VecDict, factor, p) -> VecDict:
 def _sub_scaled_tail(work: VecDict, tail, umono: Monomial, factor, p):
     """work -= factor * x^umono * tail, in place."""
     for (comp, mono), c in tail:
-        t = (comp, tuple(a + b for a, b in zip(mono, umono)))
+        t = (comp, tuple(map(add, mono, umono)))
         v = work.get(t, 0) - factor * c
         if p:
             v %= p
@@ -102,39 +168,67 @@ def _sub_scaled_tail(work: VecDict, tail, umono: Monomial, factor, p):
 
 def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
                     track: bool = False):
-    """Full normal form against preprocessed monic divisors.
+    """Full normal form against monic divisors prepared by :func:`_prep`.
 
-    ``basis`` entries are ``(lt_comp, lt_mono, tail_items)``; divisors are
-    monic.  Returns the remainder, plus ``(index, mono, coeff)`` reduction
-    records when tracking.
+    The first divisor in ``basis`` that divides the leading term reduces
+    it.  Live terms are packed ints in a dict and their keys sit in a
+    max-heap: each key is computed once, when its term enters, and a term
+    that cancels while queued is skipped when it comes off.  Returns the
+    remainder, plus ``(index, mono, coeff)`` reduction records when
+    tracking.
     """
-    work = dict(vec)
     rem: VecDict = {}
     records = [] if track else None
-    while work:
-        t = max(work, key=keyf)
-        c = work.pop(t)
-        comp, mono = t
-        hit = -1
-        for idx, (ltc, ltm, _tail) in enumerate(basis):
-            if ltc == comp and all(a <= b for a, b in zip(ltm, mono)):
-                hit = idx
-                break
-        if hit < 0:
-            rem[t] = c
-            continue
-        ltc, ltm, tail = basis[hit]
-        umono = tuple(a - b for a, b in zip(mono, ltm))
-        _sub_scaled_tail(work, tail, umono, c, p)
-        if track:
-            records.append((hit, umono, c))
+    if vec:
+        layout = _layout(len(next(iter(vec))[1]))
+        pack, guard, mask, bias = layout.pack, layout.guard, layout.mask, layout.bias
+        negs = [d[0] for d in basis]
+        work = {}
+        get = work.get
+        heap = []
+        for term, c in vec.items():
+            t = pack(term)
+            work[t] = c
+            heap.append((keyf(term), t, term))
+        _heapify_max(heap)
+        while heap:
+            _, t, term = _heappop_max(heap)
+            c = work.pop(t)
+            if not c:
+                continue
+            for hit, neg in enumerate(negs):
+                if not (t + neg) & mask:
+                    break
+            else:
+                rem[term] = c
+                continue
+            _, (_, ltm), tail = basis[hit]
+            u = t + neg - bias
+            umono = tuple(map(sub, term[1], ltm))
+            if track:
+                records.append((hit, umono, c))
+            for s, tterm, tc in tail:
+                s += u
+                v = get(s)
+                if v is None:
+                    if s & guard:
+                        raise BudgetExceededError("monomial exponent", MAX_EXPONENT)
+                    new = (tterm[0], tuple(map(add, tterm[1], umono)))
+                    _heappush_max(heap, (keyf(new), s, new))
+                    v = 0
+                v -= c * tc
+                work[s] = v % p if p else v
     return (rem, records) if track else rem
 
 
 def _prep(vec: VecDict, keyf):
+    """A monic divisor as ``(bias - packed lt, lt, tail)``, each tail term
+    as ``(packed, term, coeff)``."""
     lt = max(vec, key=keyf)
-    tail = [(t, c) for t, c in vec.items() if t != lt]
-    return (lt[0], lt[1], tail)
+    layout = _layout(len(lt[1]))
+    pack = layout.pack
+    tail = [(pack(t), t, c) for t, c in vec.items() if t != lt]
+    return (layout.bias - pack(lt), lt, tail)
 
 
 def _make_monic(vec: VecDict, keyf, p, field: CoefficientField) -> tuple[VecDict, object]:
@@ -160,25 +254,26 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     pair_counter = Counter("groebner pairs", budget.max_pairs)
     basis: list[VecDict] = []
     prepped: list[tuple] = []
+    negs: list[int] = []  # bias - packed leading term, per basis element
     exprs: list[VecDict] = []
     heap: list = []
     treated: set[frozenset] = set()
     zero_mono: Monomial | None = None
 
     def push_pairs(new_idx: int):
-        ltc, ltm, _ = prepped[new_idx]
+        _, (ltc, ltm), _ = prepped[new_idx]
         for j in range(new_idx):
-            jc, jm, _ = prepped[j]
+            _, (jc, jm), _ = prepped[j]
             if jc != ltc:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(ltm, jm))
+            lcm = tuple(map(max, ltm, jm))
             heapq.heappush(heap, (keyf((ltc, lcm)), lcm, j, new_idx))
 
     def add(vec: VecDict, expr: VecDict | None):
-        nonlocal zero_mono
         vec, inv = _make_monic(vec, keyf, p, field)
         basis.append(vec)
         prepped.append(_prep(vec, keyf))
+        negs.append(prepped[-1][0])
         if track:
             exprs.append(_scale_vec(expr, inv, p) if inv != field.one else expr)
         push_pairs(len(basis) - 1)
@@ -188,6 +283,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
             continue
         if zero_mono is None:
             zero_mono = (0,) * len(next(iter(vec))[1])
+            layout = _layout(len(zero_mono))
         expr = {(i, zero_mono): field.one} if track else None
         if track:
             rem, records = normal_form_vec(vec, prepped, keyf, p, track=True)
@@ -207,23 +303,19 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         if budget.max_degree is not None and mono_degree(lcm) > budget.max_degree:
             raise BudgetExceededError("groebner lcm degree", budget.max_degree)
         pair_counter.tick()
-        ic, im, _ = prepped[i]
-        jc, jm, _ = prepped[j]
-        if rank1 and tuple(a + b for a, b in zip(im, jm)) == lcm:
-            continue  # coprime leading monomials: S-pair reduces to zero
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            kc, km, _ = prepped[k]
-            if kc == ic and all(a <= b for a, b in zip(km, lcm)) \
-                    and frozenset((i, k)) in treated and frozenset((k, j)) in treated:
-                skip = True
-                break
-        if skip:
+        _, (ic, im), _ = prepped[i]
+        _, (jc, jm), _ = prepped[j]
+        packed_lcm = layout.pack((ic, lcm))
+        if rank1 and 2 * layout.bias - negs[i] - negs[j] == packed_lcm:
+            continue  # lt_i * lt_j == lcm: coprime, the S-pair reduces to zero
+        # chain criterion: some lt_k divides the lcm, both pairs with k treated
+        mask = layout.mask
+        if any(not (packed_lcm + neg) & mask and k != i and k != j
+               and frozenset((i, k)) in treated and frozenset((k, j)) in treated
+               for k, neg in enumerate(negs)):
             continue
-        ui = tuple(a - b for a, b in zip(lcm, im))
-        uj = tuple(a - b for a, b in zip(lcm, jm))
+        ui = tuple(map(sub, lcm, im))
+        uj = tuple(map(sub, lcm, jm))
         spair: VecDict = {}
         _sub_scaled_tail(spair, list(basis[i].items()), ui,
                          field.neg(field.one), p)
@@ -256,19 +348,19 @@ def autoreduce(basis: Sequence[VecDict], keyf, field: CoefficientField) -> list[
     elems = sorted((dict(v) for v in basis if v),
                    key=lambda v: keyf(max(v, key=keyf)))
     minimal: list[VecDict] = []
-    lts: list[Term] = []
+    negs: list[int] = []
     for vec in elems:
         lt = max(vec, key=keyf)
-        comp, mono = lt
-        if any(c == comp and all(a <= b for a, b in zip(m, mono))
-               for c, m in lts):
+        layout = _layout(len(lt[1]))
+        t = layout.pack(lt)
+        if any(not (t + neg) & layout.mask for neg in negs):
             continue
         minimal.append(vec)
-        lts.append(lt)
+        negs.append(layout.bias - t)
+    prepped = [_prep(v, keyf) for v in minimal]
     reduced = []
     for i, vec in enumerate(minimal):
-        others = [_prep(v, keyf) for j, v in enumerate(minimal) if j != i]
-        rem = normal_form_vec(vec, others, keyf, p)
+        rem = normal_form_vec(vec, prepped[:i] + prepped[i + 1:], keyf, p)
         rem, _ = _make_monic(rem, keyf, p, field)
         reduced.append(rem)
     reduced.sort(key=lambda v: keyf(max(v, key=keyf)), reverse=True)
@@ -313,19 +405,23 @@ def groebner_basis(gens: Sequence[Polynomial], order: TermOrder = GREVLEX,
     return [_from_vec(v, nvars, field) for v in reduced]
 
 
+def _prep_basis(basis: Sequence[Polynomial], keyf) -> list[tuple]:
+    """Prepared monic divisors of a polynomial basis."""
+    out = []
+    for g in basis:
+        vec, _ = _make_monic(_to_vec(g), keyf, g.field.p, g.field)
+        out.append(_prep(vec, keyf))
+    return out
+
+
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
                 order: TermOrder = GREVLEX) -> Polynomial:
     """Remainder of f on full division by a (Groebner) basis."""
     if f.is_zero() or not basis:
         return f
     keyf = pot_key(order)
-    field = f.field
-    prepped = []
-    for g in basis:
-        vec, _ = _make_monic(_to_vec(g), keyf, field.p, field)
-        prepped.append(_prep(vec, keyf))
-    rem = normal_form_vec(_to_vec(f), prepped, keyf, field.p)
-    return _from_vec(rem, f.nvars, field)
+    rem = normal_form_vec(_to_vec(f), _prep_basis(basis, keyf), keyf, f.field.p)
+    return _from_vec(rem, f.nvars, f.field)
 
 
 def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
@@ -390,9 +486,10 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class Ideal:
-    """An ideal with cached reduced Groebner bases (write-once per order)."""
+    """An ideal with cached reduced Groebner bases (write-once per order),
+    each with its prepared divisors once a normal form needs them."""
 
-    __slots__ = ("generators", "nvars", "field", "_gb")
+    __slots__ = ("generators", "nvars", "field", "_gb", "_divisors")
 
     def __init__(self, generators: Iterable[Polynomial], nvars: int | None = None,
                  field: CoefficientField | None = None):
@@ -409,6 +506,7 @@ class Ideal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_gb", {})
+        object.__setattr__(self, "_divisors", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -424,7 +522,18 @@ class Ideal:
 
     def normal_form(self, f: Polynomial, order: TermOrder = GREVLEX,
                     budget: Budget | None = None) -> Polynomial:
-        return normal_form(f, self.groebner_basis(order, budget), order)
+        basis = self.groebner_basis(order, budget)
+        if f.is_zero() or not basis:
+            return f
+        sig = order.signature()
+        cached = self._divisors.get(sig)
+        if cached is None:
+            keyf = pot_key(order)
+            cached = (keyf, _prep_basis(basis, keyf))
+            self._divisors[sig] = cached  # idempotent write-once memo
+        keyf, divisors = cached
+        rem = normal_form_vec(_to_vec(f), divisors, keyf, f.field.p)
+        return _from_vec(rem, f.nvars, f.field)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         f = f.poly if hasattr(f, "poly") else f

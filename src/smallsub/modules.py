@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET
+from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
 from .fields import CoefficientField
 from .groebner import (GREVLEX, TermOrder, VecDict, autoreduce, buchberger,
                        normal_form_vec, pot_key, _prep, _sub_scaled_tail)
@@ -288,7 +288,7 @@ def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField) -> list
             _sub_scaled_tail(spair, list(gb[j].items()), uj, one, p)
             rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
             if rem:
-                raise AssertionError("S-pair of a Groebner basis did not reduce to zero")
+                raise InternalError("S-pair of a Groebner basis did not reduce to zero")
             sigma: VecDict = {(i, ui): one}
             _sub_scaled_tail(sigma, [((j, uj), one)], (0,) * len(ui), one, p)
             for idx, umono, factor in records:
@@ -344,7 +344,7 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
             base_rank = len(matrices[0])
     resolution = FreeResolution(base_rank, matrices, nvars, field)
     if not resolution.verify():
-        raise AssertionError("resolution matrices do not compose to zero")
+        raise InternalError("resolution matrices do not compose to zero")
     return resolution
 
 
@@ -400,10 +400,12 @@ def _prune_units(matrices, nvars: int, field: CoefficientField):
         for row in mat:
             del row[j]
         if k + 1 < len(mats):
-            assert all(entry.is_zero() for entry in mats[k + 1][j])
+            if not all(entry.is_zero() for entry in mats[k + 1][j]):
+                raise InternalError("pruned row of the next matrix is not zero")
             del mats[k + 1][j]
         if k > 0:
-            assert all(row[i].is_zero() for row in mats[k - 1])
+            if not all(row[i].is_zero() for row in mats[k - 1]):
+                raise InternalError("pruned column of the previous matrix is not zero")
             for row in mats[k - 1]:
                 del row[i]
         # drop trailing matrices that became empty

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from smallsub import strength
-from smallsub.budget import Budget
+from smallsub.budget import Budget, InternalError
 from smallsub.cli import main, run
+from smallsub.fields import GF
+from smallsub.grammar import parse_polynomial as pp
 
 
 def _json_out(capsys):
@@ -204,3 +206,60 @@ def test_budget_shorthand_sets_candidate_cap(capsys):
                         "--form", "x1*x2+x2*x3+x1*x3", "--budget", "2"])
     assert report["config"]["budgets"]["max_candidates"] == 2
     assert report["result"]["exhausted"] is True
+
+
+def test_parser_is_reused_across_runs(capsys):
+    argvs = [
+        ["gb", "--field", "p=5", "--gens", "x1^2+x2^2; x1*x2"],
+        ["gb", "--field", "p=5", "--no-such-flag"],
+        ["bounds", "--table", "quadric-B", "--n", "3", "--output", "text"],
+    ]
+    runs = []
+    for _ in range(2):
+        for argv in argvs:
+            code = main(argv)
+            out = capsys.readouterr()
+            runs.append((code, out.out, out.err))
+    assert [code for code, _, _ in runs] == [0, 3, 0, 0, 3, 0]
+    assert runs[:3] == runs[3:]
+
+
+def test_exponent_cap_is_budget_exceeded(capsys):
+    from smallsub.groebner import EXPONENT_BITS
+    code = main(["gb", "--field", "p=5",
+                 "--gens", f"x1^{1 << EXPONENT_BITS} - x2; x1*x2"])
+    assert code == 2
+    report = _json_out(capsys)
+    assert report["budget_exceeded"] is True
+    assert "monomial exponent" in report["error"]
+
+
+def test_resolution_internal_error_exit_code(capsys, monkeypatch):
+    # an S-pair of a Groebner basis that does not reduce to zero is a bug
+    from smallsub import modules
+
+    def nonzero_remainder(vec, basis, keyf, p, track=False):
+        rem = {(0, (0, 0)): 1}  # the ring has two variables
+        return (rem, []) if track else rem
+    monkeypatch.setattr(modules, "normal_form_vec", nonzero_remainder)
+    sub = modules.SubmoduleOfFree.from_ideal_generators(
+        [pp("x1", GF(2), 2), pp("x2", GF(2), 2)])
+    with pytest.raises(InternalError):
+        modules.free_resolution(sub)
+    code = main(["pdim", "--field", "p=2", "--gens", "x1; x2"])
+    assert code == 4
+    report = _json_out(capsys)
+    assert report["internal_error"] is True
+    assert report["command"] == "pdim"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--table", "B", "--delta", "2,2,2"],
+    ["bounds", "--table", "C", "--m", "2", "--n", "2", "--d", "3"],
+])
+def test_deep_bound_recursion_hits_the_node_budget(capsys, argv):
+    code = main(argv + ["--max-steps", "2000"])
+    assert code == 2
+    report = _json_out(capsys)
+    assert report["budget_exceeded"] is True
+    assert "bound recursion nodes" in report["error"]

@@ -7,10 +7,12 @@ import pytest
 from smallsub.budget import Budget, BudgetExceededError
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
-from smallsub.groebner import (GREVLEX, LEX, Ideal, elimination_order,
-                               exact_divide, groebner_basis,
-                               leading_form_ideal, membership_cofactors,
-                               normal_form)
+from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
+                               Ideal, _prep, elimination_order, exact_divide,
+                               groebner_basis, leading_form_ideal,
+                               membership_cofactors, normal_form,
+                               normal_form_vec, pot_key)
+from smallsub.modules import _schreyer_key
 from smallsub.poly import Polynomial, leading_form
 
 F2 = GF(2)
@@ -280,3 +282,162 @@ def test_ideal_cache_is_per_order():
     b = I.groebner_basis(elimination_order(1))
     assert a == I.groebner_basis(GREVLEX)
     assert a != b
+
+
+# ----- the packed engine against the tuple-based division it replaced -----
+
+
+def _tuple_prep(vec, keyf):
+    lt = max(vec, key=keyf)
+    return (lt[0], lt[1], [(t, c) for t, c in vec.items() if t != lt])
+
+
+def _tuple_normal_form_vec(vec, basis, keyf, p, track=False):
+    """The previous normal form: max over all live terms at every step,
+    tuple monomials, divisors scanned in order."""
+    work = dict(vec)
+    rem = {}
+    records = [] if track else None
+    while work:
+        t = max(work, key=keyf)
+        c = work.pop(t)
+        comp, mono = t
+        hit = -1
+        for idx, (ltc, ltm, _tail) in enumerate(basis):
+            if ltc == comp and all(a <= b for a, b in zip(ltm, mono)):
+                hit = idx
+                break
+        if hit < 0:
+            rem[t] = c
+            continue
+        ltc, ltm, tail = basis[hit]
+        umono = tuple(a - b for a, b in zip(mono, ltm))
+        for (tc, tm), tcoef in tail:
+            s = (tc, tuple(a + b for a, b in zip(tm, umono)))
+            v = work.get(s, 0) - c * tcoef
+            if p:
+                v %= p
+            if v:
+                work[s] = v
+            elif s in work:
+                del work[s]
+        if track:
+            records.append((hit, umono, c))
+    return (rem, records) if track else rem
+
+
+def _random_vec(rng, field, rank, nvars, nterms, maxexp):
+    vec = {}
+    while len(vec) < nterms:
+        term = (rng.randrange(rank), tuple(rng.randint(0, maxexp) for _ in range(nvars)))
+        c = field.coerce(rng.randint(1, 40) * rng.choice((1, -1)))
+        if field.p is None:
+            c /= rng.randint(1, 7)
+        if c:
+            vec[term] = c
+    return vec
+
+
+def _monic(vec, keyf, field):
+    inv = field.inv(vec[max(vec, key=keyf)])
+    return {t: field.coerce(c * inv) for t, c in vec.items()}
+
+
+def _keys(rng, rank, nvars):
+    schreyer_leads = [(rng.randrange(2), tuple(rng.randint(0, 2) for _ in range(nvars)))
+                      for _ in range(rank)]
+    return [pot_key(GREVLEX), pot_key(LEX), pot_key(elimination_order(1)),
+            _schreyer_key(schreyer_leads, pot_key(GREVLEX))]
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(32003), QQ], ids=repr)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_packed_normal_form_matches_tuple_route(field, rank):
+    rng = random.Random(1000 * rank + (field.p or 0))
+    for _ in range(12):
+        nvars = rng.randint(2, 4)
+        for keyf in _keys(rng, rank, nvars):
+            divisors = [_monic(_random_vec(rng, field, rank, nvars, rng.randint(1, 4), 2),
+                               keyf, field) for _ in range(rng.randint(0, 5))]
+            vec = _random_vec(rng, field, rank, nvars, rng.randint(1, 8), 4)
+            new = normal_form_vec(vec, [_prep(d, keyf) for d in divisors],
+                                  keyf, field.p, track=True)
+            old = _tuple_normal_form_vec(vec, [_tuple_prep(d, keyf) for d in divisors],
+                                         keyf, field.p, track=True)
+            assert new[1] == old[1]
+            assert list(new[0].items()) == list(old[0].items())
+            assert normal_form_vec(vec, [_prep(d, keyf) for d in divisors],
+                                   keyf, field.p) == old[0]
+
+
+# ----- exponent cap -----
+
+
+def test_exponent_above_the_cap_is_budget_exceeded():
+    too_big = pp(f"x1^{1 << EXPONENT_BITS} - x2", F5, 2)
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        groebner_basis([too_big, pp("x1*x2", F5, 2)])
+    # a reduction product past the cap raises too: x1^2 -> x1*x2^20000 ->
+    # x2^40000, which x2^1000 divides, so a wrapped field would misreport
+    lex_gens = [pp("x1 - x2^20000", F5, 2), pp("x1^2", F5, 2)]
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        groebner_basis(lex_gens, LEX)
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        normal_form(pp("x1^2", F5, 2),
+                    [pp("x1 - x2^20000", F5, 2), pp("x2^1000", F5, 2)], LEX)
+
+
+def test_exponents_up_to_the_cap_stay_exact():
+    half = MAX_EXPONENT // 2
+    gens = [pp(f"x1 - x2^{half}", F5, 2), pp("x1^2", F5, 2)]
+    assert groebner_basis(gens, LEX) == [pp(f"x1 - x2^{half}", F5, 2),
+                                         pp(f"x2^{2 * half}", F5, 2)]
+    top = pp(f"x1^{MAX_EXPONENT}*x2 + x2^{MAX_EXPONENT}", F5, 2)
+    assert normal_form(top, [pp("x2^2", F5, 2)]) == pp(f"x1^{MAX_EXPONENT}*x2", F5, 2)
+
+
+# ----- pinned counters of two small bases -----
+
+
+def _cyclic(n, field):
+    x = [Polynomial.variable(i, n, field) for i in range(n)]
+    gens = []
+    for k in range(1, n):
+        total = Polynomial.zero(n, field)
+        for s in range(n):
+            term = Polynomial.constant(1, n, field)
+            for j in range(k):
+                term = term * x[(s + j) % n]
+            total = total + term
+        gens.append(total)
+    product = Polynomial.constant(1, n, field)
+    for v in x:
+        product = product * v
+    return gens + [product - Polynomial.constant(1, n, field)]
+
+
+def _katsura(n, field):
+    nv = n + 1
+    u = [Polynomial.variable(i, nv, field) for i in range(nv)]
+    gens = []
+    for m in range(n):
+        total = -u[m]
+        for l in range(-n, n + 1):
+            if abs(m - l) <= n:
+                total = total + u[abs(l)] * u[abs(m - l)]
+        gens.append(total)
+    linear = Polynomial.constant(-1, nv, field)
+    for l in range(-n, n + 1):
+        linear = linear + u[abs(l)]
+    return gens + [linear]
+
+
+def test_engine_counters_are_pinned():
+    field = GF(32003)
+    stats = {}
+    groebner_basis(_cyclic(5, field), stats=stats)
+    assert stats == {"pairs_processed": 861, "basis_size": 42,
+                     "reduced_basis_size": 20}
+    stats = {}
+    groebner_basis(_katsura(5, field), stats=stats)
+    assert stats["pairs_processed"] == 276
