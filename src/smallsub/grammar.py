@@ -1,7 +1,8 @@
 """Text grammar for polynomials, shared by the CLI and fixtures.
 
-Grammar: variables ``x1..xN`` (1-indexed), integer coefficients, and the
-operators ``+ - * ^``, e.g. ``3*x1^2*x2 - x3^3``.  Whitespace is free.
+Grammar: variables ``x1..xN`` (1-indexed, N at most MAX_VARIABLES),
+integer coefficients, and the operators ``+ - * ^``, e.g.
+``3*x1^2*x2 - x3^3``.  Whitespace is free.
 Formatting is bit-exact and deterministic: terms are printed in
 descending grevlex order; rational coefficients are cleared to a
 primitive integer vector with positive leading coefficient, which
@@ -14,6 +15,11 @@ from math import gcd
 
 from .fields import CoefficientField
 from .poly import Polynomial, grevlex_key
+
+
+#: Largest ambient variable count, so that ``x99999999`` or a huge
+#: ``nvars`` is a ParseError instead of a monomial tuple of that length.
+MAX_VARIABLES = 1000
 
 
 class ParseError(ValueError):
@@ -55,6 +61,9 @@ def _tokenize(text: str):
             idx = int(text[i + 1:j])
             if idx < 1:
                 raise ParseError("variable indices start at x1", i)
+            if idx > MAX_VARIABLES:
+                raise ParseError(f"variable x{idx} exceeds the cap of "
+                                 f"{MAX_VARIABLES} variables", i)
             tokens.append(("var", idx - 1, i))
             i = j
             continue
@@ -69,6 +78,8 @@ def parse_polynomial(text: str, field: CoefficientField,
     When ``nvars`` is None the ambient size is the largest variable index
     mentioned (at least 1).
     """
+    if nvars is not None and nvars > MAX_VARIABLES:
+        raise ParseError(f"{nvars} variables exceed the cap of {MAX_VARIABLES}", 0)
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text", 0)

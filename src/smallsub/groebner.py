@@ -3,51 +3,102 @@
 One engine serves ideals and submodules of free modules: an element is
 a dict mapping module terms ``(component, exponent-tuple)`` to nonzero
 raw coefficients, and an ideal element simply lives in component 0.
-Orders are key-based: a term order supplies a sort key for ring
-monomials and is extended position-over-term to modules; Schreyer keys
-for resolutions are built on top of these (see :mod:`smallsub.modules`).
 
-Division runs on packed terms.  A prepared divisor (:func:`_prep`) and
-the live terms of a reduction hold each term as one int, with a field of
-EXPONENT_BITS bits plus a guard bit per variable and the component
-above them, so a product is one add and a divisibility test one masked
-subtract.  The reduction keeps its live terms in a max-heap in the style
-of Monagan and Pearce ("Sparse polynomial division using a heap", JSC
-2011), so each term's order key is computed once, when it enters.  An
-exponent above MAX_EXPONENT, in the input or in a product, raises
+Orders are integer keys.  A term order weights the exponents, so that
+``w . m`` orders ring monomials like grevlex, lex or a block elimination
+order (a mixed radix of ``_KEY_DIGIT_BITS``-bit digits, faithful for
+every exponent up to a key's ``limit``).  Its position-over-term
+extension (:func:`pot_key`) and Schreyer's orders built on it (see
+:mod:`smallsub.modules`) stay affine: key((c, m)) = base(c) + w . m,
+with one w for every component, so the key of a product is a sum.  As
+in Singular (Bachmann and Schoenemann, "Monomial representations for
+Groebner bases computations", ISSAC 1998), comparing terms is then
+comparing integers.
+
+Division runs on term codes.  A term (comp, mono) packs into one int
+with a field of EXPONENT_BITS bits plus a guard bit per variable and the
+component above them, so a product is one add and a divisibility test
+one masked subtract; its code puts the negated key above the packed
+term, ``packed - (key << code_shift)``.  The code of a product is then
+one add, code(s) + code(t) - code(lt), and a smaller code is a larger
+term.  A reduction keeps its live codes in a dict and a min-heap in the
+style of Monagan and Pearce ("Sparse polynomial division using a heap",
+JSC 2011), computes no key for a product and unpacks a term only when it
+joins the remainder or a reduction record.  An exponent above
+MAX_EXPONENT, in the input or in a product, raises
 :class:`BudgetExceededError`; a field never wraps into its neighbour.
+
+The first divisor of a leading term is memoized per term code
+(:class:`_Divisors`): its index, or "none among the first k", which a
+later lookup resumes from k.  That is exact because a basis only grows
+by appending.  The memo lives for one :func:`buchberger` run; beside
+``Ideal``'s cached divisors it is cleared past ``_IDEAL_MEMO_CAP``.
 
 The pair loop uses the normal selection strategy (smallest lcm first)
 with the coprimality criterion (ideal case only) and the treated-pair
-chain criterion.  All runs are budgeted: exceeding the configured pair
-or degree cap raises, it never degrades into a wrong answer.
+chain criterion.  Treated pairs are one bitmask per basis index, so the
+chain criterion visits only the k treated with both ends of a pair.
+S-pairs are built from the codes of the two prepared tails.  All runs
+are budgeted: exceeding the configured pair or degree cap raises, it
+never degrades into a wrong answer.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import inf
-from operator import add, lshift, sub
+from operator import add, itemgetter, lshift, mul
 from typing import Callable, Iterable, Sequence
 
 from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET
 from .fields import CoefficientField
-from .poly import Monomial, Polynomial, grevlex_key, mono_degree
-
-try:  # public from Python 3.14
-    from heapq import heapify_max as _heapify_max, heappop_max as _heappop_max, \
-        heappush_max as _heappush_max
-except ImportError:
-    from heapq import _heapify_max, _heappop_max, _siftdown_max
-
-    def _heappush_max(heap: list, item):
-        heap.append(item)
-        _siftdown_max(heap, 0, len(heap) - 1)
+from .poly import Monomial, Polynomial, mono_degree
 
 Term = tuple[int, Monomial]
 VecDict = dict[Term, object]
+
+
+# ----- integer order keys -----
+#
+# Over n variables, grevlex is deg * B^(n-1) - sum_{j>=1} m_j B^(j-1) and
+# lex is sum_j m_j B^(n-1-j), with B = 2^_KEY_DIGIT_BITS: a digit never
+# borrows from its neighbour while every exponent is below B.  The
+# elimination order scales the grevlex weights of its first block above
+# the span of the second.  All weights are positive, so over exponents
+# up to _KEY_LIMIT a ring key lies in [0, span).
+
+#: Bits of one key digit: Schreyer keys may lift a term's exponents by
+#: up to _KEY_LIMIT - MAX_EXPONENT before a digit could borrow.
+_KEY_DIGIT_BITS = 20
+_KEY_LIMIT = (1 << _KEY_DIGIT_BITS) - 1
+
+
+def _grevlex_weights(n: int) -> tuple[int, ...]:
+    if n == 0:
+        return ()
+    top = 1 << (_KEY_DIGIT_BITS * (n - 1))
+    return (top,) + tuple(top - (1 << (_KEY_DIGIT_BITS * (j - 1))) for j in range(1, n))
+
+
+def _span(weights: Sequence[int]) -> int:
+    return _KEY_LIMIT * sum(weights) + 1
+
+
+@lru_cache(maxsize=64)
+def _ring_weights(kind: str, elim: int, n: int) -> tuple[tuple[int, ...], int]:
+    """Weights w, with w . m ordering monomials like the order, and the span."""
+    if kind == "grevlex":
+        weights = _grevlex_weights(n)
+    elif kind == "lex":
+        weights = tuple(1 << (_KEY_DIGIT_BITS * (n - 1 - j)) for j in range(n))
+    else:
+        k = min(elim, n)
+        rest = _grevlex_weights(n - k)
+        below = _span(rest)
+        weights = tuple(w * below for w in _grevlex_weights(k)) + rest
+    return weights, _span(weights)
 
 
 class TermOrder:
@@ -64,13 +115,10 @@ class TermOrder:
         self.kind = kind
         self.elim = elim
 
-    def key(self, mono: Monomial):
-        if self.kind == "grevlex":
-            return grevlex_key(mono)
-        if self.kind == "lex":
-            return mono
-        k = self.elim
-        return (grevlex_key(mono[:k]), grevlex_key(mono[k:]))
+    def key(self, mono: Monomial) -> int:
+        """The integer key w . mono: a larger key is a larger monomial."""
+        weights, _ = _ring_weights(self.kind, self.elim, len(mono))
+        return sum(map(mul, weights, mono))
 
     def signature(self):
         return (self.kind, self.elim)
@@ -89,25 +137,33 @@ def elimination_order(k: int) -> TermOrder:
     return TermOrder("elim", k)
 
 
-def pot_key(order: TermOrder) -> Callable[[Term], object]:
-    """Position-over-term extension: e_0 > e_1 > ..., ties by the ring order."""
-    ring_key = order.key
+def pot_key(order: TermOrder) -> Callable[[Term], int]:
+    """Position-over-term extension: e_0 > e_1 > ..., ties by the ring order.
 
-    def key(term: Term):
+    The key is w . m - comp * span, affine with one w for every
+    component; its ``limit`` is the largest exponent it orders faithfully.
+    """
+    kind, elim = order.kind, order.elim
+
+    def key(term: Term) -> int:
         comp, mono = term
-        return (-comp, ring_key(mono))
+        weights, span = _ring_weights(kind, elim, len(mono))
+        return sum(map(mul, weights, mono)) - comp * span
 
+    key.limit = _KEY_LIMIT
     return key
 
 
-# ----- packed terms -----
+# ----- packed terms and term codes -----
 #
 # Over n variables, variable i has a field of EXPONENT_BITS value bits
 # and one guard bit at shift _FIELD*(n-1-i); the component sits above the
 # n fields.  lt divides t exactly when bias - lt + t has no guard bit and
 # a zero component field: the lowest failing field borrows into its own
 # guard bit, and the bias bit above the component keeps the difference
-# nonnegative.
+# nonnegative.  A term code puts the negated order key at the bias bit,
+# above every packed term, so the low bits of a code are its packed term
+# and adding codes adds both parts.
 
 #: Value bits of a packed exponent; a larger exponent raises
 #: BudgetExceededError("monomial exponent", MAX_EXPONENT).
@@ -121,14 +177,16 @@ _MAX_COMPONENT = (1 << _COMP_BITS) - 1
 class _Layout:
     """Shifts and masks of the packed terms over ``n`` variables."""
 
-    __slots__ = ("shifts", "comp_shift", "guard", "mask", "bias")
+    __slots__ = ("shifts", "comp_shift", "guard", "mask", "code_shift", "bias", "low")
 
     def __init__(self, n: int):
         self.shifts = tuple(_FIELD * (n - 1 - i) for i in range(n))
         self.comp_shift = _FIELD * n
         self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
         self.mask = self.guard | (_MAX_COMPONENT << self.comp_shift)
-        self.bias = 1 << (self.comp_shift + _COMP_BITS)
+        self.code_shift = self.comp_shift + _COMP_BITS
+        self.bias = 1 << self.code_shift
+        self.low = self.bias - 1  # the packed term inside a code
 
     def pack(self, term: Term) -> int:
         comp, mono = term
@@ -138,26 +196,87 @@ class _Layout:
             raise BudgetExceededError("module component", _MAX_COMPONENT)
         return (comp << self.comp_shift) + sum(map(lshift, mono, self.shifts))
 
+    def code(self, term: Term, key: int) -> int:
+        return self.pack(term) - (key << self.code_shift)
+
+    def unpack(self, packed: int) -> Term:
+        """The term of a packed int, or of a code's low bits."""
+        return (packed >> self.comp_shift,
+                tuple([packed >> s & MAX_EXPONENT for s in self.shifts]))
+
 
 @lru_cache(maxsize=64)
 def _layout(nvars: int) -> _Layout:
     return _Layout(nvars)
 
 
+def _exponent_overflow():
+    return BudgetExceededError("monomial exponent", MAX_EXPONENT)
+
+
+class _Codes(dict):
+    """A vector keyed by term codes over ``layout``, as S-pairs are built."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout: _Layout):
+        super().__init__()
+        self.layout = layout
+
+
+class _Divisors(list):
+    """Prepared divisors of a basis that only grows by appending, with
+    the negated packed leading terms and the first-divisor memo: per
+    term code, the index of its first divisor, or ``~k`` for "none among
+    the first k"."""
+
+    __slots__ = ("negs", "memo")
+
+    def __init__(self, prepared: Iterable[tuple] = ()):
+        super().__init__(prepared)
+        self.negs = [d[0] for d in self]
+        self.memo: dict[int, int] = {}
+
+    def append(self, prepared: tuple):
+        super().append(prepared)
+        self.negs.append(prepared[0])
+
+
+#: Entries of an ``Ideal``'s first-divisor memo past which a normal form
+#: clears it, so that a long run of queries keeps its memory bounded.
+_IDEAL_MEMO_CAP = 1 << 12
+
+
 # ----- raw engine -----
 
 
-def _scale_vec(vec: VecDict, factor, p) -> VecDict:
+def _scale_vec(vec: dict, factor, p) -> dict:
     if p:
         return {t: c * factor % p for t, c in vec.items()}
     return {t: c * factor for t, c in vec.items()}
 
 
 def _sub_scaled_tail(work: VecDict, tail, umono: Monomial, factor, p):
-    """work -= factor * x^umono * tail, in place."""
+    """work -= factor * x^umono * tail, in place, on tuple terms."""
     for (comp, mono), c in tail:
         t = (comp, tuple(map(add, mono, umono)))
         v = work.get(t, 0) - factor * c
+        if p:
+            v %= p
+        if v:
+            work[t] = v
+        elif t in work:
+            del work[t]
+
+
+def _sub_scaled_packed(work: dict, src: dict, u: int, factor, p, guard: int):
+    """work -= factor * x^u * src, in place, on packed terms."""
+    get = work.get
+    for e, c in src.items():
+        t = e + u
+        if t & guard:
+            raise _exponent_overflow()
+        v = get(t, 0) - factor * c
         if p:
             v %= p
         if v:
@@ -171,50 +290,57 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
     """Full normal form against monic divisors prepared by :func:`_prep`.
 
     The first divisor in ``basis`` that divides the leading term reduces
-    it.  Live terms are packed ints in a dict and their keys sit in a
-    max-heap: each key is computed once, when its term enters, and a term
-    that cancels while queued is skipped when it comes off.  Returns the
-    remainder, plus ``(index, mono, coeff)`` reduction records when
-    tracking.
+    it; a :class:`_Divisors` basis remembers it per term.  ``vec`` is a
+    VecDict, or a :class:`_Codes` vector, which the reduction consumes.
+    Live codes sit in a dict and a min-heap, so the largest term comes
+    off first, and a term that cancels while queued is skipped when it
+    comes off.  Returns the remainder, plus ``(index, mono, coeff)``
+    reduction records when tracking.
     """
     rem: VecDict = {}
     records = [] if track else None
     if vec:
-        layout = _layout(len(next(iter(vec))[1]))
-        pack, guard, mask, bias = layout.pack, layout.guard, layout.mask, layout.bias
-        negs = [d[0] for d in basis]
-        work = {}
+        if isinstance(vec, _Codes):
+            layout, work = vec.layout, vec
+        else:
+            layout = _layout(len(next(iter(vec))[1]))
+            code = layout.code
+            work = {code(term, keyf(term)): c for term, c in vec.items()}
+        guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
+        if isinstance(basis, _Divisors):
+            negs, memo = basis.negs, basis.memo
+        else:
+            negs, memo = [d[0] for d in basis], {}
+        n = len(negs)
         get = work.get
-        heap = []
-        for term, c in vec.items():
-            t = pack(term)
-            work[t] = c
-            heap.append((keyf(term), t, term))
-        _heapify_max(heap)
+        heap = list(work)
+        heapify(heap)
         while heap:
-            _, t, term = _heappop_max(heap)
-            c = work.pop(t)
+            h = heappop(heap)
+            c = work.pop(h)
             if not c:
                 continue
-            for hit, neg in enumerate(negs):
-                if not (t + neg) & mask:
-                    break
-            else:
-                rem[term] = c
-                continue
-            _, (_, ltm), tail = basis[hit]
-            u = t + neg - bias
-            umono = tuple(map(sub, term[1], ltm))
+            hit = memo.get(h)
+            if hit is None or hit < 0:
+                for hit in range(0 if hit is None else ~hit, n):
+                    if not (h + negs[hit]) & mask:
+                        break
+                else:
+                    memo[h] = ~n
+                    rem[unpack(h & low)] = c
+                    continue
+                memo[h] = hit
+            _, hlt, _, tail = basis[hit]
+            hu = h - hlt
             if track:
-                records.append((hit, umono, c))
-            for s, tterm, tc in tail:
-                s += u
+                records.append((hit, unpack(hu & low)[1], c))
+            for s, tc in tail:
+                s += hu
                 v = get(s)
                 if v is None:
                     if s & guard:
-                        raise BudgetExceededError("monomial exponent", MAX_EXPONENT)
-                    new = (tterm[0], tuple(map(add, tterm[1], umono)))
-                    _heappush_max(heap, (keyf(new), s, new))
+                        raise _exponent_overflow()
+                    heappush(heap, s)
                     v = 0
                 v -= c * tc
                 work[s] = v % p if p else v
@@ -222,13 +348,39 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
 
 
 def _prep(vec: VecDict, keyf):
-    """A monic divisor as ``(bias - packed lt, lt, tail)``, each tail term
-    as ``(packed, term, coeff)``."""
-    lt = max(vec, key=keyf)
+    """A monic divisor as ``(bias - packed lt, code of lt, lt, tail)``,
+    each tail term as ``(code, coeff)``."""
+    keyed = [(keyf(t), t, c) for t, c in vec.items()]
+    klt, lt, _ = max(keyed, key=itemgetter(0))
     layout = _layout(len(lt[1]))
-    pack = layout.pack
-    tail = [(pack(t), t, c) for t, c in vec.items() if t != lt]
-    return (layout.bias - pack(lt), lt, tail)
+    code = layout.code
+    tail = [(code(t, k), c) for k, t, c in keyed if k != klt]
+    return (layout.bias - layout.pack(lt), code(lt, klt), lt, tail)
+
+
+def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
+    """x^ui f_i - x^uj f_j for prepared monic divisors f_i, f_j whose
+    leading terms times x^ui, x^uj are ``lcm``, of order key ``key``."""
+    layout = _layout(len(lcm[1]))
+    out = _Codes(layout)
+    lcm_code = layout.code(lcm, key)
+    hi, hj = lcm_code - di[1], lcm_code - dj[1]
+    for s, c in di[3]:
+        out[s + hi] = c
+    get = out.get
+    for s, c in dj[3]:
+        s += hj
+        v = get(s, 0) - c
+        if p:
+            v %= p
+        if v:
+            out[s] = v
+        else:
+            del out[s]
+    guard = layout.guard
+    if any(s & guard for s in out):
+        raise _exponent_overflow()
+    return out
 
 
 def _make_monic(vec: VecDict, keyf, p, field: CoefficientField) -> tuple[VecDict, object]:
@@ -251,85 +403,84 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     """
     budget = budget or DEFAULT_BUDGET
     p = field.p
+    one, minus_one = field.one, field.neg(field.one)
     pair_counter = Counter("groebner pairs", budget.max_pairs)
     basis: list[VecDict] = []
-    prepped: list[tuple] = []
-    negs: list[int] = []  # bias - packed leading term, per basis element
-    exprs: list[VecDict] = []
+    prepped = _Divisors()
+    negs = prepped.negs  # bias - packed leading term, per basis element
+    exprs: list[dict] = []  # packed (input index, mono) -> coeff, per element
+    treated: list[int] = []  # per element, the bitmask of its treated partners
     heap: list = []
-    treated: set[frozenset] = set()
-    zero_mono: Monomial | None = None
+    layout: _Layout | None = None
 
     def push_pairs(new_idx: int):
-        _, (ltc, ltm), _ = prepped[new_idx]
+        ltc, ltm = prepped[new_idx][2]
         for j in range(new_idx):
-            _, (jc, jm), _ = prepped[j]
+            jc, jm = prepped[j][2]
             if jc != ltc:
                 continue
             lcm = tuple(map(max, ltm, jm))
-            heapq.heappush(heap, (keyf((ltc, lcm)), lcm, j, new_idx))
+            heappush(heap, (keyf((ltc, lcm)), lcm, j, new_idx))
 
-    def add(vec: VecDict, expr: VecDict | None):
+    def reduce(vec, expr):
+        if not track:
+            return normal_form_vec(vec, prepped, keyf, p), None
+        rem, records = normal_form_vec(vec, prepped, keyf, p, track=True)
+        for idx, umono, factor in records:
+            _sub_scaled_packed(expr, exprs[idx], layout.pack((0, umono)),
+                               factor, p, layout.guard)
+        return rem, expr
+
+    def add(vec: VecDict, expr: dict | None):
         vec, inv = _make_monic(vec, keyf, p, field)
         basis.append(vec)
         prepped.append(_prep(vec, keyf))
-        negs.append(prepped[-1][0])
+        treated.append(0)
         if track:
-            exprs.append(_scale_vec(expr, inv, p) if inv != field.one else expr)
+            exprs.append(_scale_vec(expr, inv, p) if inv != one else expr)
         push_pairs(len(basis) - 1)
 
     for i, vec in enumerate(vectors):
         if not vec:
             continue
-        if zero_mono is None:
-            zero_mono = (0,) * len(next(iter(vec))[1])
-            layout = _layout(len(zero_mono))
-        expr = {(i, zero_mono): field.one} if track else None
-        if track:
-            rem, records = normal_form_vec(vec, prepped, keyf, p, track=True)
-            for idx, umono, factor in records:
-                _sub_scaled_tail(expr, list(exprs[idx].items()), umono, factor, p)
-        else:
-            rem = normal_form_vec(vec, prepped, keyf, p)
+        if layout is None:
+            layout = _layout(len(next(iter(vec))[1]))
+        rem, expr = reduce(vec, {layout.pack((i, (0,) * len(layout.shifts))): one}
+                           if track else None)
         if rem:
             add(rem, expr)
 
     while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        pair = frozenset((i, j))
-        if pair in treated:
+        key, lcm, i, j = heappop(heap)
+        if treated[i] >> j & 1:
             continue
-        treated.add(pair)
+        treated[i] |= 1 << j
+        treated[j] |= 1 << i
         if budget.max_degree is not None and mono_degree(lcm) > budget.max_degree:
             raise BudgetExceededError("groebner lcm degree", budget.max_degree)
         pair_counter.tick()
-        _, (ic, im), _ = prepped[i]
-        _, (jc, jm), _ = prepped[j]
-        packed_lcm = layout.pack((ic, lcm))
-        if rank1 and 2 * layout.bias - negs[i] - negs[j] == packed_lcm:
+        di, dj = prepped[i], prepped[j]
+        packed_lcm = layout.pack((di[2][0], lcm))
+        if rank1 and 2 * layout.bias - di[0] - dj[0] == packed_lcm:
             continue  # lt_i * lt_j == lcm: coprime, the S-pair reduces to zero
         # chain criterion: some lt_k divides the lcm, both pairs with k treated
-        mask = layout.mask
-        if any(not (packed_lcm + neg) & mask and k != i and k != j
-               and frozenset((i, k)) in treated and frozenset((k, j)) in treated
-               for k, neg in enumerate(negs)):
+        both, mask = treated[i] & treated[j], layout.mask
+        while both:
+            if not (packed_lcm + negs[(both & -both).bit_length() - 1]) & mask:
+                break
+            both &= both - 1
+        if both:
             continue
-        ui = tuple(map(sub, lcm, im))
-        uj = tuple(map(sub, lcm, jm))
-        spair: VecDict = {}
-        _sub_scaled_tail(spair, list(basis[i].items()), ui,
-                         field.neg(field.one), p)
-        _sub_scaled_tail(spair, list(basis[j].items()), uj, field.one, p)
+        spair = _s_pair(di, dj, (di[2][0], lcm), key, p)
+        expr = None
         if track:
-            expr: VecDict = {}
-            _sub_scaled_tail(expr, list(exprs[i].items()), ui, field.neg(field.one), p)
-            _sub_scaled_tail(expr, list(exprs[j].items()), uj, field.one, p)
-            rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
-            for idx, umono, factor in records:
-                _sub_scaled_tail(expr, list(exprs[idx].items()), umono, factor, p)
-        else:
-            rem = normal_form_vec(spair, prepped, keyf, p)
-            expr = None
+            guard = layout.guard
+            expr = {}
+            _sub_scaled_packed(expr, exprs[i], packed_lcm + di[0] - layout.bias,
+                               minus_one, p, guard)
+            _sub_scaled_packed(expr, exprs[j], packed_lcm + dj[0] - layout.bias,
+                               one, p, guard)
+        rem, expr = reduce(spair, expr)
         if rem:
             add(rem, expr)
 
@@ -337,33 +488,28 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         stats["pairs_processed"] = pair_counter.used
         stats["basis_size"] = len(basis)
     if track:
-        return basis, exprs
+        return basis, [{layout.unpack(e): c for e, c in ex.items()} for ex in exprs]
     return basis
 
 
 def autoreduce(basis: Sequence[VecDict], keyf, field: CoefficientField) -> list[VecDict]:
-    """Interreduce a Groebner basis into the unique reduced monic basis,
-    sorted with the largest leading term first."""
-    p = field.p
-    elems = sorted((dict(v) for v in basis if v),
-                   key=lambda v: keyf(max(v, key=keyf)))
-    minimal: list[VecDict] = []
-    negs: list[int] = []
-    for vec in elems:
-        lt = max(vec, key=keyf)
-        layout = _layout(len(lt[1]))
-        t = layout.pack(lt)
-        if any(not (t + neg) & layout.mask for neg in negs):
-            continue
-        minimal.append(vec)
-        negs.append(layout.bias - t)
-    prepped = [_prep(v, keyf) for v in minimal]
+    """Interreduce a monic Groebner basis into the unique reduced monic
+    basis, sorted with the largest leading term first."""
+    # ascending leading terms, each prepared once: a larger code is a smaller term
+    elems = sorted((_prep(v, keyf) for v in basis if v), key=itemgetter(1), reverse=True)
+    minimal: list[tuple] = []
+    for d in elems:
+        layout = _layout(len(d[2][1]))
+        t = layout.bias - d[0]
+        if not any(not (t + m[0]) & layout.mask for m in minimal):
+            minimal.append(d)
     reduced = []
-    for i, vec in enumerate(minimal):
-        rem = normal_form_vec(vec, prepped[:i] + prepped[i + 1:], keyf, p)
-        rem, _ = _make_monic(rem, keyf, p, field)
-        reduced.append(rem)
-    reduced.sort(key=lambda v: keyf(max(v, key=keyf)), reverse=True)
+    for i, d in enumerate(minimal):
+        vec = _Codes(_layout(len(d[2][1])))
+        vec[d[1]] = field.one
+        vec.update(d[3])
+        reduced.append(normal_form_vec(vec, minimal[:i] + minimal[i + 1:], keyf, field.p))
+    reduced.reverse()
     return reduced
 
 
@@ -487,7 +633,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
 
 class Ideal:
     """An ideal with cached reduced Groebner bases (write-once per order),
-    each with its prepared divisors once a normal form needs them."""
+    each with its prepared divisors and their first-divisor memo once a
+    normal form needs them."""
 
     __slots__ = ("generators", "nvars", "field", "_gb", "_divisors")
 
@@ -529,10 +676,12 @@ class Ideal:
         cached = self._divisors.get(sig)
         if cached is None:
             keyf = pot_key(order)
-            cached = (keyf, _prep_basis(basis, keyf))
+            cached = (keyf, _Divisors(_prep_basis(basis, keyf)))
             self._divisors[sig] = cached  # idempotent write-once memo
         keyf, divisors = cached
         rem = normal_form_vec(_to_vec(f), divisors, keyf, f.field.p)
+        if len(divisors.memo) > _IDEAL_MEMO_CAP:
+            divisors.memo.clear()
         return _from_vec(rem, f.nvars, f.field)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
@@ -553,7 +702,12 @@ class Ideal:
         return any(g.is_constant() and not g.is_zero() for g in gb)
 
     def dimension(self, budget: Budget | None = None) -> int:
-        """Krull dimension of R/I; -1 for the unit ideal."""
+        """Krull dimension of R/I; -1 for the unit ideal.
+
+        The largest variable subset containing no leading-term support;
+        each subset tried costs one step of ``budget.max_steps``.
+        """
+        budget = budget or DEFAULT_BUDGET
         gb = self.groebner_basis(budget=budget)
         if any(g.is_constant() and not g.is_zero() for g in gb):
             return -1
@@ -564,8 +718,10 @@ class Ideal:
             supports.append(frozenset(i for i, e in enumerate(lt) if e))
         supports = [s for s in supports if not any(t < s for t in supports)]
         n = self.nvars
+        subsets = Counter("dimension subsets", budget.max_steps)
         for size in range(n, 0, -1):
             for subset in combinations(range(n), size):
+                subsets.tick()
                 chosen = set(subset)
                 if not any(s <= chosen for s in supports):
                     return size

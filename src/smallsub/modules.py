@@ -15,12 +15,13 @@ yields a minimal graded resolution after unit entries are pruned.
 
 from __future__ import annotations
 
+from operator import mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
 from .fields import CoefficientField
-from .groebner import (GREVLEX, TermOrder, VecDict, autoreduce, buchberger,
-                       normal_form_vec, pot_key, _prep, _sub_scaled_tail)
+from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
+                       buchberger, normal_form_vec, pot_key, _Divisors, _prep, _s_pair)
 from .poly import Monomial, Polynomial
 
 Vector = tuple[Polynomial, ...]
@@ -259,41 +260,59 @@ class FreeResolution:
 
 def _schreyer_key(lead_terms: Sequence[tuple[int, Monomial]],
                   prev_key: Callable) -> Callable:
+    """Schreyer's order: e_c x^m compares as lead_terms[c] * x^m under
+    ``prev_key``; of two tied terms, the smaller component is larger.
+
+    ``prev_key`` is affine, prev((c, m)) = base(c) + w . m, so this key is
+    R * (prev(lead_terms[c]) + w . m) - c with R = len(lead_terms): affine
+    again, with weights R * w.  Lifting adds the lead exponents, so the
+    key is faithful up to ``prev_key.limit`` minus the largest of them.
+    """
+    nvars = len(lead_terms[0][1])
+    zero = (0,) * nvars
+    origin = prev_key((0, zero))
+    radix = len(lead_terms)
+    weights = tuple(radix * (prev_key((0, zero[:j] + (1,) + zero[j + 1:])) - origin)
+                    for j in range(nvars))
+    bases = [radix * prev_key(lt) - c for c, lt in enumerate(lead_terms)]
+    limit = prev_key.limit - max(max(m, default=0) for _, m in lead_terms)
+    if limit < MAX_EXPONENT:
+        raise BudgetExceededError("monomial exponent", MAX_EXPONENT)
+
     def key(term):
         comp, mono = term
-        ltc, ltm = lead_terms[comp]
-        lifted = (ltc, tuple(a + b for a, b in zip(ltm, mono)))
-        return (prev_key(lifted), -comp)
+        return bases[comp] + sum(map(mul, weights, mono))
+
+    key.limit = limit
     return key
 
 
 def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField) -> list[VecDict]:
     """Syzygies of a monic Groebner basis from its S-pair reductions."""
     p = field.p
-    prepped = [_prep(g, keyf) for g in gb]
-    lead = [max(g, key=keyf) for g in gb]
+    prepped = _Divisors(_prep(g, keyf) for g in gb)
     sigmas: list[VecDict] = []
     one = field.one
     for i in range(len(gb)):
-        ic, im = lead[i]
+        ic, im = prepped[i][2]
         for j in range(i + 1, len(gb)):
-            jc, jm = lead[j]
+            jc, jm = prepped[j][2]
             if ic != jc:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(im, jm))
-            ui = tuple(a - b for a, b in zip(lcm, im))
-            uj = tuple(a - b for a, b in zip(lcm, jm))
-            spair: VecDict = {}
-            _sub_scaled_tail(spair, list(gb[i].items()), ui, field.neg(one), p)
-            _sub_scaled_tail(spair, list(gb[j].items()), uj, one, p)
+            lcm = (ic, tuple(map(max, im, jm)))
+            spair = _s_pair(prepped[i], prepped[j], lcm, keyf(lcm), p)
             rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
             if rem:
                 raise InternalError("S-pair of a Groebner basis did not reduce to zero")
-            sigma: VecDict = {(i, ui): one}
-            _sub_scaled_tail(sigma, [((j, uj), one)], (0,) * len(ui), one, p)
-            for idx, umono, factor in records:
-                _sub_scaled_tail(sigma, [((idx, umono), factor)],
-                                 (0,) * len(ui), one, p)
+            sigma: VecDict = {(i, tuple(map(sub, lcm[1], im))): one}
+            for idx, umono, factor in [(j, tuple(map(sub, lcm[1], jm)), one)] + records:
+                v = sigma.get((idx, umono), 0) - factor
+                if p:
+                    v %= p
+                if v:
+                    sigma[(idx, umono)] = v
+                else:
+                    sigma.pop((idx, umono), None)
             if sigma:
                 sigmas.append(sigma)
     return sigmas

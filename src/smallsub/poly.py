@@ -16,6 +16,7 @@ stripped, compared in the largest-differing-index well-order).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
 from .fields import CoefficientField
@@ -46,7 +47,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def grevlex_key(m: Monomial):
     """Sort key for graded reverse lexicographic order (bigger key = bigger monomial)."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 class Polynomial:

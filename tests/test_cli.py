@@ -6,7 +6,7 @@ from smallsub import strength
 from smallsub.budget import Budget, InternalError
 from smallsub.cli import main, run
 from smallsub.fields import GF
-from smallsub.grammar import parse_polynomial as pp
+from smallsub.grammar import MAX_VARIABLES, parse_polynomial as pp
 
 
 def _json_out(capsys):
@@ -117,6 +117,16 @@ def test_parse_error_exit_code(capsys):
     code = main(["gb", "--field", "p=5", "--gens", "x1 +* x2"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--gens", f"x{MAX_VARIABLES + 1} + 1"],
+    ["--gens", "x1", "--nvars", str(MAX_VARIABLES + 1)],
+])
+def test_variable_cap_exit_code(capsys, extra):
+    code = main(["gb", "--field", "p=5"] + extra)
+    assert code == 3
+    assert "cap of 1000" in capsys.readouterr().err
 
 
 def test_bad_field_exit_code(capsys):

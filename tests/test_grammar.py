@@ -3,8 +3,8 @@ import random
 import pytest
 
 from smallsub.fields import GF, QQ
-from smallsub.grammar import (ParseError, format_polynomial, parse_forms_file,
-                              parse_generators, parse_polynomial)
+from smallsub.grammar import (MAX_VARIABLES, ParseError, format_polynomial,
+                              parse_forms_file, parse_generators, parse_polynomial)
 from smallsub.poly import Polynomial
 
 F5 = GF(5)
@@ -14,6 +14,20 @@ def test_parse_basic():
     f = parse_polynomial("3*x1^2*x2 - x3^3", F5)
     assert f.nvars == 3
     assert f.terms == {(2, 1, 0): 3, (0, 0, 3): 4}
+
+
+def test_variable_count_is_capped_at_parse_time():
+    # only the cap + 1 is tried, so no test allocates a huge monomial
+    over = MAX_VARIABLES + 1
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(f"x1 + 2*x{over}", F5)
+    assert err.value.position == 7
+    with pytest.raises(ParseError):
+        parse_polynomial("x1", F5, over)
+    with pytest.raises(ParseError):
+        parse_generators(f"x1; x{over}^2", F5)
+    with pytest.raises(ParseError):
+        parse_forms_file("x1\nx2\n", F5, over)
 
 
 def test_parse_signs_and_constants():

@@ -7,8 +7,10 @@ import pytest
 from smallsub.budget import Budget, BudgetExceededError
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
+from smallsub import groebner
 from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
-                               Ideal, _prep, elimination_order, exact_divide,
+                               Ideal, _Divisors, _KEY_LIMIT, _prep,
+                               elimination_order, exact_divide,
                                groebner_basis, leading_form_ideal,
                                membership_cofactors, normal_form,
                                normal_form_vec, pot_key)
@@ -88,6 +90,20 @@ def test_dimension_examples():
     assert I.dimension() == 1
     unit = Ideal([pp("x1+1", F5, 2), pp("x1", F5, 2)])
     assert unit.dimension() == -1
+
+
+def test_dimension_subset_search_is_budgeted():
+    # (x1*x2, x3*x4, ..., x39*x40) has dimension 20, below 2^40 subsets
+    def pairs(n):
+        return [Polynomial(2 * n, F5, {tuple(int(j in (2 * i, 2 * i + 1))
+                                             for j in range(2 * n)): 1})
+                for i in range(n)]
+    with pytest.raises(BudgetExceededError, match="dimension subsets"):
+        Ideal(pairs(20)).dimension(Budget(max_steps=1000))
+    # 1 + 6 + 15 subsets of sizes 6, 5 and 4, then (0, 2, 4) is the 6th of size 3
+    assert Ideal(pairs(3)).dimension(Budget(max_steps=28)) == 3
+    with pytest.raises(BudgetExceededError, match="dimension subsets"):
+        Ideal(pairs(3)).dimension(Budget(max_steps=27))
 
 
 def test_height_examples():
@@ -387,6 +403,24 @@ def test_exponent_above_the_cap_is_budget_exceeded():
                     [pp("x1 - x2^20000", F5, 2), pp("x2^1000", F5, 2)], LEX)
 
 
+def test_s_pair_past_the_cap_is_budget_exceeded():
+    # neither input reduces the other; their S-pair is x2^40000
+    gens = [pp("x1*x2^20000", F5, 2), pp("x1 + x2^20000", F5, 2)]
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        groebner_basis(gens, LEX)
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        membership_cofactors(pp("x1", F5, 2), gens, LEX)
+
+
+def test_cofactor_past_the_cap_is_budget_exceeded():
+    # tracked runs keep cofactors packed as well; x2^32767 * x2 overflows
+    layout = groebner._layout(2)
+    expr = {layout.pack((1, (0, MAX_EXPONENT))): 1}
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        groebner._sub_scaled_packed({}, expr, layout.pack((0, (0, 1))), 1, 5,
+                                    layout.guard)
+
+
 def test_exponents_up_to_the_cap_stay_exact():
     half = MAX_EXPONENT // 2
     gens = [pp(f"x1 - x2^{half}", F5, 2), pp("x1^2", F5, 2)]
@@ -441,3 +475,124 @@ def test_engine_counters_are_pinned():
     stats = {}
     groebner_basis(_katsura(5, field), stats=stats)
     assert stats["pairs_processed"] == 276
+
+
+# ----- integer order keys against the tuple keys they replaced -----
+
+
+def _tuple_grevlex(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _tuple_ring_key(order):
+    if order.kind == "grevlex":
+        return _tuple_grevlex
+    if order.kind == "lex":
+        return lambda m: m
+    k = order.elim
+    return lambda m: (_tuple_grevlex(m[:k]), _tuple_grevlex(m[k:]))
+
+
+def _tuple_pot(order):
+    ring = _tuple_ring_key(order)
+    return lambda term: (-term[0], ring(term[1]))
+
+
+def _tuple_schreyer(leads, prev):
+    def key(term):
+        comp, mono = term
+        ltc, ltm = leads[comp]
+        return (prev((ltc, tuple(a + b for a, b in zip(ltm, mono)))), -comp)
+    return key
+
+
+def _exponent(rng):
+    # small, extreme and random exponents, so that digits tie and differ
+    return rng.choice((0, 1, 2, 3, MAX_EXPONENT - 1, MAX_EXPONENT,
+                       rng.randint(0, MAX_EXPONENT)))
+
+
+def _terms(rng, ncomps, nvars, count):
+    return list({(rng.randrange(ncomps), tuple(_exponent(rng) for _ in range(nvars)))
+                 for _ in range(count)})
+
+
+def _key_pairs(rng, nvars):
+    """(int key, tuple key, component count) for every order, pot and
+    Schreyer up to depth 3."""
+    out = []
+    for order in (GREVLEX, LEX, elimination_order(1), elimination_order(rng.randint(1, 7))):
+        ikey, tkey, ncomps = pot_key(order), _tuple_pot(order), 41
+        out.append((ikey, tkey, ncomps))
+        for _ in range(3):
+            leads = _terms(rng, ncomps, nvars, rng.randint(1, 41))
+            ikey, tkey = _schreyer_key(leads, ikey), _tuple_schreyer(leads, tkey)
+            ncomps = len(leads)
+            out.append((ikey, tkey, ncomps))
+    return out
+
+
+def test_int_keys_sort_like_the_tuple_keys():
+    rng = random.Random(71)
+    for nvars in range(1, 7):
+        for ikey, tkey, ncomps in _key_pairs(rng, nvars):
+            terms = _terms(rng, ncomps, nvars, 60)
+            assert sorted(terms, key=ikey) == sorted(terms, key=tkey)
+            assert all(isinstance(ikey(t), int) for t in terms)
+
+
+def test_int_keys_are_affine():
+    rng = random.Random(73)
+    for nvars in range(1, 7):
+        for ikey, _, ncomps in _key_pairs(rng, nvars):
+            u = tuple(rng.randint(0, 9) for _ in range(nvars))
+            shifts = set()
+            for comp, mono in _terms(rng, ncomps, nvars, 20):
+                mono = tuple(min(e, MAX_EXPONENT - 9) for e in mono)
+                moved = tuple(a + b for a, b in zip(mono, u))
+                shifts.add(ikey((comp, moved)) - ikey((comp, mono)))
+            assert len(shifts) == 1
+
+
+def test_schreyer_lift_past_the_key_limit_is_budget_exceeded():
+    lead = (0, (_KEY_LIMIT - MAX_EXPONENT + 1, 0))
+    with pytest.raises(BudgetExceededError, match="monomial exponent"):
+        _schreyer_key([lead], pot_key(GREVLEX))
+
+
+# ----- the first-divisor memo -----
+
+
+def test_first_divisor_memo_resumes_after_appends():
+    resumed = 0
+    for field in (GF(7), QQ):
+        rng = random.Random(79 + (field.p or 0))
+        for keyf in _keys(rng, 2, 3):
+            vecs = [_random_vec(rng, field, 2, 3, rng.randint(1, 8), 4) for _ in range(6)]
+            memoized = _Divisors()
+            for _ in range(6):
+                divisor = _monic(_random_vec(rng, field, 2, 3, rng.randint(1, 4), 2),
+                                 keyf, field)
+                stale = {h: v for h, v in memoized.memo.items() if v < 0}
+                memoized.append(_prep(divisor, keyf))
+                for vec in vecs:
+                    with_memo = normal_form_vec(vec, memoized, keyf, field.p, track=True)
+                    without = normal_form_vec(vec, list(memoized), keyf, field.p,
+                                              track=True)
+                    assert with_memo[1] == without[1]
+                    assert list(with_memo[0].items()) == list(without[0].items())
+                resumed += sum(memoized.memo[h] != v for h, v in stale.items())
+    assert resumed > 0
+
+
+def test_ideal_memo_is_cleared_past_its_cap(monkeypatch):
+    monkeypatch.setattr(groebner, "_IDEAL_MEMO_CAP", 5)
+    gens = _katsura(3, GF(32003))
+    ideal = Ideal(gens)
+    basis = ideal.groebner_basis()
+    rng = random.Random(83)
+    for _ in range(20):
+        f = random_poly(rng, 4, 3, GF(32003))
+        assert ideal.normal_form(f) == normal_form(f, basis)
+        _, divisors = ideal._divisors[GREVLEX.signature()]
+        assert len(divisors.memo) <= 5
