@@ -1,8 +1,8 @@
 """The ideal calculus underneath: bases, colon, saturation, resolutions.
 
 A quick tour of the engine the certificates run on, ending with the
-top-degree-form pipeline (homogenize, saturate by the new variable,
-set it to zero) and a minimal free resolution.
+ideal of top-degree forms (the top forms of one grevlex Groebner basis)
+and a minimal free resolution.
 
 Run from the repository root:
 

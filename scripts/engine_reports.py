@@ -3,8 +3,11 @@
 Runs ``gb --verbose`` on the five ideals of the benchmark's engine
 workload (its stderr holds the ``trace:`` line with the pair counts),
 ``pdim`` on the resolution items of the certify pool, ``certify`` on its
-R_eta items, and ``sat``, ``colon``, ``intersect``, ``leading-ideal`` and
-lex ``gb``/``pdim`` on fixed small inputs.  Each line holds the argv, the
+R_eta items, ``sat``, ``colon``, ``intersect``, ``leading-ideal`` and
+lex ``gb``/``pdim`` on fixed small inputs, and ``sat`` and
+``leading-ideal`` on edge cases: a constant saturating polynomial, a
+saturation that is the unit ideal, generators that contain a constant,
+and further inputs over Q.  Each line holds the argv, the
 exit code, the report text and stderr.  Run it in two checkouts and
 compare the outputs to show that a change leaves every report
 byte-identical:
@@ -34,6 +37,20 @@ SMALL_IDEALS = [
     ("p=2", "x1^3 + x2*x3; x2^3 + x1*x4; x3^2 + x4^2", "x1*x2"),
 ]
 
+#: Reports on the edge cases of saturation and top-degree forms.
+EDGE_CASES = [
+    ["sat", "--field", "p=5", "--gens", "x1*x2; x1*x3", "--by", "3"],
+    ["sat", "--field", "Q", "--gens", "x1^2 - x2; x2*x3", "--by", "-2"],
+    ["sat", "--field", "p=7", "--gens", "x1^2; x1*x2 + x3", "--by", "x1"],
+    ["sat", "--field", "p=5", "--gens", "x1*x2 - 1; x2^3", "--by", "x2"],
+    ["sat", "--field", "Q", "--gens", "x1^2*x3 - x2^3; x1*x3^2 - x2", "--by", "x1*x3"],
+    ["sat", "--field", "Q", "--gens", "x1*x2 - x3^2; x2^2 - 2*x1*x3", "--by", "x1 - x2"],
+    ["leading-ideal", "--field", "p=5", "--gens", "x1*x2 + 1; 2"],
+    ["leading-ideal", "--field", "p=3", "--gens", "x1; x1 + x2^2 + 1; x2^2"],
+    ["leading-ideal", "--field", "Q", "--gens", "x1^3 - 2*x2 + 1; x1*x2^2 + 3*x3 - x1"],
+    ["leading-ideal", "--field", "Q", "--gens", "x1^2 + x2*x3 - 1; x1*x2 + x3^2 + 2*x1"],
+]
+
 
 def argvs():
     for inst in workloads.engine_inputs():
@@ -47,6 +64,7 @@ def argvs():
         yield ["leading-ideal", "--field", field, "--gens", f"{gens}; {other} + 1"]
         yield ["pdim", "--field", field, "--gens", gens]
         yield ["pdim", "--field", field, "--gens", gens, "--order", "lex"]
+    yield from EDGE_CASES
     p = f"p={workloads.CERTIFY_PRIME}"
     for item in workloads.certify_pool():
         n, forms = str(item["nvars"]), "; ".join(item.get("forms", []))

@@ -31,8 +31,8 @@ class Budget:
     max_pairs: S-pairs processed per Groebner run.
     max_degree: lcm degree ceiling during a Groebner run (None = no cap).
     max_candidates: tuples tested per collapse enumeration.
-    max_steps: descent steps / recursion nodes / saturation rounds /
-        variable subsets tried by ``Ideal.dimension``.
+    max_steps: descent steps / recursion nodes / variable subsets tried
+        by ``Ideal.dimension``.
     """
 
     max_pairs: int = 200_000

@@ -100,46 +100,25 @@ def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int) -> Ideal:
     return Ideal(gens, sample.nvars, sample.field)
 
 
-def singular_locus_codim(forms: Sequence[Form | Polynomial],
-                         budget: Budget | None = None) -> int:
-    """Codimension of the singular locus inside the complete intersection.
-
-    Requires a regular sequence of c forms; measures the height of the
-    ideal of the forms plus the size-c Jacobian minors and subtracts c.
-    A unit minors ideal means a smooth quotient; the codimension is then
-    capped at the quotient dimension N - c.
-    """
-    forms = [as_form(f) for f in forms]
-    if not is_regular_sequence(forms, budget):
-        raise ValueError("forms are not a regular sequence")
-    c = len(forms)
-    nvars = forms[0].nvars
-    jac = jacobian(forms)
-    minors = minors_ideal(jac, c)
-    total = _ideal_of(forms, minors.generators)
-    h = total.height(budget)
-    if h == inf:
-        return nvars - c
-    return h - c
-
-
 def check_reta(forms: Sequence[Form | Polynomial], eta: int,
                budget: Budget | None = None) -> RetaCertificate:
-    """Certify Serre's R_eta for the quotient by a regular sequence."""
+    """Certify Serre's R_eta for the quotient by a regular sequence.
+
+    Checks that the c forms are a regular sequence, then measures the
+    height of the ideal of the forms plus the size-c Jacobian minors and
+    subtracts c.  A unit minors ideal means a smooth quotient; the
+    codimension is then capped at the quotient dimension N - c.
+    """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     forms = tuple(as_form(f) for f in forms)
-    c = len(forms)
-    nvars = forms[0].nvars
-    forms_ideal = _ideal_of(forms)
-    jac = jacobian(forms)
-    minors = minors_ideal(jac, c)
-    if forms_ideal.height(budget) != c:
+    if not is_regular_sequence(forms, budget):
         raise ValueError("forms are not a regular sequence")
-    total = _ideal_of(forms, minors.generators)
-    h = total.height(budget)
+    c = len(forms)
+    minors = minors_ideal(jacobian(forms), c)
+    h = _ideal_of(forms, minors.generators).height(budget)
     smooth = h == inf
-    codim = (nvars - c) if smooth else (h - c)
+    codim = (forms[0].nvars - c) if smooth else (h - c)
     p = forms[0].field.characteristic
     note = ("height certificates are extension-stable; in characteristic "
             f"{p} the Jacobian locus may overstate singularity, so PASS "
@@ -149,6 +128,13 @@ def check_reta(forms: Sequence[Form | Polynomial], eta: int,
         verdict=codim >= eta + 1,
         heights={"forms": c, "forms_plus_minors": h},
         smooth=smooth, note=note)
+
+
+def singular_locus_codim(forms: Sequence[Form | Polynomial],
+                         budget: Budget | None = None) -> int:
+    """Codimension of the singular locus inside the complete intersection
+    of a regular sequence (see :func:`check_reta`)."""
+    return check_reta(forms, 0, budget).codim_singular
 
 
 def minors_height_check(matrix: Sequence[Sequence[Polynomial]],

@@ -13,17 +13,29 @@ from fractions import Fraction
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases, exact below
+    3,317,044,064,679,887,385,961,981 (Sorenson and Webster, Math. Comp.
+    2017); a larger n raises ValueError instead of an unproven answer."""
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise ValueError(f"characteristic {n} is too large to certify as prime")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

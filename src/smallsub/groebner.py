@@ -41,6 +41,9 @@ chain criterion visits only the k treated with both ends of a pair.
 S-pairs are built from the codes of the two prepared tails.  All runs
 are budgeted: exceeding the configured pair or degree cap raises, it
 never degrades into a wrong answer.
+
+Intersection and saturation are one elimination of a tag variable each;
+the ideal of top-degree forms is read off one grevlex basis.
 """
 
 from __future__ import annotations
@@ -739,30 +742,36 @@ class Ideal:
 
     # --- elimination-based operations ---
 
-    def _tagged(self, flip: bool) -> list[Polynomial]:
-        """Generators multiplied by t (or 1-t) in a ring with tag variable first."""
-        out = []
-        nv = self.nvars + 1
-        for g in self.generators:
-            shifted = Polynomial(nv, self.field,
-                                 {(0,) + m: c for m, c in g.terms.items()})
-            tagged = Polynomial(nv, self.field,
-                                {(1,) + m: c for m, c in g.terms.items()})
-            out.append(shifted - tagged if flip else tagged)
-        return out
+    def _eliminate_tag(self, rows: list[list[tuple[int, Polynomial]]],
+                       budget: Budget | None) -> "Ideal":
+        """Tag-free part of an ideal in K[t, x], t the first variable.
 
-    def intersection(self, other: "Ideal", budget: Budget | None = None) -> "Ideal":
-        """I cap J via a single tag variable and elimination."""
-        if self.nvars != other.nvars or self.field != other.field:
-            raise ValueError("ideals live in different ambient rings")
-        if self.is_zero() or other.is_zero():
-            return Ideal([], self.nvars, self.field)
-        mixed = self._tagged(flip=False) + other._tagged(flip=True)
-        gb = groebner_basis(mixed, elimination_order(1), budget)
+        Each row lists (e, g) pairs and stands for sum t^e * g.  One
+        basis under ``elimination_order(1)``; its elements free of t
+        generate the intersection with K[x].
+        """
+        nv = self.nvars + 1
+        lifted = []
+        for row in rows:
+            terms = {}
+            for e, g in row:
+                terms.update(((e,) + m, c) for m, c in g.terms.items())
+            lifted.append(Polynomial(nv, self.field, terms))
+        gb = groebner_basis(lifted, elimination_order(1), budget)
         kept = [Polynomial(self.nvars, self.field,
                            {m[1:]: c for m, c in g.terms.items()})
                 for g in gb if all(m[0] == 0 for m in g.terms)]
         return Ideal(kept, self.nvars, self.field)
+
+    def intersection(self, other: "Ideal", budget: Budget | None = None) -> "Ideal":
+        """I cap J: eliminate t from t*I + (1 - t)*J."""
+        if self.nvars != other.nvars or self.field != other.field:
+            raise ValueError("ideals live in different ambient rings")
+        if self.is_zero() or other.is_zero():
+            return Ideal([], self.nvars, self.field)
+        return self._eliminate_tag(
+            [[(1, g)] for g in self.generators]
+            + [[(0, h), (1, -h)] for h in other.generators], budget)
 
     def colon(self, other, budget: Budget | None = None) -> "Ideal":
         """I : J, computed per generator of J via intersection and division."""
@@ -780,62 +789,30 @@ class Ideal:
         return result
 
     def saturation(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
-        """I : f^infinity by iterated colon until the chain stabilizes."""
+        """I : f^infinity: eliminate t from I + (1 - t*f) (Rabinowitsch)."""
         if f.is_zero():
             raise ValueError("cannot saturate by zero")
-        budget = budget or DEFAULT_BUDGET
-        current = self
-        for _ in range(budget.max_steps):
-            nxt = current.colon(f, budget)
-            if current.contains_ideal(nxt, budget):
-                return current
-            current = nxt
-        raise BudgetExceededError("saturation rounds", budget.max_steps)
+        if f.nvars != self.nvars or f.field != self.field:
+            raise ValueError("f lives in a different ambient ring")
+        one = Polynomial.constant(1, self.nvars, self.field)
+        return self._eliminate_tag(
+            [[(0, g)] for g in self.generators] + [[(0, one), (1, -f)]], budget)
 
     def __repr__(self):
         inside = "; ".join(repr(g) for g in self.generators) or "0"
         return f"Ideal({inside})"
 
 
-# ----- spec-level operation names -----
-
-
-def ideal_dimension(ideal: Ideal, budget: Budget | None = None) -> int:
-    return ideal.dimension(budget)
-
-
-def height(ideal: Ideal, budget: Budget | None = None) -> int | float:
-    return ideal.height(budget)
-
-
-def colon_ideal(numerator: Ideal, denominator: Ideal,
-                budget: Budget | None = None) -> Ideal:
-    return numerator.colon(denominator, budget)
-
-
-def intersection(left: Ideal, right: Ideal, budget: Budget | None = None) -> Ideal:
-    return left.intersection(right, budget)
-
-
-def saturation(ideal: Ideal, f: Polynomial, budget: Budget | None = None) -> Ideal:
-    return ideal.saturation(f, budget)
-
-
 def leading_form_ideal(gens: Sequence[Polynomial],
                        budget: Budget | None = None) -> Ideal:
     """Ideal of top-degree forms of all elements of (gens).
 
-    Pipeline: homogenize each generator with a fresh last variable,
-    saturate by that variable, then set it to zero.
+    The top-degree forms of a grevlex Groebner basis generate it, since
+    grevlex refines the degree (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, Ch. 8 Sec. 4).
     """
-    from .poly import homogenize, set_last_variable_zero
     gens = [g.poly if hasattr(g, "poly") else g for g in gens]
     if not gens or any(g.is_zero() for g in gens):
         raise ValueError("generators must be nonzero")
-    nvars, field = _ambient(gens)
-    lifted = [homogenize(g).poly for g in gens]
-    tag = Polynomial.variable(nvars, nvars + 1, field)
-    saturated = Ideal(lifted, nvars + 1, field).saturation(tag, budget)
-    dropped = [set_last_variable_zero(g)
-               for g in saturated.groebner_basis(budget=budget)]
-    return Ideal([g for g in dropped if not g.is_zero()], nvars, field)
+    return Ideal([g.homogeneous_component(g.total_degree())
+                  for g in groebner_basis(gens, GREVLEX, budget)])

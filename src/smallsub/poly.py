@@ -394,12 +394,6 @@ def dehomogenize(f: Polynomial | Form) -> Polynomial:
     return Polynomial(poly.nvars - 1, poly.field, terms)
 
 
-def set_last_variable_zero(f: Polynomial) -> Polynomial:
-    """Kill the last variable: keep only terms it does not divide, then drop it."""
-    terms = {m[:-1]: c for m, c in f.terms.items() if m[-1] == 0}
-    return Polynomial(f.nvars - 1, f.field, terms)
-
-
 def leading_form(f: Polynomial) -> Form:
     """The top-degree homogeneous component of a nonzero polynomial."""
     if isinstance(f, Form):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -133,6 +134,21 @@ def test_bad_field_exit_code(capsys):
     code = main(["gb", "--field", "p=6", "--gens", "x1"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_large_prime_field_runs_promptly(capsys):
+    start = time.perf_counter()
+    code = main(["gb", "--field", "p=2305843009213693951", "--gens", "x1"])
+    assert code == 0
+    assert time.perf_counter() - start < 5.0
+    assert _json_out(capsys)["result"]["basis"] == ["x1"]
+
+
+@pytest.mark.parametrize("p", [3215031751, 3317044064679887385961981])
+def test_pseudoprime_and_unprovable_fields_exit_code(capsys, p):
+    code = main(["gb", "--field", f"p={p}", "--gens", "x1"])
+    assert code == 3
+    assert "bad field spec" in capsys.readouterr().err
 
 
 def test_budget_exceeded_exit_code(capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
 
 import pytest
@@ -15,7 +15,7 @@ from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
                                membership_cofactors, normal_form,
                                normal_form_vec, pot_key)
 from smallsub.modules import _schreyer_key
-from smallsub.poly import Polynomial, leading_form
+from smallsub.poly import Polynomial, homogenize, leading_form
 
 F2 = GF(2)
 F5 = GF(5)
@@ -250,6 +250,46 @@ def test_leading_form_ideal_principal():
             continue
         L = leading_form_ideal([f])
         assert L.equals(Ideal([leading_form(f).poly]))
+
+
+def _leading_forms_by_homogenizing(gens):
+    """Top-degree forms by homogenizing, saturating by the new variable
+    and setting it to zero."""
+    nvars, field = gens[0].nvars, gens[0].field
+    lifted = [homogenize(g).poly for g in gens]
+    tag = Polynomial.variable(nvars, nvars + 1, field)
+    saturated = Ideal(lifted, nvars + 1, field).saturation(tag)
+    dropped = [Polynomial(nvars, field,
+                          {m[:-1]: c for m, c in g.terms.items() if m[-1] == 0})
+               for g in saturated.groebner_basis()]
+    return Ideal([g for g in dropped if not g.is_zero()], nvars, field)
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=repr)
+def test_leading_form_ideal_matches_homogenize_route(field):
+    rng = random.Random(61)
+    cases = []
+    for _ in range(15):
+        nvars = rng.randint(2, 3)
+        monos = [m for m in product(range(4), repeat=nvars) if sum(m) <= 3]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {m: rng.randint(-3, 3)
+                     for m in rng.sample(monos, rng.randint(2, 5))}
+            g = Polynomial(nvars, field, terms)
+            if not g.is_zero():
+                gens.append(g)
+        if gens:
+            cases.append(gens)
+    cases.append([pp("x1*x2+1", field, 2), pp("2", field, 2)])
+    cases.append([pp("x1", field, 2), pp("x1+x2^2+1", field, 2), pp("x2^2", field, 2)])
+    units = inhomogeneous = 0
+    for gens in cases:
+        ours = leading_form_ideal(gens)
+        assert ours.groebner_basis() == _leading_forms_by_homogenizing(gens).groebner_basis()
+        units += ours.is_unit()
+        inhomogeneous += any(not g.is_homogeneous() for g in gens)
+    assert units >= 2 and inhomogeneous >= 12
 
 
 def test_membership_cofactors_exact():

@@ -1,12 +1,13 @@
 """Cross-checks of the Groebner engine against an independent system."""
 
 import random
+from itertools import product
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from smallsub.fields import GF
+from smallsub.fields import GF, QQ
 from smallsub.grammar import format_polynomial
 from smallsub.groebner import GREVLEX, LEX, Ideal, groebner_basis
 from smallsub.poly import Polynomial
@@ -91,23 +92,51 @@ def test_dimension_matches_sympy_zero_dimensional():
             assert (dim == 0) == gb.is_zero_dimensional
 
 
-def test_saturation_matches_inverse_tag_route():
-    # independent route: I : f^inf = (I + (1 - f t)) eliminate t
-    from smallsub.groebner import elimination_order
+def _saturation_by_iterated_colon(ideal, f, rounds=50):
+    """I : f^inf as the chain I, I : f, (I : f) : f, ... until it stops
+    growing: colons by intersection and exact division, no tag for f."""
+    current = ideal
+    for _ in range(rounds):
+        nxt = current.colon(f)
+        if current.contains_ideal(nxt):
+            return current
+        current = nxt
+    raise AssertionError("colon chain did not stabilise")
+
+
+def _random_inhomogeneous(rng, nvars, maxdeg, field):
+    monos = [m for m in product(range(maxdeg + 1), repeat=nvars) if sum(m) <= maxdeg]
+    while True:
+        picked = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+        f = Polynomial(nvars, field, {m: rng.randint(-3, 3) for m in picked})
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=repr)
+def test_saturation_matches_iterated_colon_route(field):
+    # saturation is one elimination of I + (1 - t*f); the oracle is the
+    # iterated colon chain.  Random ideals are f^a * g so that most grow.
     rng = random.Random(404)
-    for _ in range(8):
+    cases = []
+    for _ in range(12):
         nvars = rng.randint(2, 3)
-        gens = [random_poly(rng, nvars, 2) for _ in range(2)]
-        f = random_poly(rng, nvars, 1)
-        ideal = Ideal(gens, nvars, F5)
-        iterated = ideal.saturation(f)
-        total = nvars + 1
-        lifted = [Polynomial(total, F5, {(0,) + m: c for m, c in g.terms.items()})
-                  for g in gens]
-        tag_f = Polynomial(total, F5, {(1,) + m: c for m, c in f.terms.items()})
-        one = Polynomial.constant(1, total, F5)
-        gb = groebner_basis(lifted + [one - tag_f], elimination_order(1))
-        eliminated = [Polynomial(nvars, F5, {m[1:]: c for m, c in g.terms.items()})
-                      for g in gb if all(m[0] == 0 for m in g.terms)]
-        via_tag = Ideal(eliminated, nvars, F5)
-        assert iterated.equals(via_tag)
+        f = _random_inhomogeneous(rng, nvars, rng.randint(1, 2), field)
+        gens = [f ** rng.randint(0, 2) * _random_inhomogeneous(rng, nvars, 2, field)
+                for _ in range(2)]
+        cases.append((Ideal(gens, nvars, field), f))
+    x = [Polynomial.variable(i, 3, field) for i in range(3)]
+    cases += [
+        (Ideal([x[0] * x[1], x[0] * x[2]]), Polynomial.constant(3, 3, field)),
+        (Ideal([], 3, field), x[0] + x[1]),
+        (Ideal([], 3, field), Polynomial.constant(2, 3, field)),
+        (Ideal([x[0] * x[0], x[0] * x[1] + x[2]]), x[0]),
+        (Ideal([x[0] * x[1] - 1, x[1] ** 3]), x[1]),
+    ]
+    units = 0
+    for ideal, f in cases:
+        ours = ideal.saturation(f)
+        oracle = _saturation_by_iterated_colon(ideal, f)
+        assert ours.groebner_basis() == oracle.groebner_basis(), (ideal, f)
+        units += ours.is_unit()
+    assert units >= 2
