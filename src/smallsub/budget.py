@@ -28,11 +28,12 @@ class InternalError(RuntimeError):
 class Budget:
     """Caps for the engines.
 
-    max_pairs: S-pairs processed per Groebner run.
+    max_pairs: S-pairs reduced per Groebner run; a pair that a criterion
+        drops before it is queued costs nothing.
     max_degree: lcm degree ceiling during a Groebner run (None = no cap).
     max_candidates: tuples tested per collapse enumeration.
     max_steps: descent steps / recursion nodes / variable subsets tried
-        by ``Ideal.dimension``.
+        by ``Ideal.dimension`` / determinants built by ``minors_ideal``.
     """
 
     max_pairs: int = 200_000

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import inf
 from typing import Sequence
 
-from .budget import Budget
+from .budget import Budget, Counter, DEFAULT_BUDGET
 from .groebner import Ideal
 from .poly import Form, Polynomial, as_form, jacobian
 
@@ -86,15 +86,19 @@ def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return total
 
 
-def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int) -> Ideal:
-    """Ideal generated by all size x size minors."""
+def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int,
+                 budget: Budget | None = None) -> Ideal:
+    """Ideal generated by all size x size minors; each determinant costs
+    one step of ``budget.max_steps``."""
     rows, cols = len(matrix), len(matrix[0]) if matrix else 0
     if not 1 <= size <= min(rows, cols):
         raise ValueError(f"minor size {size} out of range for {rows}x{cols}")
     sample = matrix[0][0]
+    determinants = Counter("minors", (budget or DEFAULT_BUDGET).max_steps)
     gens = []
     for rsel in combinations(range(rows), size):
         for csel in combinations(range(cols), size):
+            determinants.tick()
             sub = [[matrix[r][c] for c in csel] for r in rsel]
             gens.append(determinant(sub))
     return Ideal(gens, sample.nvars, sample.field)
@@ -115,7 +119,7 @@ def check_reta(forms: Sequence[Form | Polynomial], eta: int,
     if not is_regular_sequence(forms, budget):
         raise ValueError("forms are not a regular sequence")
     c = len(forms)
-    minors = minors_ideal(jacobian(forms), c)
+    minors = minors_ideal(jacobian(forms), c, budget)
     h = _ideal_of(forms, minors.generators).height(budget)
     smooth = h == inf
     codim = (forms[0].nvars - c) if smooth else (h - c)
@@ -170,7 +174,7 @@ def minors_height_check(matrix: Sequence[Sequence[Polynomial]],
         row_ideal = Ideal(gens, sample.nvars, sample.field)
         b = min(b, row_ideal.height(budget))
     size = min(rows, len(matrix[0]))
-    minors = minors_ideal(matrix, size)
+    minors = minors_ideal(matrix, size, budget)
     if minors.is_zero():
         lhs: int | float = 0
     else:

@@ -114,6 +114,7 @@ def _cmd_gb(args, field, budget):
     basis = groebner_basis(gens, _order(args), budget, stats=stats)
     if stats is not None:
         print(f"trace: pairs_processed={stats.get('pairs_processed', 0)} "
+              f"zero_reductions={stats.get('zero_reductions', 0)} "
               f"basis_size={stats.get('basis_size', 0)} "
               f"reduced_basis_size={stats.get('reduced_basis_size', 0)}",
               file=sys.stderr)

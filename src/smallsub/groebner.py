@@ -34,13 +34,26 @@ later lookup resumes from k.  That is exact because a basis only grows
 by appending.  The memo lives for one :func:`buchberger` run; beside
 ``Ideal``'s cached divisors it is cleared past ``_IDEAL_MEMO_CAP``.
 
-The pair loop uses the normal selection strategy (smallest lcm first)
-with the coprimality criterion (ideal case only) and the treated-pair
-chain criterion.  Treated pairs are one bitmask per basis index, so the
-chain criterion visits only the k treated with both ends of a pair.
-S-pairs are built from the codes of the two prepared tails.  All runs
-are budgeted: exceeding the configured pair or degree cap raises, it
-never degrades into a wrong answer.
+The pair loop prunes pairs when an element t joins the basis, by the
+Gebauer-Moeller criteria in the form of Becker and Weispfenning's
+``UPDATE`` (Gebauer and Moeller, JSC 1988; *Groebner Bases*, Sec. 5.5):
+the new pairs (i, t), i live, are sorted by the key of their lcm,
+coprime first, and one whose lcm an earlier one's divides is dropped
+(M and F); then the coprime ones are dropped (the product criterion,
+ideal runs only).  A queued pair (i, j) is dropped when lt_t divides
+lcm(i, j) and lcm(i, t) != lcm(i, j) != lcm(j, t) (B).  An element whose
+leading term lt_t divides leaves the live set, which new pairs are
+formed with; its queued pairs stay.  Every test is a few masked adds on
+packed terms.  Queued pairs are taken by sugar (Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please", ISSAC 1991), ties by
+the key of the lcm: an input's sugar is its degree, a pair's is
+max(sugar_i + deg u_i, sugar_j + deg u_j) for lcm = u_i lt_i = u_j lt_j,
+and a new element's is the larger of its pair's and its own degree.
+For homogeneous ideals under grevlex that is the normal strategy
+(smallest lcm first).  Every popped pair is reduced.  S-pairs are built
+from the codes of the two prepared tails.  All runs are budgeted:
+exceeding the configured pair or degree cap raises, it never degrades
+into a wrong answer.
 
 Intersection and saturation are one elimination of a tag variable each;
 the ideal of top-degree forms is read off one grevlex basis.
@@ -353,12 +366,28 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
 def _prep(vec: VecDict, keyf):
     """A monic divisor as ``(bias - packed lt, code of lt, lt, tail)``,
     each tail term as ``(code, coeff)``."""
-    keyed = [(keyf(t), t, c) for t, c in vec.items()]
+    return _prep_keyed([(keyf(t), t, c) for t, c in vec.items()])
+
+
+def _prep_keyed(keyed: list) -> tuple:
+    """:func:`_prep` of a vector given as ``(key, term, coeff)`` triples."""
     klt, lt, _ = max(keyed, key=itemgetter(0))
     layout = _layout(len(lt[1]))
     code = layout.code
     tail = [(code(t, k), c) for k, t, c in keyed if k != klt]
     return (layout.bias - layout.pack(lt), code(lt, klt), lt, tail)
+
+
+def _prep_monic(vec: VecDict, keyf, field: CoefficientField):
+    """``vec`` scaled to be monic, the inverse of its leading coefficient,
+    and its prepared divisor, with each term's key computed once."""
+    keyed = [(keyf(t), t, c) for t, c in vec.items()]
+    lc = max(keyed, key=itemgetter(0))[2]
+    if lc == field.one:
+        return vec, lc, _prep_keyed(keyed)
+    inv, p = field.inv(lc), field.p
+    keyed = [(k, t, c * inv % p if p else c * inv) for k, t, c in keyed]
+    return {t: c for _, t, c in keyed}, inv, _prep_keyed(keyed)
 
 
 def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
@@ -386,13 +415,9 @@ def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
     return out
 
 
-def _make_monic(vec: VecDict, keyf, p, field: CoefficientField) -> tuple[VecDict, object]:
-    lt = max(vec, key=keyf)
-    lc = vec[lt]
-    if lc == field.one:
-        return vec, field.one
-    inv = field.inv(lc)
-    return _scale_vec(vec, inv, p), inv
+def _degree(vec: VecDict) -> int:
+    """Total degree: the largest degree of a term's monomial."""
+    return max(map(sum, map(itemgetter(1), vec)))
 
 
 def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
@@ -400,30 +425,74 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                track: bool = False, stats: dict | None = None):
     """Compute a (non-reduced) monic Groebner basis of the span.
 
-    With ``track=True`` also returns, for each basis element, its
-    expression over the input vectors as a VecDict keyed by input index.
-    A ``stats`` dict, when given, receives pair/reduction counters.
+    Pairs are pruned as each element joins and taken by sugar (see the
+    module docstring).  With ``track=True`` also returns, for each basis
+    element, its expression over the input vectors as a VecDict keyed by
+    input index.  A ``stats`` dict, when given, receives the reduced
+    pairs, the zero reductions among them and the basis size.
     """
     budget = budget or DEFAULT_BUDGET
     p = field.p
     one, minus_one = field.one, field.neg(field.one)
     pair_counter = Counter("groebner pairs", budget.max_pairs)
+    zero_reductions = 0
     basis: list[VecDict] = []
     prepped = _Divisors()
     negs = prepped.negs  # bias - packed leading term, per basis element
     exprs: list[dict] = []  # packed (input index, mono) -> coeff, per element
-    treated: list[int] = []  # per element, the bitmask of its treated partners
-    heap: list = []
+    excess: list[int] = []  # per element, its sugar minus its leading degree
+    live: list[int] = []  # the elements whose leading term no later one divides
+    heap: list = []  # (sugar, key, i, j, lcm, packed lcm), one per queued pair
     layout: _Layout | None = None
+    homogeneous = True  # so far every input, hence every element, is homogeneous
 
-    def push_pairs(new_idx: int):
-        ltc, ltm = prepped[new_idx][2]
-        for j in range(new_idx):
-            jc, jm = prepped[j][2]
-            if jc != ltc:
-                continue
-            lcm = tuple(map(max, ltm, jm))
-            heappush(heap, (keyf((ltc, lcm)), lcm, j, new_idx))
+    def update(t: int):
+        """Queue the pairs of the new element t that survive the criteria."""
+        neg_t = negs[t]
+        lt_t = bias - neg_t
+        comp, ltm = prepped[t][2]
+        candidates = []
+        for i in live:
+            ic, im = prepped[i][2]
+            if ic == comp:
+                lcm = tuple(map(max, ltm, im))
+                lt_i = bias - negs[i]
+                ge = (lt_t | guard) - lt_i & guard  # guard bits where lt_t's field is larger
+                ge -= ge >> EXPONENT_BITS  # their value bits
+                packed = lt_t & ge | lt_i & ~ge
+                coprime = rank1 and lt_t + lt_i == packed
+                candidates.append((keyf((comp, lcm)), not coprime, i, lcm, packed))
+        # M and F: an earlier lcm dividing this one; the smaller key comes first
+        candidates.sort()
+        lcm_negs = []
+        fresh = []
+        for key, not_coprime, i, lcm, packed in candidates:
+            for n in lcm_negs:
+                if not (packed + n) & mask:
+                    break
+            else:
+                lcm_negs.append(bias - packed)
+                if not_coprime:  # the product criterion drops the coprime ones
+                    sugar = sum(lcm) + max(excess[i], excess[t])
+                    fresh.append((sugar, key, i, t, lcm, packed))
+        # B: lt_t divides lcm(i, j) and is new to both lcm(i, t) and lcm(j, t)
+        kept = []
+        for entry in heap:
+            lcm = entry[5]
+            u = lcm + neg_t
+            if not u & mask:
+                u = u + fill & guard  # a guard bit per variable of lcm / lt_t
+                if lcm + negs[entry[2]] + fill & u and lcm + negs[entry[3]] + fill & u:
+                    continue
+            kept.append(entry)
+        if len(kept) < len(heap):
+            heap[:] = kept + fresh
+            heapify(heap)
+        else:
+            for entry in fresh:
+                heappush(heap, entry)
+        live[:] = [i for i in live if (bias - negs[i] + neg_t) & mask]
+        live.append(t)
 
     def reduce(vec, expr):
         if not track:
@@ -431,64 +500,57 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         rem, records = normal_form_vec(vec, prepped, keyf, p, track=True)
         for idx, umono, factor in records:
             _sub_scaled_packed(expr, exprs[idx], layout.pack((0, umono)),
-                               factor, p, layout.guard)
+                               factor, p, guard)
         return rem, expr
 
-    def add(vec: VecDict, expr: dict | None):
-        vec, inv = _make_monic(vec, keyf, p, field)
+    def add(vec: VecDict, expr: dict | None, sugar: int):
+        vec, inv, prepared = _prep_monic(vec, keyf, field)
         basis.append(vec)
-        prepped.append(_prep(vec, keyf))
-        treated.append(0)
+        prepped.append(prepared)
+        if not homogeneous:  # else vec is homogeneous of degree sugar
+            sugar = max(sugar, _degree(vec))
+        excess.append(sugar - mono_degree(prepared[2][1]))
         if track:
             exprs.append(_scale_vec(expr, inv, p) if inv != one else expr)
-        push_pairs(len(basis) - 1)
+        update(len(basis) - 1)
 
     for i, vec in enumerate(vectors):
         if not vec:
             continue
         if layout is None:
             layout = _layout(len(next(iter(vec))[1]))
+            bias, mask, guard = layout.bias, layout.mask, layout.guard
+            fill = guard - (guard >> EXPONENT_BITS)  # x + fill: a guard bit per nonzero field
+        degrees = set(map(sum, map(itemgetter(1), vec)))
+        homogeneous = homogeneous and len(degrees) == 1
         rem, expr = reduce(vec, {layout.pack((i, (0,) * len(layout.shifts))): one}
                            if track else None)
         if rem:
-            add(rem, expr)
+            add(rem, expr, max(degrees))
 
     while heap:
-        key, lcm, i, j = heappop(heap)
-        if treated[i] >> j & 1:
-            continue
-        treated[i] |= 1 << j
-        treated[j] |= 1 << i
+        sugar, key, i, j, lcm, packed_lcm = heappop(heap)
         if budget.max_degree is not None and mono_degree(lcm) > budget.max_degree:
             raise BudgetExceededError("groebner lcm degree", budget.max_degree)
         pair_counter.tick()
         di, dj = prepped[i], prepped[j]
-        packed_lcm = layout.pack((di[2][0], lcm))
-        if rank1 and 2 * layout.bias - di[0] - dj[0] == packed_lcm:
-            continue  # lt_i * lt_j == lcm: coprime, the S-pair reduces to zero
-        # chain criterion: some lt_k divides the lcm, both pairs with k treated
-        both, mask = treated[i] & treated[j], layout.mask
-        while both:
-            if not (packed_lcm + negs[(both & -both).bit_length() - 1]) & mask:
-                break
-            both &= both - 1
-        if both:
-            continue
         spair = _s_pair(di, dj, (di[2][0], lcm), key, p)
         expr = None
         if track:
-            guard = layout.guard
             expr = {}
-            _sub_scaled_packed(expr, exprs[i], packed_lcm + di[0] - layout.bias,
+            _sub_scaled_packed(expr, exprs[i], packed_lcm + di[0] - bias,
                                minus_one, p, guard)
-            _sub_scaled_packed(expr, exprs[j], packed_lcm + dj[0] - layout.bias,
+            _sub_scaled_packed(expr, exprs[j], packed_lcm + dj[0] - bias,
                                one, p, guard)
         rem, expr = reduce(spair, expr)
         if rem:
-            add(rem, expr)
+            add(rem, expr, sugar)
+        else:
+            zero_reductions += 1
 
     if stats is not None:
         stats["pairs_processed"] = pair_counter.used
+        stats["zero_reductions"] = zero_reductions
         stats["basis_size"] = len(basis)
     if track:
         return basis, [{layout.unpack(e): c for e, c in ex.items()} for ex in exprs]
@@ -556,11 +618,7 @@ def groebner_basis(gens: Sequence[Polynomial], order: TermOrder = GREVLEX,
 
 def _prep_basis(basis: Sequence[Polynomial], keyf) -> list[tuple]:
     """Prepared monic divisors of a polynomial basis."""
-    out = []
-    for g in basis:
-        vec, _ = _make_monic(_to_vec(g), keyf, g.field.p, g.field)
-        out.append(_prep(vec, keyf))
-    return out
+    return [_prep_monic(_to_vec(g), keyf, g.field)[2] for g in basis]
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -616,8 +674,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     field = f.field
     keyf = pot_key(GREVLEX)
-    vec, inv = _make_monic(_to_vec(g), keyf, field.p, field)
-    prepped = [_prep(vec, keyf)]
+    _, inv, prepared = _prep_monic(_to_vec(g), keyf, field)
+    prepped = [prepared]
     rem, records = normal_form_vec(_to_vec(f), prepped, keyf, field.p, track=True)
     if rem:
         raise ValueError("division is not exact")

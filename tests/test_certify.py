@@ -3,6 +3,7 @@ from math import inf
 
 import pytest
 
+from smallsub.budget import Budget, BudgetExceededError
 from smallsub.certify import (RetaCertificate, check_reta, determinant,
                               is_regular_sequence, minors_height_check,
                               minors_ideal, singular_locus_codim)
@@ -103,6 +104,25 @@ def test_minors_height_check_distinct_degrees_required():
     row2 = [pp("x2", F5, 2), pp("x1", F5, 2)]
     with pytest.raises(ValueError):
         minors_height_check([row1, row2])
+
+
+def test_minors_are_budgeted():
+    # C(2, 2) * C(5, 2) = 10 determinants, one step each
+    row1 = [pp(f"x{i}", F5, 5) for i in range(1, 6)]
+    row2 = [pp(f"x{i}^2", F5, 5) for i in range(1, 6)]
+    assert len(minors_ideal([row1, row2], 2, Budget(max_steps=10)).generators) == 10
+    with pytest.raises(BudgetExceededError, match="minors limit 9"):
+        minors_ideal([row1, row2], 2, Budget(max_steps=9))
+    # x5^2 has 5 Jacobian entries; each height scan takes 2 subsets
+    square = forms("x5^2", nvars=5)
+    assert check_reta(square, 0, Budget(max_steps=5)).codim_singular == 0
+    with pytest.raises(BudgetExceededError, match="minors limit 4"):
+        check_reta(square, 0, Budget(max_steps=4))
+    zero = pp("0", F5, 5)
+    row = [[zero, zero, zero, zero, pp("x5", F5, 5)]]
+    assert minors_height_check(row, Budget(max_steps=5))
+    with pytest.raises(BudgetExceededError, match="minors limit 4"):
+        minors_height_check(row, Budget(max_steps=4))
 
 
 def test_minors_height_check_power_rows():

@@ -1,10 +1,11 @@
 import random
+from heapq import heappop, heappush
 from itertools import combinations, product
 from math import inf
 
 import pytest
 
-from smallsub.budget import Budget, BudgetExceededError
+from smallsub.budget import Budget, BudgetExceededError, Counter
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
 from smallsub import groebner
@@ -510,11 +511,173 @@ def test_engine_counters_are_pinned():
     field = GF(32003)
     stats = {}
     groebner_basis(_cyclic(5, field), stats=stats)
-    assert stats == {"pairs_processed": 861, "basis_size": 42,
-                     "reduced_basis_size": 20}
+    assert stats == {"pairs_processed": 108, "zero_reductions": 75,
+                     "basis_size": 38, "reduced_basis_size": 20}
     stats = {}
     groebner_basis(_katsura(5, field), stats=stats)
-    assert stats["pairs_processed"] == 276
+    assert (stats["pairs_processed"], stats["zero_reductions"]) == (68, 50)
+
+
+def test_pair_budget_counts_reduced_pairs():
+    gens = _cyclic(5, GF(32003))
+    assert len(groebner_basis(gens, budget=Budget(max_pairs=108))) == 20
+    with pytest.raises(BudgetExceededError) as exc:
+        groebner_basis(gens, budget=Budget(max_pairs=107))
+    assert (exc.value.what, exc.value.limit) == ("groebner pairs", 107)
+
+
+# ----- the pair queue against the loop it replaced -----
+
+
+def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
+    """The previous pair loop: every pair queued, smallest lcm first, the
+    coprime pairs of ideal runs and those with a treated chain skipped
+    when they come off the heap.  Returns the basis and the pairs reduced."""
+    p = field.p
+    basis, treated, heap = [], [], []
+    pairs = Counter("groebner pairs", 1000)  # a runaway case fails, not hangs
+    prepped = _Divisors()
+    negs = prepped.negs
+    layout = None
+
+    def add(vec):
+        vec, _, prepared = groebner._prep_monic(vec, keyf, field)
+        basis.append(vec)
+        prepped.append(prepared)
+        treated.append(0)
+        new = len(basis) - 1
+        ltc, ltm = prepped[new][2]
+        for j in range(new):
+            jc, jm = prepped[j][2]
+            if jc == ltc:
+                lcm = tuple(map(max, ltm, jm))
+                heappush(heap, (keyf((ltc, lcm)), lcm, j, new))
+
+    for vec in vectors:
+        if vec:
+            layout = layout or groebner._layout(len(next(iter(vec))[1]))
+            rem = normal_form_vec(vec, prepped, keyf, p)
+            if rem:
+                add(rem)
+    while heap:
+        key, lcm, i, j = heappop(heap)
+        if treated[i] >> j & 1:
+            continue
+        treated[i] |= 1 << j
+        treated[j] |= 1 << i
+        di, dj = prepped[i], prepped[j]
+        packed_lcm = layout.pack((di[2][0], lcm))
+        if rank1 and 2 * layout.bias - di[0] - dj[0] == packed_lcm:
+            continue
+        both = treated[i] & treated[j]
+        while both:
+            if not (packed_lcm + negs[(both & -both).bit_length() - 1]) & layout.mask:
+                break
+            both &= both - 1
+        if both:
+            continue
+        pairs.tick()
+        rem = normal_form_vec(groebner._s_pair(di, dj, (di[2][0], lcm), key, p),
+                              prepped, keyf, p)
+        if rem:
+            add(rem)
+    return basis, pairs.used
+
+
+def _times(vec, mono, factor, p):
+    """factor * x^mono * vec on tuple terms."""
+    out = {}
+    for (comp, m), c in vec.items():
+        out[(comp, tuple(a + b for a, b in zip(m, mono)))] = c * factor % p if p else c * factor
+    return out
+
+
+def _plus(acc, vec, p):
+    for t, c in vec.items():
+        v = acc.get(t, 0) + c
+        if p:
+            v %= p
+        if v:
+            acc[t] = v
+        else:
+            acc.pop(t, None)
+    return acc
+
+
+def _s_poly_vec(f, g, keyf, p):
+    (_, fm), (_, gm) = max(f, key=keyf), max(g, key=keyf)
+    lcm = tuple(map(max, fm, gm))
+    minus_one = p - 1 if p else -1
+    return _plus(_times(f, tuple(a - b for a, b in zip(lcm, fm)), 1, p),
+                 _times(g, tuple(a - b for a, b in zip(lcm, gm)), minus_one, p), p)
+
+
+def _homogeneous_vec(rng, field, rank, nvars, nterms, degree):
+    monos = [m for m in product(range(degree + 1), repeat=nvars) if sum(m) == degree]
+    vec = {}
+    for _ in range(nterms):
+        c = field.coerce(rng.randint(1, 40) * rng.choice((1, -1)))
+        if c:
+            vec[(rng.randrange(rank), rng.choice(monos))] = c
+    return vec
+
+
+def _queue_cases(field, rank, seed, count=20):
+    """(keyf, input vectors) with every order of the rank: grevlex, lex and
+    elimination orders, or position-over-term and Schreyer keys."""
+    rng = random.Random(seed)
+    for n in range(count):
+        nvars = rng.randint(2, 4)
+        if rank == 1:
+            keyfs = [pot_key(GREVLEX), pot_key(LEX),
+                     pot_key(elimination_order(rng.randint(1, nvars - 1)))]
+        else:
+            keyfs = _keys(rng, rank, nvars)
+        for keyf in keyfs:
+            if n % 2:
+                vecs = [_homogeneous_vec(rng, field, rank, nvars, rng.randint(1, 3),
+                                         rng.randint(1, 3))
+                        for _ in range(rng.randint(2, 4))]
+            else:
+                vecs = [_random_vec(rng, field, rank, nvars, rng.randint(1, 3), 2)
+                        for _ in range(rng.randint(2, 4))]
+            yield keyf, [v for v in vecs if v]
+
+
+#: Per (characteristic, rank): the pairs the pair queue reduces over the
+#: cases, and the pairs the old loop reduces.
+_QUEUE_PAIRS = {(2, 1): (142, 195), (2, 2): (182, 183), (2, 3): (83, 90),
+                (7, 1): (386, 425), (7, 2): (521, 940), (7, 3): (138, 141),
+                (32003, 1): (233, 253), (32003, 2): (337, 391), (32003, 3): (135, 162),
+                (None, 1): (190, 219), (None, 2): (417, 522), (None, 3): (239, 730)}
+
+
+@pytest.mark.parametrize("field", [F2, GF(7), GF(32003), QQ], ids=repr)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pair_queue_matches_normal_selection(field, rank):
+    p = field.p
+    new_pairs = old_pairs = 0
+    for keyf, vecs in _queue_cases(field, rank, 97 * rank + (p or 1)):
+        stats = {}
+        basis, exprs = groebner.buchberger(vecs, keyf, field, rank1=rank == 1,
+                                           track=True, stats=stats)
+        old, reduced = _buchberger_normal_selection(vecs, keyf, field, rank1=rank == 1)
+        assert (groebner.autoreduce(basis, keyf, field)
+                == groebner.autoreduce(old, keyf, field))
+        # the unreduced output is a Groebner basis on its own ...
+        divisors = [_prep(g, keyf) for g in basis]
+        for f, g in combinations(basis, 2):
+            if max(f, key=keyf)[0] == max(g, key=keyf)[0]:
+                assert not normal_form_vec(_s_poly_vec(f, g, keyf, p), divisors, keyf, p)
+        # ... and each element is its tracked combination of the inputs
+        for g, expr in zip(basis, exprs):
+            total = {}
+            for (idx, mono), c in expr.items():
+                _plus(total, _times(vecs[idx], mono, c, p), p)
+            assert total == g
+        new_pairs += stats["pairs_processed"]
+        old_pairs += reduced
+    assert (new_pairs, old_pairs) == _QUEUE_PAIRS[p, rank]
 
 
 # ----- integer order keys against the tuple keys they replaced -----
