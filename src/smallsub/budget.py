@@ -28,8 +28,9 @@ class InternalError(RuntimeError):
 class Budget:
     """Caps for the engines.
 
-    max_pairs: S-pairs reduced per Groebner run; a pair that a criterion
-        drops before it is queued costs nothing.
+    max_pairs: S-pairs reduced per Groebner run; a pair that the
+        syzygy or the rewrite criterion drops costs nothing, and neither
+        does the reduction of an input.
     max_degree: lcm degree ceiling during a Groebner run (None = no cap).
     max_candidates: tuples tested per collapse enumeration.
     max_steps: descent steps / recursion nodes / variable subsets tried

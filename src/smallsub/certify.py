@@ -26,7 +26,7 @@ from math import inf
 from typing import Sequence
 
 from .budget import Budget, Counter, DEFAULT_BUDGET
-from .groebner import Ideal
+from .groebner import Ideal, exact_divide
 from .poly import Form, Polynomial, as_form, jacobian
 
 
@@ -63,27 +63,39 @@ def is_regular_sequence(forms: Sequence[Form | Polynomial],
 
 
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant by Laplace expansion along the first row."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces each entry below and right of the pivot by
+    (a_kk * a_ij - a_ik * a_kj) / a_{k-1,k-1}, a division that is exact
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 1968), so the work is cubic in n.
+    A zero pivot swaps in a later row with a nonzero entry, or the
+    determinant is zero.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return matrix[0][0]
-    first = matrix[0]
-    total = None
-    for j, entry in enumerate(first):
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        term = entry * determinant(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        total = Polynomial.zero(first[0].nvars, first[0].field)
-    return total
+    rows = [list(row) for row in matrix]
+    negate = False
+    previous = None  # the previous pivot; 1 before the first step
+    for k in range(n - 1):
+        if rows[k][k].is_zero():
+            swap = next((r for r in range(k + 1, n) if not rows[r][k].is_zero()), None)
+            if swap is None:
+                return Polynomial.zero(rows[0][0].nvars, rows[0][0].field)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            negate = not negate
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            row, head = rows[i], rows[i][k]
+            for j in range(k + 1, n):
+                entry = pivot * row[j] - head * rows[k][j]
+                row[j] = entry if previous is None else exact_divide(entry, previous)
+        previous = pivot
+    det = rows[n - 1][n - 1]
+    return -det if negate else det
 
 
 def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int,

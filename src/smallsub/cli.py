@@ -115,6 +115,8 @@ def _cmd_gb(args, field, budget):
     if stats is not None:
         print(f"trace: pairs_processed={stats.get('pairs_processed', 0)} "
               f"zero_reductions={stats.get('zero_reductions', 0)} "
+              f"syzygy_skips={stats.get('syzygy_skips', 0)} "
+              f"rewrite_skips={stats.get('rewrite_skips', 0)} "
               f"basis_size={stats.get('basis_size', 0)} "
               f"reduced_basis_size={stats.get('reduced_basis_size', 0)}",
               file=sys.stderr)

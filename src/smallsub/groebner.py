@@ -34,26 +34,33 @@ later lookup resumes from k.  That is exact because a basis only grows
 by appending.  The memo lives for one :func:`buchberger` run; beside
 ``Ideal``'s cached divisors it is cleared past ``_IDEAL_MEMO_CAP``.
 
-The pair loop prunes pairs when an element t joins the basis, by the
-Gebauer-Moeller criteria in the form of Becker and Weispfenning's
-``UPDATE`` (Gebauer and Moeller, JSC 1988; *Groebner Bases*, Sec. 5.5):
-the new pairs (i, t), i live, are sorted by the key of their lcm,
-coprime first, and one whose lcm an earlier one's divides is dropped
-(M and F); then the coprime ones are dropped (the product criterion,
-ideal runs only).  A queued pair (i, j) is dropped when lt_t divides
-lcm(i, j) and lcm(i, t) != lcm(i, j) != lcm(j, t) (B).  An element whose
-leading term lt_t divides leaves the live set, which new pairs are
-formed with; its queued pairs stay.  Every test is a few masked adds on
-packed terms.  Queued pairs are taken by sugar (Giovini, Mora, Niesi,
-Robbiano and Traverso, "One sugar cube, please", ISSAC 1991), ties by
-the key of the lcm: an input's sugar is its degree, a pair's is
-max(sugar_i + deg u_i, sugar_j + deg u_j) for lcm = u_i lt_i = u_j lt_j,
-and a new element's is the larger of its pair's and its own degree.
-For homogeneous ideals under grevlex that is the normal strategy
-(smallest lcm first).  Every popped pair is reduced.  S-pairs are built
-from the codes of the two prepared tails.  All runs are budgeted:
-exceeding the configured pair or degree cap raises, it never degrades
-into a wrong answer.
+The pair loop is signature-based, in the rewrite-based form ("RB" in
+Eder and Faugere, "A survey on signature-based algorithms for computing
+Groebner bases", JSC 2017).  Each element g = sum_j a_j v_j of the
+inputs v_j carries a signature t * e_i: the largest term of
+sum_j a_j e_j in the signature order.  Signatures are ordered by
+sugar degree deg t + deg v_i, then by the key of t * lt(v_i), the
+Schreyer order the inputs' leading terms induce (as Roune and Stillman,
+"Practical Groebner basis computation", ISSAC 2012), then by i.  That
+order is affine in t, so a signature key is one integer and sig(x^u g)
+is sig(g) plus a weight of u; the sugar step keeps lex and elimination
+runs degree-graded.  The inputs and the S-pairs are queued by
+signature, smallest first, one pair per signature; the signature of an
+S-pair is the larger of sig(x^u g) and sig(x^w h), and a pair whose two
+are equal is never queued.  A pair is dropped when a known syzygy's
+signature divides its signature (the syzygy criterion): the signature
+of every zero reduction, and in ideal runs the Koszul signature of each
+pair of elements, the larger of hd(g) sig(h) and hd(h) sig(g), with hd
+the term that is largest in the signature order.  It is dropped too
+unless the element that generated it is the latest-added one whose
+signature divides its signature (the rewrite criterion).  A pair is
+reduced regularly (:func:`normal_form_vec` with a signature bound):
+x^u g reduces a term, leading or not, only when sig(x^u g) < sig(f): a
+bound computed once per reduced term and one integer compare per
+candidate divisor, never work per tail term.  The remainder, zero or
+not, has the pair's signature.  S-pairs are built from the codes of the
+two prepared tails.  All runs are budgeted: exceeding the configured
+pair or degree cap raises, it never degrades into a wrong answer.
 
 Intersection and saturation are one elimination of a tag variable each;
 the ideal of top-degree forms is read off one grevlex basis.
@@ -61,11 +68,13 @@ the ideal of top-degree forms is read off one grevlex basis.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import inf
 from operator import add, itemgetter, lshift, mul
+from struct import Struct
 from typing import Callable, Iterable, Sequence
 
 from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET
@@ -188,12 +197,14 @@ MAX_EXPONENT = (1 << EXPONENT_BITS) - 1
 _FIELD = EXPONENT_BITS + 1
 _COMP_BITS = 32
 _MAX_COMPONENT = (1 << _COMP_BITS) - 1
+_DIGIT_SUM = (1 << 2 * _FIELD) - 1
 
 
 class _Layout:
     """Shifts and masks of the packed terms over ``n`` variables."""
 
-    __slots__ = ("shifts", "comp_shift", "guard", "mask", "code_shift", "bias", "low")
+    __slots__ = ("shifts", "comp_shift", "guard", "mask", "code_shift", "bias", "low",
+                 "even", "odd", "fields", "size")
 
     def __init__(self, n: int):
         self.shifts = tuple(_FIELD * (n - 1 - i) for i in range(n))
@@ -203,6 +214,13 @@ class _Layout:
         self.code_shift = self.comp_shift + _COMP_BITS
         self.bias = 1 << self.code_shift
         self.low = self.bias - 1  # the packed term inside a code
+        # the exponent fields in even and odd places, for degree()
+        self.even = sum(MAX_EXPONENT << s for s in self.shifts if not s % (2 * _FIELD))
+        self.odd = sum(MAX_EXPONENT << s for s in self.shifts if s % (2 * _FIELD))
+        # a packed term as big-endian bytes, for unpack(): the component,
+        # then one field per variable
+        self.fields = Struct(f">I{n}H")
+        self.size = self.fields.size
 
     def pack(self, term: Term) -> int:
         comp, mono = term
@@ -217,8 +235,17 @@ class _Layout:
 
     def unpack(self, packed: int) -> Term:
         """The term of a packed int, or of a code's low bits."""
-        return (packed >> self.comp_shift,
-                tuple([packed >> s & MAX_EXPONENT for s in self.shifts]))
+        fields = self.fields.unpack(packed.to_bytes(self.size, "big"))
+        return fields[0], fields[1:]
+
+    def degree(self, code: int) -> int:
+        """The total degree of a packed term or a term code.
+
+        Adding the odd fields onto the even ones puts two exponents in
+        each 2 * _FIELD-bit digit, below 2^16, and the remainder modulo
+        2^(2 * _FIELD) - 1 sums the digits, as casting out nines does.
+        """
+        return ((code & self.even) + ((code & self.odd) >> _FIELD)) % _DIGIT_SUM
 
 
 @lru_cache(maxsize=64)
@@ -256,6 +283,26 @@ class _Divisors(list):
     def append(self, prepared: tuple):
         super().append(prepared)
         self.negs.append(prepared[0])
+
+
+class _Signed(_Divisors):
+    """Prepared divisors of a signature run, each with its offset: its
+    signature key minus the weight of its leading term.  The weight of a
+    term of code h is ``scale * deg(h) + radix * key(h)``, so x^u g_k,
+    which reduces the term u * lt_k, has the signature key
+    ``offs[k] + weight(u * lt_k)``."""
+
+    __slots__ = ("offs", "scale", "radix")
+
+    def __init__(self, scale: int, radix: int):
+        super().__init__()
+        self.offs: list[int] = []
+        self.scale = scale
+        self.radix = radix
+
+    def append(self, prepared: tuple, off: int):
+        super().append(prepared)
+        self.offs.append(off)
 
 
 #: Entries of an ``Ideal``'s first-divisor memo past which a normal form
@@ -302,7 +349,7 @@ def _sub_scaled_packed(work: dict, src: dict, u: int, factor, p, guard: int):
 
 
 def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
-                    track: bool = False):
+                    track: bool = False, sig: int | None = None):
     """Full normal form against monic divisors prepared by :func:`_prep`.
 
     The first divisor in ``basis`` that divides the leading term reduces
@@ -312,6 +359,12 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
     off first, and a term that cancels while queued is skipped when it
     comes off.  Returns the remainder, plus ``(index, mono, coeff)``
     reduction records when tracking.
+
+    With a signature key ``sig`` and a :class:`_Signed` basis the
+    reduction is regular: x^u g_k reduces a term only when its signature
+    key is below ``sig``, and a first divisor that is not regular
+    resumes the scan past it.  The remainder is then keyed by term codes,
+    for :func:`_prep_codes`.
     """
     rem: VecDict = {}
     records = [] if track else None
@@ -322,6 +375,11 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
             layout = _layout(len(next(iter(vec))[1]))
             code = layout.code
             work = {code(term, keyf(term)): c for term, c in vec.items()}
+        heap = list(work)
+        heapify(heap)
+        if sig is not None:
+            _reduce_regular(work, heap, basis, layout, p, sig, rem, records)
+            return (rem, records) if track else rem
         guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
         if isinstance(basis, _Divisors):
             negs, memo = basis.negs, basis.memo
@@ -329,8 +387,6 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
             negs, memo = [d[0] for d in basis], {}
         n = len(negs)
         get = work.get
-        heap = list(work)
-        heapify(heap)
         while heap:
             h = heappop(heap)
             c = work.pop(h)
@@ -363,6 +419,60 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
     return (rem, records) if track else rem
 
 
+def _reduce_regular(work: dict, heap: list, basis: _Signed, layout: _Layout, p,
+                    sig: int, rem: dict, records: list | None):
+    """The loop of :func:`normal_form_vec` under a signature bound.
+
+    A reducer x^u g_k of the term h is regular when offs[k] + weight(h)
+    < sig, so the bound on offs is computed once per reduced term.  The
+    remainder is keyed by term codes.
+    """
+    guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
+    even, odd, shift = layout.even, layout.odd, layout.code_shift
+    negs, memo, offs = basis.negs, basis.memo, basis.offs
+    scale, radix = basis.scale, basis.radix
+    n = len(negs)
+    get = work.get
+    while heap:
+        h = heappop(heap)
+        c = work.pop(h)
+        if not c:
+            continue
+        hit = memo.get(h)
+        if hit is None or hit < 0:
+            for hit in range(0 if hit is None else ~hit, n):
+                if not (h + negs[hit]) & mask:
+                    break
+            else:
+                memo[h] = ~n
+                rem[h] = c
+                continue
+            memo[h] = hit
+        below = (sig + radix * (h >> shift)
+                 - scale * (((h & even) + ((h & odd) >> _FIELD)) % _DIGIT_SUM))
+        if offs[hit] >= below:
+            for hit in range(hit + 1, n):
+                if offs[hit] < below and not (h + negs[hit]) & mask:
+                    break
+            else:
+                rem[h] = c
+                continue
+        _, hlt, _, tail = basis[hit]
+        hu = h - hlt
+        if records is not None:
+            records.append((hit, unpack(hu & low)[1], c))
+        for s, tc in tail:
+            s += hu
+            v = get(s)
+            if v is None:
+                if s & guard:
+                    raise _exponent_overflow()
+                heappush(heap, s)
+                v = 0
+            v -= c * tc
+            work[s] = v % p if p else v
+
+
 def _prep(vec: VecDict, keyf):
     """A monic divisor as ``(bias - packed lt, code of lt, lt, tail)``,
     each tail term as ``(code, coeff)``."""
@@ -390,6 +500,28 @@ def _prep_monic(vec: VecDict, keyf, field: CoefficientField):
     return {t: c for _, t, c in keyed}, inv, _prep_keyed(keyed)
 
 
+def _prep_codes(rem: dict, layout: _Layout, field: CoefficientField, seen: dict):
+    """:func:`_prep_monic` of a remainder keyed by term codes.  ``seen``
+    maps each code met so far to one ``(code, term)`` pair, so that the
+    elements of a run share their codes and term tuples."""
+    lt_code = min(rem)  # the largest term
+    inv = field.inv(rem[lt_code])
+    p = field.p
+    low, unpack = layout.low, layout.unpack
+    scaled = inv != field.one
+    vec, tail = {}, []
+    for h, c in rem.items():
+        if scaled:
+            c = c * inv % p if p else c * inv
+        shared = seen.get(h)
+        if shared is None:
+            shared = seen[h] = (h, unpack(h & low))
+        vec[shared[1]] = c
+        if h != lt_code:
+            tail.append((shared[0], c))
+    return vec, inv, (layout.bias - (lt_code & low), lt_code, seen[lt_code][1], tail)
+
+
 def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
     """x^ui f_i - x^uj f_j for prepared monic divisors f_i, f_j whose
     leading terms times x^ui, x^uj are ``lcm``, of order key ``key``."""
@@ -415,145 +547,200 @@ def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
     return out
 
 
-def _degree(vec: VecDict) -> int:
-    """Total degree: the largest degree of a term's monomial."""
-    return max(map(sum, map(itemgetter(1), vec)))
-
-
 def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                budget: Budget | None = None, rank1: bool = False,
                track: bool = False, stats: dict | None = None):
     """Compute a (non-reduced) monic Groebner basis of the span.
 
-    Pairs are pruned as each element joins and taken by sugar (see the
-    module docstring).  With ``track=True`` also returns, for each basis
-    element, its expression over the input vectors as a VecDict keyed by
-    input index.  A ``stats`` dict, when given, receives the reduced
-    pairs, the zero reductions among them and the basis size.
+    One signature-based loop (see the module docstring); ``rank1`` marks
+    an ideal run, whose Koszul syzygies are known.  With ``track=True``
+    also returns, for each basis element, its expression over the input
+    vectors as a VecDict keyed by (input index, mono), and its signature
+    as one such term.  A ``stats`` dict, when given, receives the reduced
+    pairs, the zero reductions among them, the pairs that the syzygy
+    and the rewrite criteria dropped, and the basis size.
     """
     budget = budget or DEFAULT_BUDGET
     p = field.p
     one, minus_one = field.one, field.neg(field.one)
     pair_counter = Counter("groebner pairs", budget.max_pairs)
-    zero_reductions = 0
+    zero_reductions = syzygy_skips = rewrite_skips = 0
     basis: list[VecDict] = []
-    prepped = _Divisors()
-    negs = prepped.negs  # bias - packed leading term, per basis element
     exprs: list[dict] = []  # packed (input index, mono) -> coeff, per element
-    excess: list[int] = []  # per element, its sugar minus its leading degree
-    live: list[int] = []  # the elements whose leading term no later one divides
-    heap: list = []  # (sugar, key, i, j, lcm, packed lcm), one per queued pair
+    elems: list[tuple] = []  # (offset, comp, lt mono, packed lt, i, t), signature t * e_i
+    heads: list[tuple] = []  # (sig key - weight(hd), i, t, packed hd), per element of an ideal run
+    syzygies = [[] for _ in vectors]  # per i, bias - packed t of the minimal known t * e_i
+    rewriters = [[] for _ in vectors]  # per i, (element, bias - packed t) in the order added
+    heap: list = []  # (sig key, -1, i) per input; (sig key, gen, other, t, lcm, key, packed lcm)
+    inputs = [i for i, vec in enumerate(vectors) if vec]
     layout: _Layout | None = None
-    homogeneous = True  # so far every input, hence every element, is homogeneous
+    coded = {}  # per input, its terms as a _Codes vector, which its reduction consumes
+    seen: dict[int, tuple] = {}  # (code, term) per term code of an element
+    if inputs:
+        nvars = len(next(iter(vectors[inputs[0]]))[1])
+        layout = _layout(nvars)
+        bias, mask, guard, low = layout.bias, layout.mask, layout.guard, layout.low
+        code, degree, shift = layout.code, layout.degree, layout.code_shift
+        zero = (0,) * nvars
+        leads = []
+        for i in inputs:
+            vec = coded[i] = _Codes(layout)
+            for term, c in vectors[i].items():
+                vec[code(term, keyf(term))] = c
+            leads.append((i, -(min(vec) >> shift),
+                          max(map(sum, map(itemgetter(1), vectors[i])))))
+        # sig key of t * e_i: scale * (deg t + deg v_i) + radix * key(t * lt_i) + i,
+        # with scale above the spread of radix * key(t * lt_i) + i.  A queued
+        # signature has t up to MAX_EXPONENT and a reducer's sig(x^u g) up to
+        # twice that; a term order's weights w are positive, so w . t is at
+        # most the key of x^(2 MAX_EXPONENT) in every variable, minus the key of 1
+        comp = layout.unpack(min(vec) & low)[0]  # a component of the run
+        origin = keyf((comp, zero))
+        keys = [key for _, key, _ in leads]
+        radix = len(vectors)
+        scale = radix * (max(keys) - min(keys) + 1
+                         + keyf((comp, (2 * MAX_EXPONENT,) * nvars)) - origin)
+        prepped = _Signed(scale, radix)
+        offs, negs = prepped.offs, prepped.negs
+        origin_weight = radix * origin  # the weight of the monomial 1
+        heap = [(scale * degree + radix * key + i, -1, i) for i, key, degree in leads]
+        heapify(heap)
 
-    def update(t: int):
-        """Queue the pairs of the new element t that survive the criteria."""
-        neg_t = negs[t]
-        lt_t = bias - neg_t
-        comp, ltm = prepped[t][2]
-        candidates = []
-        for i in live:
-            ic, im = prepped[i][2]
-            if ic == comp:
-                lcm = tuple(map(max, ltm, im))
-                lt_i = bias - negs[i]
-                ge = (lt_t | guard) - lt_i & guard  # guard bits where lt_t's field is larger
-                ge -= ge >> EXPONENT_BITS  # their value bits
-                packed = lt_t & ge | lt_i & ~ge
-                coprime = rank1 and lt_t + lt_i == packed
-                candidates.append((keyf((comp, lcm)), not coprime, i, lcm, packed))
-        # M and F: an earlier lcm dividing this one; the smaller key comes first
-        candidates.sort()
-        lcm_negs = []
-        fresh = []
-        for key, not_coprime, i, lcm, packed in candidates:
-            for n in lcm_negs:
-                if not (packed + n) & mask:
-                    break
-            else:
-                lcm_negs.append(bias - packed)
-                if not_coprime:  # the product criterion drops the coprime ones
-                    sugar = sum(lcm) + max(excess[i], excess[t])
-                    fresh.append((sugar, key, i, t, lcm, packed))
-        # B: lt_t divides lcm(i, j) and is new to both lcm(i, t) and lcm(j, t)
-        kept = []
-        for entry in heap:
-            lcm = entry[5]
-            u = lcm + neg_t
-            if not u & mask:
-                u = u + fill & guard  # a guard bit per variable of lcm / lt_t
-                if lcm + negs[entry[2]] + fill & u and lcm + negs[entry[3]] + fill & u:
-                    continue
-            kept.append(entry)
-        if len(kept) < len(heap):
-            heap[:] = kept + fresh
-            heapify(heap)
-        else:
-            for entry in fresh:
-                heappush(heap, entry)
-        live[:] = [i for i in live if (bias - negs[i] + neg_t) & mask]
-        live.append(t)
-
-    def reduce(vec, expr):
+    def reduce(vec, expr, sig: int):
         if not track:
-            return normal_form_vec(vec, prepped, keyf, p), None
-        rem, records = normal_form_vec(vec, prepped, keyf, p, track=True)
+            return normal_form_vec(vec, prepped, keyf, p, sig=sig), None
+        rem, records = normal_form_vec(vec, prepped, keyf, p, track=True, sig=sig)
         for idx, umono, factor in records:
             _sub_scaled_packed(expr, exprs[idx], layout.pack((0, umono)),
                                factor, p, guard)
         return rem, expr
 
-    def add(vec: VecDict, expr: dict | None, sugar: int):
-        vec, inv, prepared = _prep_monic(vec, keyf, field)
+    def syzygy(i: int, t: int):
+        """Record the syzygy signature t * e_i, keeping the list minimal."""
+        known = syzygies[i]
+        if t & guard or any(not (t + n) & mask for n in known):
+            return
+        neg = bias - t
+        known[:] = [n for n in known if (bias - n + neg) & mask]
+        insort(known, neg, key=lambda n: degree(bias - n))  # the likelier divisors first
+
+    def add(vec: VecDict, expr: dict | None, sig: int, i: int, t: int):
+        """Add the regular remainder of signature t * e_i and queue its pairs."""
+        nonlocal rewrite_skips, syzygy_skips
+        vec, inv, prepared = _prep_codes(vec, layout, field, seen)
+        neg, lt_code, (comp, ltm), tail = prepared
+        lt = bias - neg
+        lt_degree = sum(ltm)
+        off = sig - scale * lt_degree + radix * (lt_code >> shift)
+        new = len(basis)
         basis.append(vec)
-        prepped.append(prepared)
-        if not homogeneous:  # else vec is homogeneous of degree sugar
-            sugar = max(sugar, _degree(vec))
-        excess.append(sugar - mono_degree(prepared[2][1]))
+        prepped.append(prepared, off)
+        neg_t = bias - t
+        rewriters[i].append((new, neg_t))
         if track:
             exprs.append(_scale_vec(expr, inv, p) if inv != one else expr)
-        update(len(basis) - 1)
-
-    for i, vec in enumerate(vectors):
-        if not vec:
-            continue
-        if layout is None:
-            layout = _layout(len(next(iter(vec))[1]))
-            bias, mask, guard = layout.bias, layout.mask, layout.guard
-            fill = guard - (guard >> EXPONENT_BITS)  # x + fill: a guard bit per nonzero field
-        degrees = set(map(sum, map(itemgetter(1), vec)))
-        homogeneous = homogeneous and len(degrees) == 1
-        rem, expr = reduce(vec, {layout.pack((i, (0,) * len(layout.shifts))): one}
-                           if track else None)
-        if rem:
-            add(rem, expr, max(degrees))
+        if rank1:
+            # the Koszul syzygy of g_k and g_new has the larger signature of
+            # hd(g_new) * sig(g_k) and hd(g_k) * sig(g_new): compare sig - weight(hd)
+            top_degree = max(map(sum, map(itemgetter(1), vec)))
+            top = lt_code if top_degree == lt_degree else min(
+                h for h, _ in tail if degree(h) == top_degree)
+            c_new = sig - scale * top_degree + radix * (top >> shift) + origin_weight
+            hd_new = top & low
+            for c_k, i_k, t_k, hd_k in heads:
+                if c_k > c_new:
+                    i_s, t_s = i_k, t_k + hd_new
+                elif c_k < c_new:
+                    i_s, t_s = i, t + hd_k
+                else:
+                    continue
+                for n in syzygies[i_s]:
+                    if not (t_s + n) & mask:
+                        break
+                else:
+                    syzygy(i_s, t_s)
+            heads.append((c_new, i, t, hd_new))
+        for k, (off_k, kc, km, lt_k, i_k, t_k) in enumerate(elems):
+            if kc != comp or off_k == off:  # other components, or a singular pair
+                continue
+            ge = (lt | guard) - lt_k & guard  # guard bits where lt's field is larger
+            ge -= ge >> EXPONENT_BITS  # their value bits
+            packed = lt & ge | lt_k & ~ge
+            if off_k > off:  # x^u g_k carries the signature
+                gen, other, i_s, t_s = k, new, i_k, t_k + packed - lt_k
+                if i_k == i and not (t_s + neg_t) & mask:
+                    rewrite_skips += 1  # g_new rewrites it already
+                    continue
+            else:
+                gen, other, i_s, t_s = new, k, i, t + packed - lt
+            if t_s & guard:
+                raise _exponent_overflow()
+            for n in syzygies[i_s]:
+                if not (t_s + n) & mask:
+                    syzygy_skips += 1
+                    break
+            else:
+                lcm = tuple(map(max, ltm, km))
+                key = keyf((comp, lcm))
+                heappush(heap, (max(off_k, off) + scale * sum(lcm) + radix * key,
+                                gen, other, t_s, lcm, key, packed))
+        elems.append((off, comp, ltm, lt, i, t))
 
     while heap:
-        sugar, key, i, j, lcm, packed_lcm = heappop(heap)
+        entry = heappop(heap)
+        sig, gen = entry[0], entry[1]
+        if gen < 0:  # an input
+            i = entry[2]
+            expr = {layout.pack((i, zero)): one} if track else None
+            rem, expr = reduce(coded.pop(i), expr, sig)
+            if rem:
+                add(rem, expr, sig, i, 0)
+            else:
+                syzygy(i, 0)
+            continue
+        group = [entry]  # one pair per signature
+        while heap and heap[0][0] == sig:
+            group.append(heappop(heap))
+        i, t = elems[gen][4], entry[3]
+        if any(not (t + n) & mask for n in syzygies[i]):
+            syzygy_skips += len(group)
+            continue
+        for rewriter, n in reversed(rewriters[i]):  # the latest whose signature divides
+            if not (t + n) & mask:
+                break
+        kept = [e for e in group if e[1] == rewriter]
+        rewrite_skips += len(group) - len(kept[:1])
+        if not kept:
+            continue
+        _, gen, other, t, lcm, key, packed = kept[0]
         if budget.max_degree is not None and mono_degree(lcm) > budget.max_degree:
             raise BudgetExceededError("groebner lcm degree", budget.max_degree)
         pair_counter.tick()
-        di, dj = prepped[i], prepped[j]
+        di, dj = prepped[gen], prepped[other]
         spair = _s_pair(di, dj, (di[2][0], lcm), key, p)
         expr = None
         if track:
             expr = {}
-            _sub_scaled_packed(expr, exprs[i], packed_lcm + di[0] - bias,
+            _sub_scaled_packed(expr, exprs[gen], packed + di[0] - bias,
                                minus_one, p, guard)
-            _sub_scaled_packed(expr, exprs[j], packed_lcm + dj[0] - bias,
+            _sub_scaled_packed(expr, exprs[other], packed + dj[0] - bias,
                                one, p, guard)
-        rem, expr = reduce(spair, expr)
+        rem, expr = reduce(spair, expr, sig)
         if rem:
-            add(rem, expr, sugar)
+            add(rem, expr, sig, i, t)
         else:
             zero_reductions += 1
+            syzygy(i, t)
 
     if stats is not None:
         stats["pairs_processed"] = pair_counter.used
         stats["zero_reductions"] = zero_reductions
+        stats["syzygy_skips"] = syzygy_skips
+        stats["rewrite_skips"] = rewrite_skips
         stats["basis_size"] = len(basis)
     if track:
-        return basis, [{layout.unpack(e): c for e, c in ex.items()} for ex in exprs]
+        return (basis, [{layout.unpack(e): c for e, c in ex.items()} for ex in exprs],
+                [(i, layout.unpack(t)[1]) for *_, i, t in elems])
     return basis
 
 
@@ -646,7 +833,7 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
     nvars, field = _ambient([g for _, g in nonzero])
     keyf = pot_key(order)
     p = field.p
-    basis, exprs = buchberger([_to_vec(g) for _, g in nonzero], keyf, field,
+    basis, exprs, _ = buchberger([_to_vec(g) for _, g in nonzero], keyf, field,
                               budget=budget, rank1=True, track=True)
     prepped = [_prep(v, keyf) for v in basis]
     rem, records = normal_form_vec(_to_vec(f), prepped, keyf, p, track=True)

@@ -7,7 +7,7 @@ from smallsub.budget import Budget, BudgetExceededError
 from smallsub.certify import (RetaCertificate, check_reta, determinant,
                               is_regular_sequence, minors_height_check,
                               minors_ideal, singular_locus_codim)
-from smallsub.fields import GF
+from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import Ideal
 from smallsub.poly import Form, Polynomial, derivative_space
@@ -59,6 +59,38 @@ def test_determinant_and_minors():
     assert len(minors.generators) == 3
     expected = pp("x1*x2^2", F5, 3) - pp("x2*x1^2", F5, 3)
     assert minors.contains(expected)
+
+
+def _laplace_determinant(matrix):
+    """The replaced expansion along the first row, n! products."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = Polynomial.zero(matrix[0][0].nvars, matrix[0][0].field)
+    for j, entry in enumerate(matrix[0]):
+        if not entry.is_zero():
+            minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
+            term = entry * _laplace_determinant(minor)
+            total = total - term if j % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=repr)
+def test_bareiss_determinant_matches_laplace(field):
+    rng = random.Random(89 + (field.p or 0))
+    swaps = zeros = 0
+    for n in range(1, 6):
+        for _ in range(6):
+            # sparse entries of degree <= 2 in 3 variables, a third of them zero
+            matrix = [[Polynomial(3, field, {tuple(rng.randint(0, 1) for _ in range(3)):
+                                             rng.randint(-3, 3) for _ in range(rng.randint(0, 2))})
+                       if rng.random() > 0.35 else Polynomial.zero(3, field)
+                       for _ in range(n)] for _ in range(n)]
+            det = determinant(matrix)
+            assert det == _laplace_determinant(matrix)
+            swaps += any(matrix[k][k].is_zero() for k in range(n - 1))
+            zeros += det.is_zero()
+    assert swaps >= 5 and zeros >= 3
 
 
 def test_singular_locus_codim_fixtures():

@@ -220,8 +220,8 @@ def test_verbose_trace_on_stderr(capsys):
                  "--verbose"])
     assert code == 0
     err = capsys.readouterr().err
-    assert err == ("trace: pairs_processed=2 zero_reductions=1 basis_size=3 "
-                   "reduced_basis_size=3\n")
+    assert err == ("trace: pairs_processed=1 zero_reductions=0 syzygy_skips=2 "
+                   "rewrite_skips=0 basis_size=3 reduced_basis_size=3\n")
 
 
 def test_budget_shorthand_sets_candidate_cap(capsys):

@@ -1,5 +1,5 @@
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from math import inf
 
@@ -511,26 +511,29 @@ def test_engine_counters_are_pinned():
     field = GF(32003)
     stats = {}
     groebner_basis(_cyclic(5, field), stats=stats)
-    assert stats == {"pairs_processed": 108, "zero_reductions": 75,
-                     "basis_size": 38, "reduced_basis_size": 20}
+    assert stats == {"pairs_processed": 44, "zero_reductions": 5,
+                     "syzygy_skips": 786, "rewrite_skips": 110,
+                     "basis_size": 44, "reduced_basis_size": 20}
     stats = {}
     groebner_basis(_katsura(5, field), stats=stats)
-    assert (stats["pairs_processed"], stats["zero_reductions"]) == (68, 50)
+    assert stats == {"pairs_processed": 26, "zero_reductions": 7,
+                     "syzygy_skips": 263, "rewrite_skips": 10,
+                     "basis_size": 25, "reduced_basis_size": 22}
 
 
 def test_pair_budget_counts_reduced_pairs():
     gens = _cyclic(5, GF(32003))
-    assert len(groebner_basis(gens, budget=Budget(max_pairs=108))) == 20
+    assert len(groebner_basis(gens, budget=Budget(max_pairs=44))) == 20
     with pytest.raises(BudgetExceededError) as exc:
-        groebner_basis(gens, budget=Budget(max_pairs=107))
-    assert (exc.value.what, exc.value.limit) == ("groebner pairs", 107)
+        groebner_basis(gens, budget=Budget(max_pairs=43))
+    assert (exc.value.what, exc.value.limit) == ("groebner pairs", 43)
 
 
-# ----- the pair queue against the loop it replaced -----
+# ----- the signature loop against the loops it replaced -----
 
 
 def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
-    """The previous pair loop: every pair queued, smallest lcm first, the
+    """The first pair loop: every pair queued, smallest lcm first, the
     coprime pairs of ideal runs and those with a treated chain skipped
     when they come off the heap.  Returns the basis and the pairs reduced."""
     p = field.p
@@ -581,6 +584,98 @@ def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
                               prepped, keyf, p)
         if rem:
             add(rem)
+    return basis, pairs.used
+
+
+def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
+    """The second pair loop: pairs pruned as each element joins, by the
+    Gebauer-Moeller criteria as Becker and Weispfenning's UPDATE (M, F,
+    the product criterion in ideal runs, B, and a live set), and taken by
+    sugar, ties by the key of the lcm.  Returns the basis and the pairs
+    reduced."""
+    p = field.p
+    pairs = Counter("groebner pairs", 1000)  # a runaway case fails, not hangs
+    basis = []
+    prepped = _Divisors()
+    negs = prepped.negs
+    excess = []  # per element, its sugar minus its leading degree
+    live = []  # the elements whose leading term no later one divides
+    heap = []  # (sugar, key, i, j, lcm, packed lcm), one per queued pair
+    layout = None
+    homogeneous = True  # so far every input, hence every element, is homogeneous
+
+    def update(t):
+        neg_t = negs[t]
+        lt_t = bias - neg_t
+        comp, ltm = prepped[t][2]
+        candidates = []
+        for i in live:
+            ic, im = prepped[i][2]
+            if ic == comp:
+                lcm = tuple(map(max, ltm, im))
+                lt_i = bias - negs[i]
+                ge = (lt_t | guard) - lt_i & guard  # guard bits where lt_t's field is larger
+                ge -= ge >> EXPONENT_BITS  # their value bits
+                packed = lt_t & ge | lt_i & ~ge
+                coprime = rank1 and lt_t + lt_i == packed
+                candidates.append((keyf((comp, lcm)), not coprime, i, lcm, packed))
+        # M and F: an earlier lcm dividing this one; the smaller key comes first
+        candidates.sort()
+        lcm_negs = []
+        fresh = []
+        for key, not_coprime, i, lcm, packed in candidates:
+            for n in lcm_negs:
+                if not (packed + n) & mask:
+                    break
+            else:
+                lcm_negs.append(bias - packed)
+                if not_coprime:  # the product criterion drops the coprime ones
+                    sugar = sum(lcm) + max(excess[i], excess[t])
+                    fresh.append((sugar, key, i, t, lcm, packed))
+        # B: lt_t divides lcm(i, j) and is new to both lcm(i, t) and lcm(j, t)
+        kept = []
+        for entry in heap:
+            lcm = entry[5]
+            u = lcm + neg_t
+            if not u & mask:
+                u = u + fill & guard  # a guard bit per variable of lcm / lt_t
+                if lcm + negs[entry[2]] + fill & u and lcm + negs[entry[3]] + fill & u:
+                    continue
+            kept.append(entry)
+        heap[:] = kept + fresh
+        heapify(heap)
+        live[:] = [i for i in live if (bias - negs[i] + neg_t) & mask]
+        live.append(t)
+
+    def add(vec, sugar):
+        vec, _, prepared = groebner._prep_monic(vec, keyf, field)
+        basis.append(vec)
+        prepped.append(prepared)
+        if not homogeneous:  # else vec is homogeneous of degree sugar
+            sugar = max(sugar, max(map(sum, (m for _, m in vec))))
+        excess.append(sugar - sum(prepared[2][1]))
+        update(len(basis) - 1)
+
+    for vec in vectors:
+        if not vec:
+            continue
+        if layout is None:
+            layout = groebner._layout(len(next(iter(vec))[1]))
+            bias, mask, guard = layout.bias, layout.mask, layout.guard
+            fill = guard - (guard >> EXPONENT_BITS)  # x + fill: a guard bit per nonzero field
+        degrees = {sum(m) for _, m in vec}
+        homogeneous = homogeneous and len(degrees) == 1
+        rem = normal_form_vec(vec, prepped, keyf, p)
+        if rem:
+            add(rem, max(degrees))
+    while heap:
+        sugar, key, i, j, lcm, _ = heappop(heap)
+        pairs.tick()
+        di, dj = prepped[i], prepped[j]
+        rem = normal_form_vec(groebner._s_pair(di, dj, (di[2][0], lcm), key, p),
+                              prepped, keyf, p)
+        if rem:
+            add(rem, sugar)
     return basis, pairs.used
 
 
@@ -644,40 +739,63 @@ def _queue_cases(field, rank, seed, count=20):
             yield keyf, [v for v in vecs if v]
 
 
-#: Per (characteristic, rank): the pairs the pair queue reduces over the
-#: cases, and the pairs the old loop reduces.
-_QUEUE_PAIRS = {(2, 1): (142, 195), (2, 2): (182, 183), (2, 3): (83, 90),
-                (7, 1): (386, 425), (7, 2): (521, 940), (7, 3): (138, 141),
-                (32003, 1): (233, 253), (32003, 2): (337, 391), (32003, 3): (135, 162),
-                (None, 1): (190, 219), (None, 2): (417, 522), (None, 3): (239, 730)}
+def _signature_order(vecs, keyf):
+    """The signature order on terms (i, t) of the inputs' free module, as
+    tuples: deg t + deg v_i, then the order key of t * lt(v_i), then i."""
+    leads = {i: (max(v, key=keyf), max(sum(m) for _, m in v)) for i, v in enumerate(vecs) if v}
+
+    def key(term):
+        i, t = term
+        (comp, lead), degree = leads[i]
+        return (sum(t) + degree, keyf((comp, tuple(a + b for a, b in zip(t, lead)))), i)
+    return key
+
+
+#: Per (characteristic, rank), summed over the cases: the signature loop's
+#: reduced pairs, syzygy skips and rewrite skips, then the pairs the
+#: Gebauer-Moeller/sugar loop and the normal-selection loop reduce.
+_QUEUE_PAIRS = {(2, 1): (161, 560, 125, 142, 195), (2, 2): (245, 1712, 1109, 182, 183),
+                (2, 3): (91, 9, 44, 83, 90), (7, 1): (377, 2558, 483, 386, 425),
+                (7, 2): (566, 4871, 1823, 521, 940), (7, 3): (147, 71, 75, 138, 141),
+                (32003, 1): (223, 801, 176, 233, 253), (32003, 2): (368, 1779, 541, 337, 391),
+                (32003, 3): (151, 94, 129, 135, 162), (None, 1): (195, 891, 129, 190, 219),
+                (None, 2): (483, 2880, 1752, 417, 522), (None, 3): (235, 372, 270, 239, 730)}
 
 
 @pytest.mark.parametrize("field", [F2, GF(7), GF(32003), QQ], ids=repr)
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_pair_queue_matches_normal_selection(field, rank):
     p = field.p
-    new_pairs = old_pairs = 0
+    counts = [0] * 5
     for keyf, vecs in _queue_cases(field, rank, 97 * rank + (p or 1)):
         stats = {}
-        basis, exprs = groebner.buchberger(vecs, keyf, field, rank1=rank == 1,
-                                           track=True, stats=stats)
-        old, reduced = _buchberger_normal_selection(vecs, keyf, field, rank1=rank == 1)
-        assert (groebner.autoreduce(basis, keyf, field)
-                == groebner.autoreduce(old, keyf, field))
+        basis, exprs, sigs = groebner.buchberger(vecs, keyf, field, rank1=rank == 1,
+                                                 track=True, stats=stats)
+        gm, gm_pairs = _buchberger_gm_sugar(vecs, keyf, field, rank1=rank == 1)
+        old, old_pairs = _buchberger_normal_selection(vecs, keyf, field, rank1=rank == 1)
+        reduced = groebner.autoreduce(basis, keyf, field)
+        assert reduced == groebner.autoreduce(gm, keyf, field)
+        assert reduced == groebner.autoreduce(old, keyf, field)
         # the unreduced output is a Groebner basis on its own ...
         divisors = [_prep(g, keyf) for g in basis]
         for f, g in combinations(basis, 2):
             if max(f, key=keyf)[0] == max(g, key=keyf)[0]:
                 assert not normal_form_vec(_s_poly_vec(f, g, keyf, p), divisors, keyf, p)
-        # ... and each element is its tracked combination of the inputs
+        # ... each element is its tracked combination of the inputs ...
         for g, expr in zip(basis, exprs):
             total = {}
             for (idx, mono), c in expr.items():
                 _plus(total, _times(vecs[idx], mono, c, p), p)
             assert total == g
-        new_pairs += stats["pairs_processed"]
-        old_pairs += reduced
-    assert (new_pairs, old_pairs) == _QUEUE_PAIRS[p, rank]
+        # ... whose largest term is the element's signature, and the
+        # signatures increase along the basis
+        order = _signature_order(vecs, keyf)
+        assert [max(expr, key=order) for expr in exprs] == sigs
+        assert sorted(sigs, key=order) == sigs and len(set(sigs)) == len(sigs)
+        for n, c in enumerate((stats["pairs_processed"], stats["syzygy_skips"],
+                               stats["rewrite_skips"], gm_pairs, old_pairs)):
+            counts[n] += c
+    assert tuple(counts) == _QUEUE_PAIRS[p, rank]
 
 
 # ----- integer order keys against the tuple keys they replaced -----
