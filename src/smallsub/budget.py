@@ -33,8 +33,9 @@ class Budget:
         does the reduction of an input.
     max_degree: lcm degree ceiling during a Groebner run (None = no cap).
     max_candidates: tuples tested per collapse enumeration.
-    max_steps: descent steps / recursion nodes / variable subsets tried
-        by ``Ideal.dimension`` / determinants built by ``minors_ideal``.
+    max_steps: descent steps / recursion nodes / search nodes of one
+        height (``Ideal.height``, ``height_at_least``, ``dimension``) /
+        determinants built by ``minors_ideal``.
     """
 
     max_pairs: int = 200_000

@@ -59,24 +59,28 @@ def is_regular_sequence(forms: Sequence[Form | Polynomial],
     forms = [as_form(f) for f in forms]
     if not forms:
         raise ValueError("need at least one form")
-    return _ideal_of(forms).height(budget) == len(forms)
+    return _ideal_of(forms).height_at_least(len(forms), budget)
 
 
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant: expansion along the first row up to 3 x 3, and
+    fraction-free (Bareiss) elimination above.
 
-    Step k replaces each entry below and right of the pivot by
+    Bareiss step k replaces each entry below and right of the pivot by
     (a_kk * a_ij - a_ik * a_kj) / a_{k-1,k-1}, a division that is exact
     (Bareiss, "Sylvester's identity and multistep integer-preserving
     Gaussian elimination", Math. Comp. 1968), so the work is cubic in n.
     A zero pivot swaps in a later row with a nonzero entry, or the
-    determinant is zero.
+    determinant is zero.  On small matrices of forms the expansion is
+    cheaper: it multiplies each entry once and divides nothing.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         raise ValueError("empty matrix")
+    if n <= 3:
+        return _expand(matrix)
     rows = [list(row) for row in matrix]
     negate = False
     previous = None  # the previous pivot; 1 before the first step
@@ -96,6 +100,20 @@ def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         previous = pivot
     det = rows[n - 1][n - 1]
     return -det if negate else det
+
+
+def _expand(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant by expansion along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = None
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        term = (-entry if j % 2 else entry) * _expand([row[:j] + row[j + 1:]
+                                                      for row in matrix[1:]])
+        total = term if total is None else total + term
+    return matrix[0][0] if total is None else total  # None: a zero first row
 
 
 def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int,
@@ -186,9 +204,4 @@ def minors_height_check(matrix: Sequence[Sequence[Polynomial]],
         row_ideal = Ideal(gens, sample.nvars, sample.field)
         b = min(b, row_ideal.height(budget))
     size = min(rows, len(matrix[0]))
-    minors = minors_ideal(matrix, size, budget)
-    if minors.is_zero():
-        lhs: int | float = 0
-    else:
-        lhs = minors.height(budget)
-    return lhs >= b - rows + 1
+    return minors_ideal(matrix, size, budget).height_at_least(b - rows + 1, budget)

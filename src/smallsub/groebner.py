@@ -62,6 +62,21 @@ not, has the pair's signature.  S-pairs are built from the codes of the
 two prepared tails.  All runs are budgeted: exceeding the configured
 pair or degree cap raises, it never degrades into a wrong answer.
 
+Heights are read off leading terms: height(I) = height(in(I)), the
+fewest variables meeting the support of every leading term of a
+Groebner basis.  The leading terms of any elements of I, such as those
+a run has found so far, bound it from below the same way.  Krull's
+height theorem bounds it from above: a proper ideal with r generators
+has height at most min(N, r), and generators that are all homogeneous
+of positive degree make a proper ideal.  :meth:`Ideal.height` watches
+the minimal supports as :func:`buchberger` adds elements (its ``until``
+hook).  For such generators it stops the run once the lower bound
+meets min(N, r), which is then the height; :meth:`Ideal.height_at_least`
+stops once it meets the asked bound.  A constant leading term stops the
+run with the unit ideal, and other runs complete.  The fewest meeting
+variables come from a branch and bound (:func:`_hitting_number`), whose
+nodes ``Budget.max_steps`` caps.
+
 Intersection and saturation are one elimination of a tag variable each;
 the ideal of top-degree forms is read off one grevlex basis.
 """
@@ -71,7 +86,6 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import inf
 from operator import add, itemgetter, lshift, mul
 from struct import Struct
@@ -549,7 +563,8 @@ def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
 
 def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                budget: Budget | None = None, rank1: bool = False,
-               track: bool = False, stats: dict | None = None):
+               track: bool = False, stats: dict | None = None,
+               until: Callable[[Monomial], bool] | None = None):
     """Compute a (non-reduced) monic Groebner basis of the span.
 
     One signature-based loop (see the module docstring); ``rank1`` marks
@@ -558,7 +573,10 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     vectors as a VecDict keyed by (input index, mono), and its signature
     as one such term.  A ``stats`` dict, when given, receives the reduced
     pairs, the zero reductions among them, the pairs that the syzygy
-    and the rewrite criteria dropped, and the basis size.
+    and the rewrite criteria dropped, and the basis size.  ``until``,
+    when given, receives the leading monomial of each element as it
+    joins; a True return ends the run, which then returns the elements
+    so far, not a Groebner basis.
     """
     budget = budget or DEFAULT_BUDGET
     p = field.p
@@ -624,8 +642,9 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         known[:] = [n for n in known if (bias - n + neg) & mask]
         insort(known, neg, key=lambda n: degree(bias - n))  # the likelier divisors first
 
-    def add(vec: VecDict, expr: dict | None, sig: int, i: int, t: int):
-        """Add the regular remainder of signature t * e_i and queue its pairs."""
+    def add(vec: VecDict, expr: dict | None, sig: int, i: int, t: int) -> bool:
+        """Add the regular remainder of signature t * e_i and queue its
+        pairs; True when ``until`` ends the run."""
         nonlocal rewrite_skips, syzygy_skips
         vec, inv, prepared = _prep_codes(vec, layout, field, seen)
         neg, lt_code, (comp, ltm), tail = prepared
@@ -685,6 +704,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                 heappush(heap, (max(off_k, off) + scale * sum(lcm) + radix * key,
                                 gen, other, t_s, lcm, key, packed))
         elems.append((off, comp, ltm, lt, i, t))
+        return until is not None and until(ltm)
 
     while heap:
         entry = heappop(heap)
@@ -694,7 +714,8 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
             expr = {layout.pack((i, zero)): one} if track else None
             rem, expr = reduce(coded.pop(i), expr, sig)
             if rem:
-                add(rem, expr, sig, i, 0)
+                if add(rem, expr, sig, i, 0):
+                    break
             else:
                 syzygy(i, 0)
             continue
@@ -727,7 +748,8 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                                one, p, guard)
         rem, expr = reduce(spair, expr, sig)
         if rem:
-            add(rem, expr, sig, i, t)
+            if add(rem, expr, sig, i, t):
+                break
         else:
             zero_reductions += 1
             syzygy(i, t)
@@ -876,6 +898,108 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.nvars, field, terms)
 
 
+# ----- heights -----
+#
+# A support is the set of variables of a monomial, as a bitmask.
+
+
+def _support(mono: Monomial) -> int:
+    return sum(1 << i for i, e in enumerate(mono) if e)
+
+
+def _packing(supports: list[int]) -> int:
+    """Pairwise disjoint supports taken greedily, smallest first: each
+    needs its own variable in any set that meets them all."""
+    covered = count = 0
+    for s in sorted(supports, key=int.bit_count):
+        if not s & covered:
+            covered |= s
+            count += 1
+    return count
+
+
+def _greedy_hitting(supports: list[int]) -> int:
+    """The size of a set meeting every support: smallest first, the
+    lowest variable of each support not met yet."""
+    chosen = count = 0
+    for s in sorted(supports, key=int.bit_count):
+        if not s & chosen:
+            chosen |= s & -s
+            count += 1
+    return count
+
+
+def _hitting_number(supports: list[int], goal: int, nodes: Counter) -> int:
+    """min(goal, the fewest variables meeting every support).
+
+    Branch and bound from the greedy set: a node branches on a smallest
+    unmet support, its i-th branch taking the i-th variable of it and
+    banning the earlier ones, so that the branches split the sets
+    meeting it; a node whose size plus the packing bound of its unmet
+    supports reaches the best size so far is cut.  Each node ticks
+    ``nodes``.
+    """
+    best = min(goal, _greedy_hitting(supports))
+    stack = [(supports, 0)]
+    while stack:
+        unmet, size = stack.pop()
+        nodes.tick()
+        if size + _packing(unmet) >= best:
+            continue
+        if not unmet:
+            best = size
+            continue
+        pivot = min(unmet, key=int.bit_count)
+        branches = []
+        banned = 0
+        while pivot:
+            v = pivot & -pivot
+            pivot ^= v
+            rest = []
+            for t in unmet:
+                if not t & v:
+                    t &= ~banned
+                    if not t:
+                        break
+                    rest.append(t)
+            else:
+                branches.append((rest, size + 1))
+            banned |= v
+        stack.extend(reversed(branches))
+    return best
+
+
+class _LeadingSupports:
+    """The minimal supports of leading monomials of elements of an
+    ideal, read as they arrive.  Each new minimal support decides
+    whether their hitting number reaches ``goal``: ``bound`` is
+    min(goal, hitting number)."""
+
+    __slots__ = ("goal", "nodes", "supports", "bound", "unit")
+
+    def __init__(self, goal: int, nodes: Counter):
+        self.goal = goal
+        self.nodes = nodes
+        self.supports: list[int] = []
+        self.bound = 0
+        self.unit = False
+
+    def add(self, mono: Monomial) -> bool:
+        """Read one leading monomial; True once it shows the unit ideal
+        or a hitting number of at least ``goal``."""
+        s = _support(mono)
+        if not s:
+            self.unit = True
+            return True
+        supports = self.supports
+        if any(not t & ~s for t in supports):
+            return False
+        supports[:] = [t for t in supports if s & ~t]
+        supports.append(s)
+        self.bound = _hitting_number(supports, self.goal, self.nodes)
+        return self.bound >= self.goal
+
+
 # ----- the ideal calculus -----
 
 
@@ -950,37 +1074,59 @@ class Ideal:
         return any(g.is_constant() and not g.is_zero() for g in gb)
 
     def dimension(self, budget: Budget | None = None) -> int:
-        """Krull dimension of R/I; -1 for the unit ideal.
-
-        The largest variable subset containing no leading-term support;
-        each subset tried costs one step of ``budget.max_steps``.
-        """
-        budget = budget or DEFAULT_BUDGET
-        gb = self.groebner_basis(budget=budget)
-        if any(g.is_constant() and not g.is_zero() for g in gb):
-            return -1
-        keyf = GREVLEX.key
-        supports = []
-        for g in gb:
-            lt = max(g.terms, key=keyf)
-            supports.append(frozenset(i for i, e in enumerate(lt) if e))
-        supports = [s for s in supports if not any(t < s for t in supports)]
-        n = self.nvars
-        subsets = Counter("dimension subsets", budget.max_steps)
-        for size in range(n, 0, -1):
-            for subset in combinations(range(n), size):
-                subsets.tick()
-                chosen = set(subset)
-                if not any(s <= chosen for s in supports):
-                    return size
-        return 0
+        """Krull dimension of R/I, N minus :meth:`height`; -1 for the
+        unit ideal."""
+        h = self.height(budget)
+        return -1 if h == inf else self.nvars - h
 
     def height(self, budget: Budget | None = None) -> int | float:
-        """Codimension; +inf exactly for the unit ideal."""
-        dim = self.dimension(budget)
-        if dim < 0:
-            return inf
-        return self.nvars - dim
+        """Codimension; +inf exactly for the unit ideal.
+
+        The fewest variables meeting every leading-term support of a
+        grevlex basis (see the module docstring).  When every generator
+        is homogeneous of positive degree, the run stops once that
+        reaches min(N, number of generators).
+        """
+        cap = self._cap()
+        return self._height(self.nvars + 1 if cap is None else cap, budget)
+
+    def height_at_least(self, k: int | float, budget: Budget | None = None) -> bool:
+        """Whether height(I) >= k; the run stops once its leading terms
+        show it."""
+        if k <= 0:
+            return True
+        cap = self._cap()
+        if cap is not None and k > cap:
+            return False
+        return self._height(min(k, self.nvars + 1), budget) >= k
+
+    def _cap(self) -> int | None:
+        """min(N, number of generators) when every generator is
+        homogeneous of positive degree, which bounds a proper ideal's
+        height (Krull); else None."""
+        if all(g.is_homogeneous() and g.total_degree() > 0 for g in self.generators):
+            return min(self.nvars, len(self.generators))
+        return None
+
+    def _height(self, goal: int, budget: Budget | None) -> int | float:
+        """min(goal, height), read off the leading terms of a cached
+        grevlex basis or of a run that stops once they reach ``goal``;
+        +inf when they show the unit ideal.  A goal above N lets only
+        the unit ideal stop a run.  The search ticks one ``max_steps``
+        counter per call."""
+        if not self.generators:
+            return 0
+        watch = _LeadingSupports(goal, Counter("height search nodes",
+                                               (budget or DEFAULT_BUDGET).max_steps))
+        cached = self._gb.get(GREVLEX.signature())
+        if cached:
+            for g in cached:
+                if watch.add(max(g.terms, key=GREVLEX.key)):
+                    break
+        else:
+            buchberger([_to_vec(g) for g in self.generators], pot_key(GREVLEX),
+                       self.field, budget=budget, rank1=True, until=watch.add)
+        return inf if watch.unit else watch.bound
 
     def with_generators(self, extra: Iterable[Polynomial]) -> "Ideal":
         return Ideal(list(self.generators) + list(extra), self.nvars, self.field)

@@ -62,7 +62,7 @@ def test_determinant_and_minors():
 
 
 def _laplace_determinant(matrix):
-    """The replaced expansion along the first row, n! products."""
+    """Expansion along the first row, n! products: the oracle of both routes."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -88,9 +88,20 @@ def test_bareiss_determinant_matches_laplace(field):
                        for _ in range(n)] for _ in range(n)]
             det = determinant(matrix)
             assert det == _laplace_determinant(matrix)
-            swaps += any(matrix[k][k].is_zero() for k in range(n - 1))
+            # Bareiss runs above 3 x 3, the expansion up to it
+            swaps += n > 3 and any(matrix[k][k].is_zero() for k in range(n - 1))
             zeros += det.is_zero()
     assert swaps >= 5 and zeros >= 3
+
+
+def test_reta_heights_do_not_grow_with_the_variables():
+    # x1*x2 + ... + x(2k-1)*x(2k): the forms plus their partials meet 2k
+    # variables, so the singular locus has codimension 2k - 1 at every N
+    for pairs, nvars in ((6, 30), (10, 20)):
+        text = "+".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(pairs))
+        cert = check_reta(forms(text, nvars=nvars), 1)
+        assert cert.codim_singular == 2 * pairs - 1
+        assert cert.heights == {"forms": 1, "forms_plus_minors": 2 * pairs}
 
 
 def test_singular_locus_codim_fixtures():
@@ -145,7 +156,7 @@ def test_minors_are_budgeted():
     assert len(minors_ideal([row1, row2], 2, Budget(max_steps=10)).generators) == 10
     with pytest.raises(BudgetExceededError, match="minors limit 9"):
         minors_ideal([row1, row2], 2, Budget(max_steps=9))
-    # x5^2 has 5 Jacobian entries; each height scan takes 2 subsets
+    # x5^2 has 5 Jacobian entries; each height search takes 1 node
     square = forms("x5^2", nvars=5)
     assert check_reta(square, 0, Budget(max_steps=5)).codim_singular == 0
     with pytest.raises(BudgetExceededError, match="minors limit 4"):
@@ -155,6 +166,13 @@ def test_minors_are_budgeted():
     assert minors_height_check(row, Budget(max_steps=5))
     with pytest.raises(BudgetExceededError, match="minors limit 4"):
         minors_height_check(row, Budget(max_steps=4))
+    # 6 minors x_i*x_j*(x_j - x_i): their leading supports are every pair
+    # of 4 variables, and proving height >= 3 takes the search 24 nodes
+    row1 = [pp(f"x{i}", F5, 4) for i in range(1, 5)]
+    row2 = [pp(f"x{i}^2", F5, 4) for i in range(1, 5)]
+    assert minors_height_check([row1, row2], Budget(max_steps=24))
+    with pytest.raises(BudgetExceededError, match="height search nodes limit 23"):
+        minors_height_check([row1, row2], Budget(max_steps=23))
 
 
 def test_minors_height_check_power_rows():

@@ -93,18 +93,27 @@ def test_dimension_examples():
     assert unit.dimension() == -1
 
 
-def test_dimension_subset_search_is_budgeted():
-    # (x1*x2, x3*x4, ..., x39*x40) has dimension 20, below 2^40 subsets
-    def pairs(n):
-        return [Polynomial(2 * n, F5, {tuple(int(j in (2 * i, 2 * i + 1))
-                                             for j in range(2 * n)): 1})
-                for i in range(n)]
-    with pytest.raises(BudgetExceededError, match="dimension subsets"):
-        Ideal(pairs(20)).dimension(Budget(max_steps=1000))
-    # 1 + 6 + 15 subsets of sizes 6, 5 and 4, then (0, 2, 4) is the 6th of size 3
-    assert Ideal(pairs(3)).dimension(Budget(max_steps=28)) == 3
-    with pytest.raises(BudgetExceededError, match="dimension subsets"):
-        Ideal(pairs(3)).dimension(Budget(max_steps=27))
+def _pairs(n):
+    """(x1*x2, x3*x4, ..., x(2n-1)*x(2n)) in 2n variables."""
+    return Ideal([Polynomial(2 * n, F5, {tuple(int(j in (2 * i, 2 * i + 1))
+                                               for j in range(2 * n)): 1})
+                  for i in range(n)])
+
+
+def test_height_search_is_budgeted():
+    # (x1*x2, ..., x39*x40): each new support's decision is settled at
+    # its root, where the packing bound meets the greedy set, and the
+    # 20th reaches the cap min(N, 20)
+    assert _pairs(20).height(Budget(max_steps=20)) == 20
+    with pytest.raises(BudgetExceededError, match="height search nodes limit 19"):
+        _pairs(20).height(Budget(max_steps=19))
+    # every x_i*x_j in 7 variables: height 6 below the cap 7, where the
+    # packing bound of 3 leaves the search to prove it
+    edges = Ideal([Polynomial(7, F5, {tuple(int(k in e) for k in range(7)): 1})
+                   for e in combinations(range(7), 2)])
+    assert edges.height(Budget(max_steps=201)) == 6
+    with pytest.raises(BudgetExceededError, match="height search nodes limit 200"):
+        edges.height(Budget(max_steps=200))
 
 
 def test_height_examples():
@@ -125,13 +134,13 @@ def _min_hitting_set_size(supports, nvars):
 
 def test_monomial_ideal_height_against_hitting_set_oracle():
     rng = random.Random(37)
-    for _ in range(25):
-        nvars = rng.randint(2, 5)
+    for _ in range(80):
+        nvars = rng.randint(2, 9)
         supports = []
         gens = []
-        for _ in range(rng.randint(1, 4)):
+        for _ in range(rng.randint(1, 10)):
             mono = [0] * nvars
-            sup = rng.sample(range(nvars), rng.randint(1, min(3, nvars)))
+            sup = rng.sample(range(nvars), rng.randint(1, min(4, nvars)))
             for i in sup:
                 mono[i] = rng.randint(1, 2)
             supports.append(set(sup))
@@ -139,6 +148,81 @@ def test_monomial_ideal_height_against_hitting_set_oracle():
         ideal = Ideal(gens)
         assert ideal.height() == _min_hitting_set_size(supports, nvars)
         assert ideal.height() + ideal.dimension() == nvars
+
+
+def test_hitting_number_against_brute_force():
+    rng = random.Random(47)
+    for _ in range(300):
+        nvars = rng.randint(1, 9)
+        supports = [set(rng.sample(range(nvars), rng.randint(1, min(4, nvars))))
+                    for _ in range(rng.randint(1, 12))]
+        masks = [sum(1 << i for i in s) for s in supports]
+        tau = _min_hitting_set_size(supports, nvars)
+        for goal in range(nvars + 2):
+            nodes = Counter("nodes", 10 ** 6)
+            assert groebner._hitting_number(masks, goal, nodes) == min(goal, tau)
+
+
+def _scan_height(gens, nvars):
+    """The replaced route: the full reduced basis, then variable subsets
+    from size N down, the largest holding no leading-term support."""
+    basis = groebner_basis(gens)
+    if any(g.is_constant() for g in basis):
+        return inf
+    supports = [{i for i, e in enumerate(max(g.terms, key=GREVLEX.key)) if e}
+                for g in basis]
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            if not any(s <= set(subset) for s in supports):
+                return nvars - size
+
+
+def _height_case(rng, field, homogeneous):
+    nvars = rng.randint(2, 5)
+    coeffs = range(field.p) if field.p else range(-3, 4)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(1, 3)
+        pool = [m for m in product(range(degree + 1), repeat=nvars)
+                if (sum(m) == degree if homogeneous else sum(m) <= degree)]
+        chosen = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+        terms = {m: rng.choice(coeffs) for m in chosen}
+        f = Polynomial(nvars, field, terms)
+        if not f.is_zero():
+            gens.append(f)
+    return gens, nvars
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_height_matches_scan_route(field, homogeneous):
+    rng = random.Random(53 + (field.p or 0) + 7 * homogeneous)
+    seen = set()
+    for _ in range(25):
+        gens, nvars = _height_case(rng, field, homogeneous)
+        if not gens:
+            continue
+        expected = _scan_height(gens, nvars)
+        seen.add(expected)
+        assert Ideal(gens).height() == expected
+        assert Ideal(gens).dimension() == (-1 if expected == inf else nvars - expected)
+        for k in range(nvars + 2):
+            assert Ideal(gens).height_at_least(k) == (expected >= k)
+        cached = Ideal(gens)
+        cached.groebner_basis()
+        assert cached.height() == expected
+        assert all(cached.height_at_least(k) == (expected >= k) for k in range(nvars + 2))
+    assert len(seen) >= 3
+    if not homogeneous:
+        assert inf in seen
+
+
+def test_unit_ideal_of_inhomogeneous_generators():
+    # the leading terms x1, x2 meet min(N, 3) = 2 before the 1 appears
+    gens = [pp("x1", F5, 2), pp("x2", F5, 2), pp("x1+x2+1", F5, 2)]
+    assert Ideal(gens).height() == inf
+    assert Ideal(gens).dimension() == -1
+    assert Ideal(gens).height_at_least(3)
 
 
 def test_height_plus_dimension_on_random_binomial_ideals():
