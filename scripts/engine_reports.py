@@ -7,7 +7,11 @@ R_eta items, ``sat``, ``colon``, ``intersect``, ``leading-ideal`` and
 lex ``gb``/``pdim`` on fixed small inputs, and ``sat`` and
 ``leading-ideal`` on edge cases: a constant saturating polynomial, a
 saturation that is the unit ideal, generators that contain a constant,
-and further inputs over Q.  Each line holds the argv, the
+and further inputs over Q.  It also runs ``pdim`` on ideals whose
+Schreyer frames are far from minimal, so that the unit pruning does
+real work: 4 dense quadrics in 5 variables over F_32003 and over Q
+(frame ranks 12, 27, 22, 6 against 4, 6, 4, 1), and an inhomogeneous
+ideal over F2.  Each line holds the argv, the
 exit code, the report text and stderr.  Run it in two checkouts and
 compare the outputs to show that a change leaves every report
 byte-identical:
@@ -18,6 +22,7 @@ byte-identical:
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -52,6 +57,29 @@ EDGE_CASES = [
 ]
 
 
+def dense_quadrics(count: int, nvars: int, seed: int, coeff) -> str:
+    """``count`` quadrics in ``nvars`` variables, each coefficient drawn
+    by ``coeff(rng)`` from a generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    monos = [(i, j) for i in range(1, nvars + 1) for j in range(i, nvars + 1)]
+    forms = []
+    for _ in range(count):
+        terms = [f"{c}*x{i}*x{j}" for i, j in monos if (c := coeff(rng))]
+        forms.append(" + ".join(terms).replace("+ -", "- "))
+    return "; ".join(forms)
+
+
+#: ``pdim`` reports on frames far from minimal.
+FRAMES = [
+    ["pdim", "--field", "p=32003",
+     "--gens", dense_quadrics(4, 5, 1, lambda rng: rng.randrange(32003))],
+    ["pdim", "--field", "Q",
+     "--gens", dense_quadrics(4, 5, 1, lambda rng: rng.randint(-9, 9))],
+    ["pdim", "--field", "p=2", "--gens",
+     "x1*x2 + x3 + 1; x2*x3 + x1*x4 + x2; x1*x3 + x4^2 + x1; x2*x4 + x3*x4 + x4 + 1"],
+]
+
+
 def argvs():
     for inst in workloads.engine_inputs():
         yield ["gb", "--field", inst["field"], "--nvars", str(inst["nvars"]),
@@ -65,6 +93,7 @@ def argvs():
         yield ["pdim", "--field", field, "--gens", gens]
         yield ["pdim", "--field", field, "--gens", gens, "--order", "lex"]
     yield from EDGE_CASES
+    yield from FRAMES
     p = f"p={workloads.CERTIFY_PRIME}"
     for item in workloads.certify_pool():
         n, forms = str(item["nvars"]), "; ".join(item.get("forms", []))

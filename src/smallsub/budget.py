@@ -30,7 +30,8 @@ class Budget:
 
     max_pairs: S-pairs reduced per Groebner run; a pair that the
         syzygy or the rewrite criterion drops costs nothing, and neither
-        does the reduction of an input.
+        does the reduction of an input.  Each Schreyer step of a free
+        resolution counts its pair reductions against the same cap.
     max_degree: lcm degree ceiling during a Groebner run (None = no cap).
     max_candidates: tuples tested per collapse enumeration.
     max_steps: descent steps / recursion nodes / search nodes of one

@@ -9,19 +9,33 @@ generators of the syzygy module.
 Resolutions iterate Schreyer's construction: the reductions of the
 S-pairs of a Groebner basis G yield syzygies that are already a
 Groebner basis for the order induced by the leading terms of G, so
-each further step is a plain S-pair reduction pass.  Graded input
-yields a minimal graded resolution after unit entries are pruned.
+each further step is a plain S-pair reduction pass.  Only the pairs
+whose quotient lcm/lt_i is minimal among those of i's partners are
+reduced: their syzygies have the same leading terms as all of them.
+Each level is kept as the engine's columns, packed with the layout of
+:mod:`smallsub.groebner`, and the public ``Polynomial`` matrices are
+built once at the end.
+
+Graded input yields a minimal graded resolution after unit entries are
+pruned, in one pass per matrix, first to last (after La Scala and
+Stillman, "Strategies for computing minimal free resolutions", JSC
+1998).  Clearing the unit at (i, j) of matrix k by column operations
+changes the neighbouring matrices only in row j of matrix k+1 and column
+i of matrix k-1, and both are dropped; so a matrix already done never
+gets a unit back.  Exactness makes the dropped row and column zero, and
+both are checked.
 """
 
 from __future__ import annotations
 
-from operator import mul, sub
+from operator import le, mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
+from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, InternalError
 from .fields import CoefficientField
 from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
-                       buchberger, normal_form_vec, pot_key, _Divisors, _prep, _s_pair)
+                       buchberger, normal_form_vec, pot_key, _Divisors, _Layout,
+                       _layout, _prep, _s_pair, _sub_scaled_packed)
 from .poly import Monomial, Polynomial
 
 Vector = tuple[Polynomial, ...]
@@ -103,28 +117,37 @@ def module_groebner_basis(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
     return [_dict_to_vec(v, sub.rank, sub.nvars, sub.field) for v in reduced]
 
 
-def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
-                       order: TermOrder = GREVLEX,
-                       budget: Budget | None = None) -> bool:
-    vec = tuple(v.poly if hasattr(v, "poly") else v for v in vec)
-    if all(v.is_zero() for v in vec):
+def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
+                  order: TermOrder, budget: Budget | None) -> bool:
+    """Whether every vector lies in ``sub``: one basis of ``sub``, prepared
+    once and only when a nonzero vector needs it, reduces them in turn
+    until one leaves a remainder."""
+    vecs = [d for d in (_vec_to_dict(v) for v in vectors) if d]
+    if not vecs:
         return True
     if sub.is_zero():
         return False
     keyf = pot_key(order)
     gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
                     sub.field, budget=budget, rank1=(sub.rank == 1))
-    prepped = [_prep(g, keyf) for g in gb]
-    rem = normal_form_vec(_vec_to_dict(vec), prepped, keyf, sub.field.p)
-    return not rem
+    prepped = _Divisors(_prep(g, keyf) for g in gb)
+    return not any(normal_form_vec(v, prepped, keyf, sub.field.p) for v in vecs)
+
+
+def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
+                       order: TermOrder = GREVLEX,
+                       budget: Budget | None = None) -> bool:
+    vec = tuple(v.poly if hasattr(v, "poly") else v for v in vec)
+    return _contains_all(sub, [vec], order, budget)
 
 
 def submodule_equals(a: SubmoduleOfFree, b: SubmoduleOfFree,
                      budget: Budget | None = None) -> bool:
+    """Equality by two containments, each against one basis per side."""
     if a.rank != b.rank:
         raise ValueError("submodules of free modules of different ranks")
-    return (all(submodule_contains(a, v, budget=budget) for v in b.generators)
-            and all(submodule_contains(b, v, budget=budget) for v in a.generators))
+    return (_contains_all(a, b.generators, GREVLEX, budget)
+            and _contains_all(b, a.generators, GREVLEX, budget))
 
 
 # ----- syzygies and kernels -----
@@ -236,20 +259,27 @@ class FreeResolution:
         return out
 
     def verify(self) -> bool:
-        """Consecutive matrices compose to the zero matrix."""
-        zero = Polynomial.zero(self.nvars, self.field)
+        """Consecutive matrices compose to the zero matrix.
+
+        Each product column is accumulated on packed terms from the
+        nonzero entries only; an exponent past MAX_EXPONENT in a product
+        raises BudgetExceededError.
+        """
+        layout = _layout(self.nvars)
+        pack, guard, p = layout.pack, layout.guard, self.field.p
         for a, b in zip(self.matrices, self.matrices[1:]):
-            rows, mid = len(a), len(b)
-            cols = len(b[0]) if b else 0
+            mid = len(b)
             if mid != (len(a[0]) if a else 0):
                 return False
-            for i in range(rows):
-                for j in range(cols):
-                    acc = zero
-                    for t in range(mid):
-                        acc = acc + a[i][t] * b[t][j]
-                    if not acc.is_zero():
-                        return False
+            acols = [{pack((i, m)): c for i, row in enumerate(a)
+                      for m, c in row[t].terms.items()} for t in range(mid)]
+            for j in range(len(b[0]) if b else 0):
+                acc: dict = {}
+                for t, row in enumerate(b):
+                    for m, c in row[j].terms.items():
+                        _sub_scaled_packed(acc, acols[t], pack((0, m)), c, p, guard)
+                if acc:
+                    return False
         return True
 
     def __repr__(self):
@@ -287,18 +317,34 @@ def _schreyer_key(lead_terms: Sequence[tuple[int, Monomial]],
     return key
 
 
-def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField) -> list[VecDict]:
-    """Syzygies of a monic Groebner basis from its S-pair reductions."""
+def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField,
+                       pairs: Counter) -> list[VecDict]:
+    """Syzygies of a monic Groebner basis from its S-pair reductions.
+
+    Only the minimal pairs are reduced: (i, j), j > i in the component
+    of i, whose quotient lcm/lt_i no other partner's quotient properly
+    divides, and of equal quotients the smallest j.  The leading terms
+    of the syzygies are these quotients times e_i, so the minimal ones
+    span the same leading-term module.  Each reduction ticks ``pairs``.
+    """
     p = field.p
     prepped = _Divisors(_prep(g, keyf) for g in gb)
     sigmas: list[VecDict] = []
     one = field.one
     for i in range(len(gb)):
         ic, im = prepped[i][2]
+        quotients: dict = {}
         for j in range(i + 1, len(gb)):
             jc, jm = prepped[j][2]
-            if ic != jc:
-                continue
+            if ic == jc:
+                quotients.setdefault(tuple(max(b - a, 0) for a, b in zip(im, jm)), j)
+        minimal: list = []
+        for q in sorted(quotients, key=sum):
+            if not any(all(map(le, r, q)) for r in minimal):
+                minimal.append(q)
+        for j in sorted(quotients[q] for q in minimal):
+            jm = prepped[j][2][1]
+            pairs.tick()
             lcm = (ic, tuple(map(max, im, jm)))
             spair = _s_pair(prepped[i], prepped[j], lcm, keyf(lcm), p)
             rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
@@ -321,8 +367,10 @@ def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField) -> list
 def _schreyer_sort(gb: list[VecDict], keyf) -> list[VecDict]:
     """Order a basis by descending lex leading monomial (Schreyer's sort,
     which bounds the iterated construction by the variable count)."""
-    return sorted(gb, key=lambda g: (max(g, key=keyf)[1],
-                                     -max(g, key=keyf)[0]), reverse=True)
+    def lead(g):
+        comp, mono = max(g, key=keyf)
+        return mono, -comp
+    return sorted(gb, key=lead, reverse=True)
 
 
 def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
@@ -330,8 +378,11 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
                     minimize: bool = True) -> FreeResolution:
     """Finite free resolution of a submodule by iterated Schreyer steps.
 
-    With ``minimize`` (default) unit entries are pruned; for graded input
-    the result is the minimal graded resolution.
+    Each step reduces its minimal S-pairs, each ticking a ``max_pairs``
+    counter of its own.  With ``minimize`` (default) unit entries are
+    pruned in one pass per matrix on the packed levels (see the module
+    docstring); for graded input the result is the minimal graded
+    resolution.  Either way the matrices are checked to compose to zero.
     """
     budget = budget or DEFAULT_BUDGET
     nvars, field = sub.nvars, sub.field
@@ -341,98 +392,142 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
     gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
                     sub.field, budget=budget, rank1=(sub.rank == 1))
     gb = _schreyer_sort(autoreduce(gb, keyf, field), keyf)
-    matrices: list = []
-    current_rank = sub.rank
+    levels: list[list[VecDict]] = []
     while gb:
-        cols = [_dict_to_vec(g, current_rank, nvars, field) for g in gb]
-        matrices.append([[cols[j][i] for j in range(len(cols))]
-                         for i in range(current_rank)])
-        if len(matrices) > nvars + 2:
+        levels.append(gb)
+        if len(levels) > nvars + 2:
             raise BudgetExceededError("resolution length", nvars + 2)
-        sigmas = _schreyer_syzygies(gb, keyf, field)
+        sigmas = _schreyer_syzygies(gb, keyf, field,
+                                    Counter("schreyer pairs", budget.max_pairs))
         if not sigmas:
             break
         keyf = _schreyer_key([max(g, key=keyf) for g in gb], keyf)
-        sigmas = _schreyer_sort(autoreduce(sigmas, keyf, field), keyf)
-        current_rank = len(gb)
-        gb = sigmas
-    base_rank = sub.rank
-    if minimize:
-        matrices = _prune_units(matrices, nvars, field)
-        if matrices:
-            base_rank = len(matrices[0])
+        gb = _schreyer_sort(autoreduce(sigmas, keyf, field), keyf)
+    base_rank, matrices = _chain_matrices(levels, sub.rank, nvars, field, minimize)
     resolution = FreeResolution(base_rank, matrices, nvars, field)
     if not resolution.verify():
         raise InternalError("resolution matrices do not compose to zero")
     return resolution
 
 
-def _find_unit(mat):
-    for i, row in enumerate(mat):
-        for j, entry in enumerate(row):
-            if not entry.is_zero() and entry.total_degree() == 0:
-                return i, j
+def _chain_matrices(levels: list[list[VecDict]], base_rank: int, nvars: int,
+                    field: CoefficientField, minimize: bool) -> tuple[int, list]:
+    """The rank of F_0 and the ``Polynomial`` matrices of a chain given by
+    the columns of each map, with its units pruned when ``minimize``."""
+    layout = _layout(nvars)
+    pack = layout.pack
+    levels = [[{pack(t): c for t, c in col.items()} for col in cols] for cols in levels]
+    dropped = [set() for _ in range(len(levels) + 1)]
+    if minimize:
+        _prune(levels, dropped, layout, field)
+    unpack = layout.unpack
+    zero = Polynomial.zero(nvars, field)
+    matrices = []
+    nrows = base_rank
+    for k, cols in enumerate(levels):
+        place = {}
+        for r in range(nrows):
+            if r not in dropped[k]:
+                place[r] = len(place)
+        built = []
+        for j, col in enumerate(cols):
+            if j in dropped[k + 1]:
+                continue
+            per: list[dict] = [{} for _ in place]
+            for e, c in col.items():
+                comp, mono = unpack(e)
+                per[place[comp]][mono] = c
+            built.append([Polynomial(nvars, field, t) if t else zero for t in per])
+        matrices.append([[col[r] for col in built] for r in range(len(place))])
+        nrows = len(cols)
+    while matrices and (not matrices[-1] or not matrices[-1][0]):
+        matrices.pop()
+    return (len(matrices[0]) if matrices else base_rank), matrices
+
+
+def _prune(levels: list[list[dict]], dropped: list[set], layout: _Layout,
+           field: CoefficientField):
+    """Split off the trivial summands R -> R of a chain of packed columns.
+
+    Matrix k is done in one pass: while it has a unit, the one in the
+    smallest row and then the smallest column, at (i, j), clears its row
+    by column operations, and row i and column j are dropped, with row j
+    of the next matrix and column i of the previous one; exactness makes
+    those zero, which is checked.  Row i is then zero but for the unit,
+    so no row operation is needed.  ``dropped[k]`` collects the dropped
+    basis elements of F_k; the rows of matrix k dropped with matrix k-1
+    are struck from its columns before its pass.  A unit is a nonzero
+    constant entry, not an entry with a constant term.
+    """
+    p, guard, shift = field.p, layout.guard, layout.comp_shift
+    monos = (1 << shift) - 1
+    for k, cols in enumerate(levels):
+        rows_gone, gone = dropped[k], dropped[k + 1]
+        if rows_gone:
+            for col in cols:
+                for e in [e for e in col if e >> shift in rows_gone]:
+                    del col[e]
+        # per column, the rows where it has a constant term
+        consts = [{e >> shift for e in col if not e & monos} for col in cols]
+        if not any(consts):
+            continue
+        prev = levels[k - 1] if k else None
+        nxt = None
+        if k + 1 < len(levels):
+            # matrix k+1 by rows, each row packed with its column as component
+            nxt = [{} for _ in cols]
+            for c, col in enumerate(levels[k + 1]):
+                for e, v in col.items():
+                    nxt[e >> shift][(c << shift) + (e & monos)] = v
+        while (spot := _first_unit(cols, consts, shift)) is not None:
+            i, j = spot
+            pivot = cols[j]
+            inv = field.inv(pivot[i << shift])
+            lo, hi = i << shift, (i + 1) << shift
+            row = {}
+            for j2, col in enumerate(cols):
+                if j2 not in gone:
+                    entry = [(e - lo, v) for e, v in col.items() if lo <= e < hi]
+                    if entry:
+                        row[j2] = entry
+            for j2, entry in row.items():
+                if j2 == j:
+                    continue
+                col = cols[j2]
+                for u, v in entry:
+                    _sub_scaled_packed(col, pivot, u, v * inv % p if p else v * inv,
+                                       p, guard)
+                # only the pivot's constant terms can change those of col
+                for r in consts[j]:
+                    if r << shift in col:
+                        consts[j2].add(r)
+                    else:
+                        consts[j2].discard(r)
+            if nxt is not None:
+                acc: dict = {}
+                for j2, entry in row.items():
+                    for u, v in entry:
+                        _sub_scaled_packed(acc, nxt[j2], u, v, p, guard)
+                if acc:
+                    raise InternalError("pruned row of the next matrix is not zero")
+            if prev is not None:
+                acc = {}
+                for e, v in pivot.items():
+                    _sub_scaled_packed(acc, prev[e >> shift], e & monos, v, p, guard)
+                if acc:
+                    raise InternalError("pruned column of the previous matrix is not zero")
+            rows_gone.add(i)
+            gone.add(j)
+            consts[j] = set()
+
+
+def _first_unit(cols: list[dict], consts: list[set], shift: int):
+    """The unit entry of the smallest row, then column, or None."""
+    for i, j in sorted((i, j) for j, rows in enumerate(consts) for i in rows):
+        lo, hi = i << shift, (i + 1) << shift
+        if sum(1 for e in cols[j] if lo <= e < hi) == 1:
+            return i, j
     return None
-
-
-def _prune_units(matrices, nvars: int, field: CoefficientField):
-    """Split off trivial R -> R summands until no unit entries remain."""
-    mats = [[list(row) for row in mat] for mat in matrices]
-    zero_mono = (0,) * nvars
-    while True:
-        spot = None
-        for k, mat in enumerate(mats):
-            hit = _find_unit(mat)
-            if hit is not None:
-                spot = (k, *hit)
-                break
-        if spot is None:
-            break
-        k, i, j = spot
-        mat = mats[k]
-        unit = mat[i][j]
-        inv = field.inv(unit.terms[zero_mono])
-        # column operations clear row i, then row operations clear column j
-        for j2 in range(len(mat[i])):
-            if j2 == j or mat[i][j2].is_zero():
-                continue
-            g = mat[i][j2].scale(inv)
-            for r in range(len(mat)):
-                mat[r][j2] = mat[r][j2] - g * mat[r][j]
-            if k + 1 < len(mats):
-                nxt = mats[k + 1]
-                for c in range(len(nxt[0]) if nxt else 0):
-                    nxt[j][c] = nxt[j][c] + g * nxt[j2][c]
-        for i2 in range(len(mat)):
-            if i2 == i or mat[i2][j].is_zero():
-                continue
-            h = mat[i2][j].scale(inv)
-            for c in range(len(mat[i2])):
-                mat[i2][c] = mat[i2][c] - h * mat[i][c]
-            if k > 0:
-                prev = mats[k - 1]
-                for r in range(len(prev)):
-                    prev[r][i] = prev[r][i] + h * prev[r][i2]
-        # splice out row i / column j of mat, row j of the next matrix,
-        # column i of the previous matrix; exactness forces those to be zero
-        del mat[i]
-        for row in mat:
-            del row[j]
-        if k + 1 < len(mats):
-            if not all(entry.is_zero() for entry in mats[k + 1][j]):
-                raise InternalError("pruned row of the next matrix is not zero")
-            del mats[k + 1][j]
-        if k > 0:
-            if not all(row[i].is_zero() for row in mats[k - 1]):
-                raise InternalError("pruned column of the previous matrix is not zero")
-            for row in mats[k - 1]:
-                del row[i]
-        # drop trailing matrices that became empty
-        while mats and (not mats[-1] or not mats[-1][0]):
-            mats.pop()
-    while mats and (not mats[-1] or not mats[-1][0]):
-        mats.pop()
-    return [[list(row) for row in mat] for mat in mats]
 
 
 def projective_dimension(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
