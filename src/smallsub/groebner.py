@@ -78,7 +78,12 @@ variables come from a branch and bound (:func:`_hitting_number`), whose
 nodes ``Budget.max_steps`` caps.
 
 Intersection and saturation are one elimination of a tag variable each;
-the ideal of top-degree forms is read off one grevlex basis.
+the ideal of top-degree forms is read off one grevlex basis.  Lifts and
+colons use the tag-component embedding of :mod:`smallsub.modules`
+instead: cofactors of a membership are the tag components of one
+remainder against a position-over-term basis, and I : J is the tag
+component of one such basis (see :func:`membership_cofactors` and
+:meth:`Ideal.colon`).
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from bisect import insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import inf
-from operator import add, itemgetter, lshift, mul
+from operator import itemgetter, lshift, mul
 from struct import Struct
 from typing import Callable, Iterable, Sequence
 
@@ -327,25 +332,6 @@ _IDEAL_MEMO_CAP = 1 << 12
 # ----- raw engine -----
 
 
-def _scale_vec(vec: dict, factor, p) -> dict:
-    if p:
-        return {t: c * factor % p for t, c in vec.items()}
-    return {t: c * factor for t, c in vec.items()}
-
-
-def _sub_scaled_tail(work: VecDict, tail, umono: Monomial, factor, p):
-    """work -= factor * x^umono * tail, in place, on tuple terms."""
-    for (comp, mono), c in tail:
-        t = (comp, tuple(map(add, mono, umono)))
-        v = work.get(t, 0) - factor * c
-        if p:
-            v %= p
-        if v:
-            work[t] = v
-        elif t in work:
-            del work[t]
-
-
 def _sub_scaled_packed(work: dict, src: dict, u: int, factor, p, guard: int):
     """work -= factor * x^u * src, in place, on packed terms."""
     get = work.get
@@ -372,7 +358,7 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
     Live codes sit in a dict and a min-heap, so the largest term comes
     off first, and a term that cancels while queued is skipped when it
     comes off.  Returns the remainder, plus ``(index, mono, coeff)``
-    reduction records when tracking.
+    reduction records when tracking a reduction without ``sig``.
 
     With a signature key ``sig`` and a :class:`_Signed` basis the
     reduction is regular: x^u g_k reduces a term only when its signature
@@ -392,8 +378,8 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
         heap = list(work)
         heapify(heap)
         if sig is not None:
-            _reduce_regular(work, heap, basis, layout, p, sig, rem, records)
-            return (rem, records) if track else rem
+            _reduce_regular(work, heap, basis, layout, p, sig, rem)
+            return rem
         guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
         if isinstance(basis, _Divisors):
             negs, memo = basis.negs, basis.memo
@@ -434,14 +420,14 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
 
 
 def _reduce_regular(work: dict, heap: list, basis: _Signed, layout: _Layout, p,
-                    sig: int, rem: dict, records: list | None):
+                    sig: int, rem: dict):
     """The loop of :func:`normal_form_vec` under a signature bound.
 
     A reducer x^u g_k of the term h is regular when offs[k] + weight(h)
     < sig, so the bound on offs is computed once per reduced term.  The
     remainder is keyed by term codes.
     """
-    guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
+    guard, mask = layout.guard, layout.mask
     even, odd, shift = layout.even, layout.odd, layout.code_shift
     negs, memo, offs = basis.negs, basis.memo, basis.offs
     scale, radix = basis.scale, basis.radix
@@ -473,8 +459,6 @@ def _reduce_regular(work: dict, heap: list, basis: _Signed, layout: _Layout, p,
                 continue
         _, hlt, _, tail = basis[hit]
         hu = h - hlt
-        if records is not None:
-            records.append((hit, unpack(hu & low)[1], c))
         for s, tc in tail:
             s += hu
             v = get(s)
@@ -515,9 +499,9 @@ def _prep_monic(vec: VecDict, keyf, field: CoefficientField):
 
 
 def _prep_codes(rem: dict, layout: _Layout, field: CoefficientField, seen: dict):
-    """:func:`_prep_monic` of a remainder keyed by term codes.  ``seen``
-    maps each code met so far to one ``(code, term)`` pair, so that the
-    elements of a run share their codes and term tuples."""
+    """:func:`_prep_monic` of a remainder keyed by term codes, without the
+    inverse.  ``seen`` maps each code met so far to one ``(code, term)``
+    pair, so that the elements of a run share their codes and term tuples."""
     lt_code = min(rem)  # the largest term
     inv = field.inv(rem[lt_code])
     p = field.p
@@ -533,7 +517,7 @@ def _prep_codes(rem: dict, layout: _Layout, field: CoefficientField, seen: dict)
         vec[shared[1]] = c
         if h != lt_code:
             tail.append((shared[0], c))
-    return vec, inv, (layout.bias - (lt_code & low), lt_code, seen[lt_code][1], tail)
+    return vec, (layout.bias - (lt_code & low), lt_code, seen[lt_code][1], tail)
 
 
 def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
@@ -562,34 +546,29 @@ def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
 
 
 def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
-               budget: Budget | None = None, rank1: bool = False,
-               track: bool = False, stats: dict | None = None,
-               until: Callable[[Monomial], bool] | None = None):
+               budget: Budget | None = None, rank1: bool = False, *,
+               stats: dict | None = None,
+               until: Callable[[Monomial], bool] | None = None) -> list[VecDict]:
     """Compute a (non-reduced) monic Groebner basis of the span.
 
     One signature-based loop (see the module docstring); ``rank1`` marks
-    an ideal run, whose Koszul syzygies are known.  With ``track=True``
-    also returns, for each basis element, its expression over the input
-    vectors as a VecDict keyed by (input index, mono), and its signature
-    as one such term.  A ``stats`` dict, when given, receives the reduced
-    pairs, the zero reductions among them, the pairs that the syzygy
-    and the rewrite criteria dropped, and the basis size.  ``until``,
-    when given, receives the leading monomial of each element as it
-    joins; a True return ends the run, which then returns the elements
-    so far, not a Groebner basis.
+    an ideal run, whose Koszul syzygies are known.  A ``stats`` dict,
+    when given, receives the reduced pairs, the zero reductions among
+    them, the pairs that the syzygy and the rewrite criteria dropped,
+    and the basis size.  ``until``, when given, receives the leading
+    monomial of each element as it joins; a True return ends the run,
+    which then returns the elements so far, not a Groebner basis.
     """
     budget = budget or DEFAULT_BUDGET
     p = field.p
-    one, minus_one = field.one, field.neg(field.one)
     pair_counter = Counter("groebner pairs", budget.max_pairs)
     zero_reductions = syzygy_skips = rewrite_skips = 0
     basis: list[VecDict] = []
-    exprs: list[dict] = []  # packed (input index, mono) -> coeff, per element
     elems: list[tuple] = []  # (offset, comp, lt mono, packed lt, i, t), signature t * e_i
     heads: list[tuple] = []  # (sig key - weight(hd), i, t, packed hd), per element of an ideal run
     syzygies = [[] for _ in vectors]  # per i, bias - packed t of the minimal known t * e_i
     rewriters = [[] for _ in vectors]  # per i, (element, bias - packed t) in the order added
-    heap: list = []  # (sig key, -1, i) per input; (sig key, gen, other, t, lcm, key, packed lcm)
+    heap: list = []  # (sig key, -1, i) per input; (sig key, gen, other, t, lcm, key)
     inputs = [i for i, vec in enumerate(vectors) if vec]
     layout: _Layout | None = None
     coded = {}  # per input, its terms as a _Codes vector, which its reduction consumes
@@ -624,15 +603,6 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         heap = [(scale * degree + radix * key + i, -1, i) for i, key, degree in leads]
         heapify(heap)
 
-    def reduce(vec, expr, sig: int):
-        if not track:
-            return normal_form_vec(vec, prepped, keyf, p, sig=sig), None
-        rem, records = normal_form_vec(vec, prepped, keyf, p, track=True, sig=sig)
-        for idx, umono, factor in records:
-            _sub_scaled_packed(expr, exprs[idx], layout.pack((0, umono)),
-                               factor, p, guard)
-        return rem, expr
-
     def syzygy(i: int, t: int):
         """Record the syzygy signature t * e_i, keeping the list minimal."""
         known = syzygies[i]
@@ -642,11 +612,11 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         known[:] = [n for n in known if (bias - n + neg) & mask]
         insort(known, neg, key=lambda n: degree(bias - n))  # the likelier divisors first
 
-    def add(vec: VecDict, expr: dict | None, sig: int, i: int, t: int) -> bool:
+    def add(vec: VecDict, sig: int, i: int, t: int) -> bool:
         """Add the regular remainder of signature t * e_i and queue its
         pairs; True when ``until`` ends the run."""
         nonlocal rewrite_skips, syzygy_skips
-        vec, inv, prepared = _prep_codes(vec, layout, field, seen)
+        vec, prepared = _prep_codes(vec, layout, field, seen)
         neg, lt_code, (comp, ltm), tail = prepared
         lt = bias - neg
         lt_degree = sum(ltm)
@@ -656,8 +626,6 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         prepped.append(prepared, off)
         neg_t = bias - t
         rewriters[i].append((new, neg_t))
-        if track:
-            exprs.append(_scale_vec(expr, inv, p) if inv != one else expr)
         if rank1:
             # the Koszul syzygy of g_k and g_new has the larger signature of
             # hd(g_new) * sig(g_k) and hd(g_k) * sig(g_new): compare sig - weight(hd)
@@ -702,7 +670,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                 lcm = tuple(map(max, ltm, km))
                 key = keyf((comp, lcm))
                 heappush(heap, (max(off_k, off) + scale * sum(lcm) + radix * key,
-                                gen, other, t_s, lcm, key, packed))
+                                gen, other, t_s, lcm, key))
         elems.append((off, comp, ltm, lt, i, t))
         return until is not None and until(ltm)
 
@@ -711,10 +679,9 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         sig, gen = entry[0], entry[1]
         if gen < 0:  # an input
             i = entry[2]
-            expr = {layout.pack((i, zero)): one} if track else None
-            rem, expr = reduce(coded.pop(i), expr, sig)
+            rem = normal_form_vec(coded.pop(i), prepped, keyf, p, sig=sig)
             if rem:
-                if add(rem, expr, sig, i, 0):
+                if add(rem, sig, i, 0):
                     break
             else:
                 syzygy(i, 0)
@@ -733,22 +700,15 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         rewrite_skips += len(group) - len(kept[:1])
         if not kept:
             continue
-        _, gen, other, t, lcm, key, packed = kept[0]
+        _, gen, other, t, lcm, key = kept[0]
         if budget.max_degree is not None and mono_degree(lcm) > budget.max_degree:
             raise BudgetExceededError("groebner lcm degree", budget.max_degree)
         pair_counter.tick()
         di, dj = prepped[gen], prepped[other]
-        spair = _s_pair(di, dj, (di[2][0], lcm), key, p)
-        expr = None
-        if track:
-            expr = {}
-            _sub_scaled_packed(expr, exprs[gen], packed + di[0] - bias,
-                               minus_one, p, guard)
-            _sub_scaled_packed(expr, exprs[other], packed + dj[0] - bias,
-                               one, p, guard)
-        rem, expr = reduce(spair, expr, sig)
+        rem = normal_form_vec(_s_pair(di, dj, (di[2][0], lcm), key, p),
+                              prepped, keyf, p, sig=sig)
         if rem:
-            if add(rem, expr, sig, i, t):
+            if add(rem, sig, i, t):
                 break
         else:
             zero_reductions += 1
@@ -760,9 +720,6 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         stats["syzygy_skips"] = syzygy_skips
         stats["rewrite_skips"] = rewrite_skips
         stats["basis_size"] = len(basis)
-    if track:
-        return (basis, [{layout.unpack(e): c for e, c in ex.items()} for ex in exprs],
-                [(i, layout.unpack(t)[1]) for *_, i, t in elems])
     return basis
 
 
@@ -785,6 +742,12 @@ def autoreduce(basis: Sequence[VecDict], keyf, field: CoefficientField) -> list[
         reduced.append(normal_form_vec(vec, minimal[:i] + minimal[i + 1:], keyf, field.p))
     reduced.reverse()
     return reduced
+
+
+def _tagged(vectors: Sequence[VecDict], rank: int, nvars: int, one) -> list[VecDict]:
+    """The tag-component embedding: v_i + e_{rank+i} for vectors v_i of R^rank."""
+    tag = (0,) * nvars
+    return [{**v, (rank + i, tag): one} for i, v in enumerate(vectors)]
 
 
 # ----- Polynomial-level wrappers -----
@@ -845,34 +808,27 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
                          budget: Budget | None = None):
     """Cofactors c_i with f = sum c_i * gens[i], or None when f is outside.
 
-    Uses a tracked Buchberger run and a tracked division, so the witness
-    is exact by construction.
+    The lift of the tag-component embedding (Greuel and Pfister, *A
+    Singular Introduction to Commutative Algebra*, Sec. 2.8): f e_0
+    reduces against a position-over-term basis of the g_i e_0 + e_{1+i}
+    to f e_0 - sum c_i (g_i e_0 + e_{1+i}), which is free of e_0 exactly
+    when f lies in the ideal.  Zero generators get zero cofactors.
     """
     gens = list(gens)
-    nonzero = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
+    nonzero = [i for i, g in enumerate(gens) if not g.is_zero()]
     if not nonzero:
         return None
-    nvars, field = _ambient([g for _, g in nonzero])
+    nvars, field = _ambient([gens[i] for i in nonzero])
     keyf = pot_key(order)
-    p = field.p
-    basis, exprs, _ = buchberger([_to_vec(g) for _, g in nonzero], keyf, field,
-                              budget=budget, rank1=True, track=True)
-    prepped = [_prep(v, keyf) for v in basis]
-    rem, records = normal_form_vec(_to_vec(f), prepped, keyf, p, track=True)
-    if rem:
+    basis = buchberger(_tagged([_to_vec(gens[i]) for i in nonzero], 1, nvars, field.one),
+                       keyf, field, budget=budget)
+    rem = normal_form_vec(_to_vec(f), [_prep(v, keyf) for v in basis], keyf, field.p)
+    if any(comp == 0 for comp, _ in rem):
         return None
-    acc: VecDict = {}
-    for idx, umono, factor in records:
-        _sub_scaled_tail(acc, list(exprs[idx].items()), umono,
-                         field.neg(factor) if p is None else -factor % p, p)
-    cofactors = [Polynomial.zero(nvars, field) for _ in gens]
-    per_gen: dict[int, dict] = {}
-    for (gi, mono), c in acc.items():
-        per_gen.setdefault(gi, {})[mono] = c
-    for gi, terms in per_gen.items():
-        original_index = nonzero[gi][0]
-        cofactors[original_index] = Polynomial(nvars, field, terms)
-    return cofactors
+    terms = [{} for _ in gens]
+    for (comp, mono), c in rem.items():
+        terms[nonzero[comp - 1]][mono] = field.neg(c)
+    return [Polynomial(nvars, field, t) for t in terms]
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -1165,19 +1121,32 @@ class Ideal:
             + [[(0, h), (1, -h)] for h in other.generators], budget)
 
     def colon(self, other, budget: Budget | None = None) -> "Ideal":
-        """I : J, computed per generator of J via intersection and division."""
+        """I : J, one position-over-term basis.
+
+        For J = (g_1..g_m) and I = (f_1..f_r), the vectors
+        sum_j g_j e_{j-1} + e_m and f_i e_j span a submodule whose
+        elements free of e_0..e_{m-1} are h e_m with h g_j in I for every
+        j; the basis elements in e_m alone generate I : J.
+        """
         if isinstance(other, Polynomial):
             other = Ideal([other], self.nvars, self.field)
+        if self.nvars != other.nvars or self.field != other.field:
+            raise ValueError("ideals live in different ambient rings")
         if other.is_zero():
             one = Polynomial.constant(1, self.nvars, self.field)
             return Ideal([one], self.nvars, self.field)
-        result: Ideal | None = None
-        for g in other.generators:
-            meet = self.intersection(Ideal([g], self.nvars, self.field), budget)
-            part = Ideal([exact_divide(h, g) for h in meet.generators],
-                         self.nvars, self.field)
-            result = part if result is None else result.intersection(part, budget)
-        return result
+        m = len(other.generators)
+        spread = {(j, mono): c for j, g in enumerate(other.generators)
+                  for mono, c in g.terms.items()}
+        vectors = _tagged([spread], m, self.nvars, self.field.one) + [
+            {(j, mono): c for mono, c in f.terms.items()}
+            for f in self.generators for j in range(m)]
+        keyf = pot_key(GREVLEX)
+        gb = buchberger(vectors, keyf, self.field, budget=budget)
+        kept = autoreduce([g for g in gb if all(comp == m for comp, _ in g)],
+                          keyf, self.field)
+        return Ideal([_from_vec(g, self.nvars, self.field) for g in kept],
+                     self.nvars, self.field)
 
     def saturation(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
         """I : f^infinity: eliminate t from I + (1 - t*f) (Rabinowitsch)."""

@@ -4,7 +4,10 @@ Kernels are computed by the tag-component embedding: to find the
 syzygies of vectors v_1..v_n in R^m, run a Groebner basis of the
 vectors (v_i + e_{m+i}) in R^(m+n) under a position-over-term order;
 basis elements supported entirely in the tag block project onto
-generators of the syzygy module.
+generators of the syzygy module.  The same embedding lifts ideal
+memberships to cofactors and computes colon ideals
+(:func:`smallsub.groebner.membership_cofactors`,
+:meth:`smallsub.groebner.Ideal.colon`).
 
 Resolutions iterate Schreyer's construction: the reductions of the
 S-pairs of a Groebner basis G yield syzygies that are already a
@@ -35,7 +38,7 @@ from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, Intern
 from .fields import CoefficientField
 from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
                        buchberger, normal_form_vec, pot_key, _Divisors, _Layout,
-                       _layout, _prep, _s_pair, _sub_scaled_packed)
+                       _layout, _prep, _s_pair, _sub_scaled_packed, _tagged)
 from .poly import Monomial, Polynomial
 
 Vector = tuple[Polynomial, ...]
@@ -163,14 +166,8 @@ def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
     n = len(vectors)
     if n == 0:
         return []
-    keyf = pot_key(order)
-    one = field.one
-    embedded = []
-    for i, vec in enumerate(vectors):
-        d = _vec_to_dict(vec)
-        d[(rank + i, (0,) * nvars)] = one
-        embedded.append(d)
-    gb = buchberger(embedded, keyf, field, budget=budget, rank1=False)
+    gb = buchberger(_tagged([_vec_to_dict(v) for v in vectors], rank, nvars, field.one),
+                    pot_key(order), field, budget=budget)
     out: list[Vector] = []
     for g in gb:
         if all(comp >= rank for (comp, _m) in g):

@@ -12,11 +12,12 @@ ascending size, and decides each one by linear algebra in degree
 d = deg F: F lies in (g_1..g_k) exactly when it lies in the span of
 the products m*g_i with m of degree d - deg g_i.  Tuples sharing a
 prefix share that prefix's row echelon form and the reduced F.  A
-witness, when found, is lifted to explicit cofactors by a tracked
-Groebner reduction, which cross-checks the linear-algebra verdict, and
-is verified exactly on construction.  A "no collapse" answer is
-reported only when the enumeration finished; running out of budget is
-a distinguished outcome.  Exhaustive results
+witness, when found, is lifted to explicit cofactors by
+:func:`smallsub.groebner.membership_cofactors` (one reduction against a
+basis of the tag-component embedding), which cross-checks the
+linear-algebra verdict, and is verified exactly on construction.  A
+"no collapse" answer is reported only when the enumeration finished;
+running out of budget is a distinguished outcome.  Exhaustive results
 are tagged as specific to the ground field, while the Jacobian height
 bound is stable under field extension.
 """

@@ -40,7 +40,7 @@ def random_poly(rng, nvars, maxdeg, field, homogeneous=False):
     pool = [m for m in monos(nvars, maxdeg)
             if (sum(m) == maxdeg if homogeneous else sum(m) > 0)]
     while True:
-        terms = {m: rng.randint(0, field.p - 1)
+        terms = {m: rng.randint(0, field.p - 1) if field.p else rng.randint(-3, 3)
                  for m in rng.sample(pool, min(len(pool), rng.randint(1, 4)))}
         f = Polynomial(nvars, field, terms)
         if not f.is_zero():
@@ -396,6 +396,97 @@ def test_exact_divide():
         exact_divide(pp("x1", F5, 2), pp("x2", F5, 2))
 
 
+# ----- colons and lifts against the routes they replaced -----
+
+
+def _colon_by_intersections(I, J):
+    """The previous route to I : J: per generator g of J, the
+    intersection of I with (g) divided by g, then the parts intersected."""
+    if J.is_zero():
+        one = Polynomial.constant(1, I.nvars, I.field)
+        return Ideal([one], I.nvars, I.field)
+    result = None
+    for g in J.generators:
+        meet = I.intersection(Ideal([g], I.nvars, I.field))
+        part = Ideal([exact_divide(h, g) for h in meet.generators], I.nvars, I.field)
+        result = part if result is None else result.intersection(part)
+    return result
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(32003), QQ], ids=repr)
+def test_colon_matches_the_intersection_route(field):
+    rng = random.Random(211 + (field.p or 0))
+    grown = 0
+    for n in range(30):
+        nvars = rng.randint(2, 3)
+        homogeneous = n % 2 == 0
+        J = [random_poly(rng, nvars, rng.randint(1, 2), field, homogeneous)
+             for _ in range(rng.randint(1, 3))]
+        # products with generators of J, so that most colons grow
+        I = [rng.choice(J + [random_poly(rng, nvars, 1, field, homogeneous)])
+             * random_poly(rng, nvars, rng.randint(1, 2), field, homogeneous)
+             for _ in range(rng.randint(1, 3))]
+        I, J = Ideal(I, nvars, field), Ideal(J, nvars, field)
+        ours = I.colon(J)
+        assert ours.groebner_basis() == _colon_by_intersections(I, J).groebner_basis(), (I, J)
+        grown += not I.contains_ideal(ours)
+    assert grown >= 10
+
+
+def test_colon_edge_cases():
+    x1, x2, x3 = (pp(v, F5, 3) for v in ("x1", "x2", "x3"))
+    I = Ideal([x1 * x2, x1 * x3])
+    cases = [
+        (Ideal([], 3, F5), Ideal([x1 + x2])),  # I = 0
+        (I, Ideal([x2 + 1, pp("2", F5, 3)])),  # J contains a unit
+        (I, Ideal([], 3, F5)),  # J = 0
+    ]
+    for A, B in cases:
+        assert A.colon(B).groebner_basis() == _colon_by_intersections(A, B).groebner_basis()
+    assert Ideal([], 3, F5).colon(Ideal([x1 + x2])).is_zero()
+    assert I.colon(Ideal([x2 + 1, pp("2", F5, 3)])).equals(I)
+    assert I.colon(Ideal([], 3, F5)).is_unit()
+    # J as a bare Polynomial
+    assert I.colon(x1).groebner_basis() == [x2, x3]
+    with pytest.raises(ValueError):
+        I.colon(Ideal([pp("x1", F5, 2)]))
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(32003), QQ], ids=repr)
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
+def test_membership_cofactors_match_containment(field, order):
+    rng = random.Random(223 + (field.p or 0) + (order is LEX))
+    inside = outside = hidden = 0
+    for n in range(30):
+        nvars = rng.randint(2, 3)
+        homogeneous = n % 4 < 2
+        zero = Polynomial.zero(nvars, field)
+        gens = [random_poly(rng, nvars, rng.randint(1, 2), field, homogeneous)
+                for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 2)):
+            gens.insert(rng.randint(0, len(gens)), zero)
+        # a combination of the generators, a random polynomial, or their sum
+        f = sum((random_poly(rng, nvars, rng.randint(1, 2), field, homogeneous) * g
+                 for g in gens), zero) if n % 3 != 1 else zero
+        if n % 3:
+            f = f + random_poly(rng, nvars, rng.randint(1, 3), field, homogeneous)
+        ideal = Ideal(gens, nvars, field)
+        cofactors = membership_cofactors(f, gens, order)
+        assert (cofactors is None) == (not ideal.contains(f))
+        if cofactors is None:
+            outside += 1
+            # f outside whose leading term is a leading term of the ideal
+            leads = [max(g.terms, key=order.key) for g in ideal.groebner_basis(order)]
+            lead = max(f.terms, key=order.key)
+            hidden += any(all(a <= b for a, b in zip(m, lead)) for m in leads)
+            continue
+        inside += 1
+        assert len(cofactors) == len(gens)
+        assert sum((c * g for c, g in zip(cofactors, gens)), zero) == f
+        assert all(c.is_zero() for c, g in zip(cofactors, gens) if g.is_zero())
+    assert inside >= 10 and outside >= 5 and hidden >= 3
+
+
 def test_elimination_order_blocks():
     order = elimination_order(1)
     gb = groebner_basis([pp("x1-x2^2", F5, 2), pp("x1*x2-1", F5, 2)], order)
@@ -538,7 +629,8 @@ def test_s_pair_past_the_cap_is_budget_exceeded():
 
 
 def test_cofactor_past_the_cap_is_budget_exceeded():
-    # tracked runs keep cofactors packed as well; x2^32767 * x2 overflows
+    # resolution pruning updates packed columns by this kernel too;
+    # x2^32767 * x2 overflows
     layout = groebner._layout(2)
     expr = {layout.pack((1, (0, MAX_EXPONENT))): 1}
     with pytest.raises(BudgetExceededError, match="monomial exponent"):
@@ -611,6 +703,19 @@ def test_pair_budget_counts_reduced_pairs():
     with pytest.raises(BudgetExceededError) as exc:
         groebner_basis(gens, budget=Budget(max_pairs=43))
     assert (exc.value.what, exc.value.limit) == ("groebner pairs", 43)
+
+
+def test_lifts_and_colons_count_reduced_pairs():
+    field = GF(32003)
+    gens = _katsura(3, field)
+    f = gens[0] * gens[1] + gens[2] * gens[3]
+    x = [Polynomial.variable(i, 4, field) for i in range(4)]
+    for run in (lambda b: membership_cofactors(f, gens, budget=b),
+                lambda b: Ideal(gens).colon(Ideal([x[0], x[1] + x[2]]), b)):
+        assert run(None) is not None
+        with pytest.raises(BudgetExceededError) as exc:
+            run(Budget(max_pairs=2))
+        assert (exc.value.what, exc.value.limit) == ("groebner pairs", 2)
 
 
 # ----- the signature loop against the loops it replaced -----
@@ -823,18 +928,6 @@ def _queue_cases(field, rank, seed, count=20):
             yield keyf, [v for v in vecs if v]
 
 
-def _signature_order(vecs, keyf):
-    """The signature order on terms (i, t) of the inputs' free module, as
-    tuples: deg t + deg v_i, then the order key of t * lt(v_i), then i."""
-    leads = {i: (max(v, key=keyf), max(sum(m) for _, m in v)) for i, v in enumerate(vecs) if v}
-
-    def key(term):
-        i, t = term
-        (comp, lead), degree = leads[i]
-        return (sum(t) + degree, keyf((comp, tuple(a + b for a, b in zip(t, lead)))), i)
-    return key
-
-
 #: Per (characteristic, rank), summed over the cases: the signature loop's
 #: reduced pairs, syzygy skips and rewrite skips, then the pairs the
 #: Gebauer-Moeller/sugar loop and the normal-selection loop reduce.
@@ -848,13 +941,20 @@ _QUEUE_PAIRS = {(2, 1): (161, 560, 125, 142, 195), (2, 2): (245, 1712, 1109, 182
 
 @pytest.mark.parametrize("field", [F2, GF(7), GF(32003), QQ], ids=repr)
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_pair_queue_matches_normal_selection(field, rank):
+def test_pair_queue_matches_normal_selection(field, rank, monkeypatch):
     p = field.p
     counts = [0] * 5
+    sigs = []  # the signature key of every regular reduction of one run
+
+    def recording(vec, basis, keyf, p, track=False, sig=None):
+        if sig is not None:
+            sigs.append(sig)
+        return normal_form_vec(vec, basis, keyf, p, track, sig)
+    monkeypatch.setattr(groebner, "normal_form_vec", recording)
     for keyf, vecs in _queue_cases(field, rank, 97 * rank + (p or 1)):
         stats = {}
-        basis, exprs, sigs = groebner.buchberger(vecs, keyf, field, rank1=rank == 1,
-                                                 track=True, stats=stats)
+        sigs.clear()
+        basis = groebner.buchberger(vecs, keyf, field, rank1=rank == 1, stats=stats)
         gm, gm_pairs = _buchberger_gm_sugar(vecs, keyf, field, rank1=rank == 1)
         old, old_pairs = _buchberger_normal_selection(vecs, keyf, field, rank1=rank == 1)
         reduced = groebner.autoreduce(basis, keyf, field)
@@ -865,17 +965,10 @@ def test_pair_queue_matches_normal_selection(field, rank):
         for f, g in combinations(basis, 2):
             if max(f, key=keyf)[0] == max(g, key=keyf)[0]:
                 assert not normal_form_vec(_s_poly_vec(f, g, keyf, p), divisors, keyf, p)
-        # ... each element is its tracked combination of the inputs ...
-        for g, expr in zip(basis, exprs):
-            total = {}
-            for (idx, mono), c in expr.items():
-                _plus(total, _times(vecs[idx], mono, c, p), p)
-            assert total == g
-        # ... whose largest term is the element's signature, and the
-        # signatures increase along the basis
-        order = _signature_order(vecs, keyf)
-        assert [max(expr, key=order) for expr in exprs] == sigs
-        assert sorted(sigs, key=order) == sigs and len(set(sigs)) == len(sigs)
+        # ... and every input and pair is reduced in increasing signature,
+        # one reduction per signature
+        assert all(a < b for a, b in zip(sigs, sigs[1:]))
+        assert len(sigs) == len([v for v in vecs if v]) + stats["pairs_processed"]
         for n, c in enumerate((stats["pairs_processed"], stats["syzygy_skips"],
                                stats["rewrite_skips"], gm_pairs, old_pairs)):
             counts[n] += c

@@ -94,7 +94,7 @@ def test_dimension_matches_sympy_zero_dimensional():
 
 def _saturation_by_iterated_colon(ideal, f, rounds=50):
     """I : f^inf as the chain I, I : f, (I : f) : f, ... until it stops
-    growing: colons by intersection and exact division, no tag for f."""
+    growing: colons by one module basis each, no tag variable for f."""
     current = ideal
     for _ in range(rounds):
         nxt = current.colon(f)
