@@ -18,7 +18,7 @@ from math import ceil, comb
 from typing import Callable, Mapping
 
 from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET
-from .poly import DimensionSequence
+from .poly import DimensionSequence, monomials
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,6 @@ def cubic_eta_A(n1: int, n2: int, n3: int, eta: int,
     return (0, ceil(b / 2) + n1, r + n1)
 
 
-def _compositions(total: int, slots: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def _descent_children(d: tuple, table: BoundTable):
     """Every sequence reachable from d by one descent step: the degree-i
     entry drops by one and the lower entries gain 2 * threshold in total."""
@@ -140,7 +127,7 @@ def _descent_children(d: tuple, table: BoundTable):
         if d[i - 1] == 0:
             continue
         t = eta_A_i(d, i, table)
-        for extra in _compositions(2 * t, i - 1):
+        for extra in monomials(i - 1, 2 * t):
             child = list(d)
             child[i - 1] -= 1
             for j, amount in enumerate(extra):
@@ -199,7 +186,7 @@ def stillman_C(m: int, n: int, d: int, table: BoundTable,
     if comb(total + d - 1, d - 1) > budget.max_steps:
         raise BudgetExceededError("dimension sequence enumeration", budget.max_steps)
     best = 0
-    for delta in _compositions(total, d):
+    for delta in monomials(d, total):
         best = max(best, B_recursion(delta, table, budget))
     return best
 

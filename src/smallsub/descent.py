@@ -10,9 +10,10 @@ original basis form in the final generators (checked by tag-variable
 elimination) and the regular-sequence verdict for the output.
 
 Collapse targets are searched in three regimes per degree piece: the
-basis elements, then random linear combinations up to a sample budget,
-then every projective class of the piece when the field and dimensions
-make that enumerable.  Each trace step records which regime found it;
+basis elements, then ``SAMPLE_BUDGET`` random linear combinations, then
+every projective class of the piece, in the order of
+:func:`smallsub.strength._class_support`, when the piece has at most
+``EXHAUST_CAP`` classes.  Each trace step records which regime found it;
 a terminal state is marked exhaustive only if the closing sweep covered
 all projective classes of every nonzero piece.
 """
@@ -24,11 +25,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
-from .fields import CoefficientField
 from .groebner import elimination_order, groebner_basis, normal_form
 from .poly import (DimensionSequence, Form, GradedSpace, Polynomial, as_form,
                    coordinates_in_span)
-from .strength import CollapseWitness, find_collapse
+from .strength import CollapseWitness, _class_support, class_count, find_collapse
+
+#: Random combinations of a piece's basis tried after the basis itself.
+SAMPLE_BUDGET = 8
+#: Most projective classes the closing sweep lists in one piece; a larger
+#: piece is skipped, and the trace is then not exhaustive.
+EXHAUST_CAP = 4096
 
 
 def compare_sequences(a, b) -> int:
@@ -51,8 +57,6 @@ class ThresholdPolicy:
     value: object = None
     table: object = None
     max_k: int | None = None
-    sample_budget: int = 8
-    exhaust_cap: int = 4096
 
     @classmethod
     def constant(cls, value, **kw) -> "ThresholdPolicy":
@@ -130,62 +134,37 @@ def descend_step(space: GradedSpace, degree: int,
     return result
 
 
-def _projective_classes(piece: Sequence[Form], field: CoefficientField, cap: int):
-    """All nonzero combinations of the piece basis up to scalar, if few enough."""
-    p = field.p
-    if p is None:
-        return None
-    count = (p ** len(piece) - 1) // (p - 1)
-    if count > cap:
-        return None
-    out = []
-    for lead in range(len(piece)):
-        tails = [range(p)] * (len(piece) - lead - 1)
-        stack = [()]
-        for choices in tails:
-            stack = [prefix + (c,) for prefix in stack for c in choices]
-        for tail in stack:
-            poly = piece[lead].poly
-            for b, c in zip(piece[lead + 1:], tail):
-                if c:
-                    poly = poly + b.poly.scale(c)
-            out.append(Form(poly))
-    return out
+def _combination(piece: Sequence[Form], support) -> Form:
+    """The form sum c * piece[j] over (position j, coefficient c) pairs."""
+    poly = Polynomial.zero(piece[0].nvars, piece[0].field)
+    for j, c in support:
+        if c:
+            poly = poly + piece[j].poly.scale(c)
+    return Form(poly)
 
 
-def _candidates(space: GradedSpace, degree: int, policy: ThresholdPolicy,
-                rng: random.Random | None):
-    """Candidate collapse targets per regime; ends with an exhaustive flag."""
+def _piece_is_enumerable(piece: Sequence[Form], p: int | None) -> bool:
+    """Can the closing sweep list every projective class of the piece?"""
+    return p is not None and class_count(len(piece), p) <= EXHAUST_CAP
+
+
+def _candidates(space: GradedSpace, degree: int, rng: random.Random | None):
+    """(regime, candidate) pairs: the basis, random combinations, then
+    every projective class of the piece when it is enumerable."""
     piece = space.piece(degree)
     for b in piece:
         yield ("basis", b)
-    field = space.field
-    if rng is not None and field.p and len(piece) > 1:
-        for _ in range(policy.sample_budget):
-            coeffs = [rng.randrange(field.p) for _ in piece]
+    p = space.field.p
+    if rng is not None and p and len(piece) > 1:
+        for _ in range(SAMPLE_BUDGET):
+            coeffs = [rng.randrange(p) for _ in piece]
             if not any(coeffs):
                 coeffs[rng.randrange(len(piece))] = 1
-            poly = Polynomial.zero(space.nvars, field)
-            for b, c in zip(piece, coeffs):
-                if c:
-                    poly = poly + b.poly.scale(c)
-            yield ("sampled", Form(poly))
-    if len(piece) > 1:
-        classes = _projective_classes(piece, field, policy.exhaust_cap)
-        if classes is not None:
-            for f in classes:
-                yield ("exhaustive", f)
-
-
-def _piece_is_enumerable(space: GradedSpace, degree: int,
-                         policy: ThresholdPolicy) -> bool:
-    piece = space.piece(degree)
-    if len(piece) <= 1:
-        return True
-    p = space.field.p
-    if p is None:
-        return False
-    return (p ** len(piece) - 1) // (p - 1) <= policy.exhaust_cap
+            yield ("sampled", _combination(piece, enumerate(coeffs)))
+    if _piece_is_enumerable(piece, p):
+        m = len(piece)
+        for i in range(class_count(m, p)):
+            yield ("exhaustive", _combination(piece, _class_support(i, m, p)))
 
 
 def _find_move(space: GradedSpace, policy: ThresholdPolicy, budget: Budget,
@@ -200,7 +179,7 @@ def _find_move(space: GradedSpace, policy: ThresholdPolicy, budget: Budget,
             continue
         kcap = t if t is not None else (policy.max_k or space.nvars)
         seen: set[Form] = set()
-        for regime, candidate in _candidates(space, degree, policy, rng):
+        for regime, candidate in _candidates(space, degree, rng):
             if candidate in seen:
                 continue
             seen.add(candidate)
@@ -244,7 +223,7 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
     except BudgetExceededError:
         complete = False
     exhaustive = complete and all(
-        _piece_is_enumerable(current, d, policy)
+        _piece_is_enumerable(current.piece(d), current.field.p)
         for d in range(2, len(current.dimension_sequence) + 1)
         if current.dimension_sequence[d - 1] > 0)
     gens = tuple(current.basis)

@@ -817,7 +817,8 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
     gens = list(gens)
     nonzero = [i for i, g in enumerate(gens) if not g.is_zero()]
     if not nonzero:
-        return None
+        # the zero ideal contains only zero
+        return [f] * len(gens) if f.is_zero() else None
     nvars, field = _ambient([gens[i] for i in nonzero])
     keyf = pot_key(order)
     basis = buchberger(_tagged([_to_vec(gens[i]) for i in nonzero], 1, nvars, field.one),
@@ -1083,9 +1084,6 @@ class Ideal:
             buchberger([_to_vec(g) for g in self.generators], pot_key(GREVLEX),
                        self.field, budget=budget, rank1=True, until=watch.add)
         return inf if watch.unit else watch.bound
-
-    def with_generators(self, extra: Iterable[Polynomial]) -> "Ideal":
-        return Ideal(list(self.generators) + list(extra), self.nvars, self.field)
 
     # --- elimination-based operations ---
 

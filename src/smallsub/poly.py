@@ -45,6 +45,18 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def monomials(nvars: int, degree: int):
+    """Yield the exponent tuples of one total degree in ``nvars`` variables,
+    lexicographically ascending (the first exponent ascending)."""
+    if nvars <= 1:
+        if nvars == 1 or degree == 0:
+            yield (degree,) * nvars
+        return
+    for first in range(degree + 1):
+        for rest in monomials(nvars - 1, degree - first):
+            yield (first,) + rest
+
+
 def grevlex_key(m: Monomial):
     """Sort key for graded reverse lexicographic order (bigger key = bigger monomial)."""
     return (sum(m), tuple(map(neg, reversed(m))))
@@ -97,10 +109,6 @@ class Polynomial:
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, field, {mono: 1})
 
-    @classmethod
-    def from_term(cls, mono: Monomial, coeff, nvars: int, field: CoefficientField) -> "Polynomial":
-        return cls(nvars, field, {tuple(mono): coeff})
-
     # ----- queries -----
 
     def is_zero(self) -> bool:
@@ -120,12 +128,6 @@ class Polynomial:
     def homogeneous_component(self, d: int) -> "Polynomial":
         return Polynomial(self.nvars, self.field,
                           {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.nvars, self.field, t) for d, t in sorted(parts.items())}
 
     def coefficient(self, mono: Monomial):
         return self.terms.get(tuple(mono), self.field.zero)
@@ -455,10 +457,6 @@ def coordinates_in_span(f: Polynomial, basis: Sequence[Polynomial]):
     if not rem.is_zero():
         return None
     return coords
-
-
-def in_span(f: Polynomial, basis: Sequence[Polynomial]) -> bool:
-    return coordinates_in_span(f, basis) is not None
 
 
 # ----- dimension sequences and graded spaces -----

@@ -16,7 +16,7 @@ from smallsub.groebner import Ideal, leading_form_ideal
 from smallsub.modules import (SubmoduleOfFree, free_resolution, kernel_of_map,
                               koszul_relations, submodule_equals)
 from smallsub.poly import (Form, GradedSpace, Polynomial, gradient,
-                           leading_form, partial_derivative)
+                           leading_form, monomials, partial_derivative)
 from smallsub.strength import find_collapse, strength_exact
 
 F2 = GF(2)
@@ -25,15 +25,8 @@ F5 = GF(5)
 F7 = GF(7)
 
 
-def _monos(nvars, degree):
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    return [(e,) + rest for e in range(degree + 1)
-            for rest in _monos(nvars - 1, degree - e)]
-
-
 def _random_form(rng, nvars, degree, field):
-    pool = _monos(nvars, degree)
+    pool = list(monomials(nvars, degree))
     while True:
         terms = {m: rng.randint(0, field.p - 1) for m in pool}
         f = Polynomial(nvars, field, terms)
@@ -124,7 +117,7 @@ def _f2_span_contains(vectors, target):
 def _oracle_strength_quadric_f2(F):
     """Brute force over ideals generated by <= 2 linear forms, membership by
     linear algebra on the degree-2 graded piece (no Groebner machinery)."""
-    monos2 = [m for m in _monos(3, 2) if sum(m) == 2]
+    monos2 = list(monomials(3, 2))
     target = [F.poly.terms.get(m, 0) for m in monos2]
     linears = []
     for bits in range(1, 8):
@@ -153,7 +146,7 @@ def _oracle_strength_quadric_f2(F):
 
 def test_criterion_3_strength_oracle_all_f2_quadrics():
     with _clock(3, "all 63 quadratic forms in 3 vars over F2", 60.0):
-        monos2 = [m for m in _monos(3, 2) if sum(m) == 2]
+        monos2 = list(monomials(3, 2))
         count = 0
         for bits in range(1, 2 ** 6):
             terms = {m: (bits >> i) & 1 for i, m in enumerate(monos2)}

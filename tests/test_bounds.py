@@ -1,10 +1,10 @@
 import pytest
 
-from smallsub.bounds import (BoundTable, B_recursion, _compositions,
-                             cubic_eta_A, default_cubic_B3, eta_A_i, phi,
-                             quadric_B, quadric_thresholds, stillman_C)
+from smallsub.bounds import (BoundTable, B_recursion, cubic_eta_A,
+                             default_cubic_B3, eta_A_i, phi, quadric_B,
+                             quadric_thresholds, stillman_C)
 from smallsub.budget import Budget, BudgetExceededError
-from smallsub.poly import DimensionSequence
+from smallsub.poly import DimensionSequence, monomials
 
 
 def test_quadric_B_closed_form():
@@ -92,7 +92,7 @@ def test_stillman_C_examples():
     assert stillman_C(2, 3, 1, table) == 6
     # d = 2: the bound is the max of the recursion over sequences summing to mnd
     expected = max(B_recursion(delta, table)
-                   for delta in _compositions(4, 2))
+                   for delta in monomials(2, 4))
     assert stillman_C(1, 2, 2, table) == expected
 
 

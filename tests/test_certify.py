@@ -10,7 +10,7 @@ from smallsub.certify import (RetaCertificate, check_reta, determinant,
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import Ideal
-from smallsub.poly import Form, Polynomial, derivative_space
+from smallsub.poly import Form, Polynomial, derivative_space, monomials
 
 F5 = GF(5)
 
@@ -20,11 +20,7 @@ def forms(*texts, nvars, field=F5):
 
 
 def random_form(rng, nvars, degree, field):
-    def monos(n, d):
-        if n == 0:
-            return [()] if d == 0 else []
-        return [(e,) + rest for e in range(d + 1) for rest in monos(n - 1, d - e)]
-    pool = monos(nvars, degree)
+    pool = list(monomials(nvars, degree))
     while True:
         terms = {m: rng.randint(0, field.p - 1) for m in pool}
         f = Polynomial(nvars, field, terms)

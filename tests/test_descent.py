@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from smallsub import descent
 from smallsub.budget import Budget
-from smallsub.descent import (ThresholdPolicy, compare_sequences, descend_step,
+from smallsub.descent import (EXHAUST_CAP, SAMPLE_BUDGET, ThresholdPolicy,
+                              _candidates, compare_sequences, descend_step,
                               small_subalgebra, subalgebra_membership)
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
-from smallsub.poly import DimensionSequence, Form, GradedSpace
+from smallsub.poly import (DimensionSequence, Form, GradedSpace, Polynomial,
+                           monomials)
 from smallsub.strength import CollapseWitness, find_collapse
 
 F2 = GF(2)
@@ -151,3 +154,99 @@ def test_subalgebra_membership_random_consistency():
         assert subalgebra_membership(combo, gens)
     assert not subalgebra_membership(pp("x1", F5, 2), gens)
     assert not subalgebra_membership(pp("x1^3", F5, 2), gens)
+
+
+def _projective_classes(piece, field, cap):
+    """All nonzero combinations of the piece basis up to scalar, if few
+    enough: the list-building enumerator the lazy sweep replaced."""
+    p = field.p
+    if p is None:
+        return None
+    count = (p ** len(piece) - 1) // (p - 1)
+    if count > cap:
+        return None
+    out = []
+    for lead in range(len(piece)):
+        tails = [range(p)] * (len(piece) - lead - 1)
+        stack = [()]
+        for choices in tails:
+            stack = [prefix + (c,) for prefix in stack for c in choices]
+        for tail in stack:
+            poly = piece[lead].poly
+            for b, c in zip(piece[lead + 1:], tail):
+                if c:
+                    poly = poly + b.poly.scale(c)
+            out.append(Form(poly))
+    return out
+
+
+def _sampled_combinations(piece, field, rng):
+    """The random combinations the sampled regime drew before it shared
+    the class builder of the exhaustive sweep."""
+    out = []
+    for _ in range(SAMPLE_BUDGET):
+        coeffs = [rng.randrange(field.p) for _ in piece]
+        if not any(coeffs):
+            coeffs[rng.randrange(len(piece))] = 1
+        poly = Polynomial.zero(piece[0].nvars, field)
+        for b, c in zip(piece, coeffs):
+            if c:
+                poly = poly + b.poly.scale(c)
+        out.append(Form(poly))
+    return out
+
+
+def _random_quadric_space(rng, field, dim):
+    pool = list(monomials(3, 2))
+    while True:
+        forms = [Polynomial(3, field, {m: rng.randrange(field.p) for m in pool})
+                 for _ in range(dim)]
+        if any(f.is_zero() for f in forms):
+            continue
+        V = GradedSpace.from_forms(forms)
+        if tuple(V.dimension_sequence) == (0, dim):
+            return V
+
+
+def _regime(V, degree, rng, regime):
+    return [f for r, f in _candidates(V, degree, rng) if r == regime]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=repr)
+def test_candidates_match_the_list_enumerator(field):
+    rng = random.Random(41 + field.p)
+    for dim in range(1, 5):
+        for _ in range(2):
+            V = _random_quadric_space(rng, field, dim)
+            piece = V.piece(2)
+            classes = _projective_classes(piece, field, EXHAUST_CAP)
+            assert len(classes) == (field.p ** dim - 1) // (field.p - 1)
+            assert _regime(V, 2, None, "exhaustive") == classes
+            assert _regime(V, 2, None, "sampled") == []
+            seed = rng.randrange(1000)
+            expected = (_sampled_combinations(piece, field, random.Random(seed))
+                        if dim > 1 else [])
+            assert _regime(V, 2, random.Random(seed), "sampled") == expected
+
+
+@pytest.mark.parametrize("field, dim", [(F2, 3), (F3, 2), (F5, 3)], ids=repr)
+def test_closing_sweep_cap_is_inclusive(monkeypatch, field, dim):
+    V = _random_quadric_space(random.Random(dim), field, dim)
+    count = (field.p ** dim - 1) // (field.p - 1)
+    for cap, swept in ((count, True), (count - 1, False)):
+        monkeypatch.setattr(descent, "EXHAUST_CAP", cap)
+        assert len(_regime(V, 2, None, "exhaustive")) == (count if swept else 0)
+        # threshold 0 skips every search, so only the cap decides the flag
+        trace = small_subalgebra(V, ThresholdPolicy.constant(0))
+        assert trace.complete and not trace.steps
+        assert trace.exhaustive == swept
+
+
+def test_step_found_only_by_the_closing_sweep():
+    V = space("x1*x2+x1*x3+x2*x3", "x1^2+x2*x3", nvars=3)
+    trace = small_subalgebra(V, ThresholdPolicy.constant(1), rng=None)
+    first = trace.steps[0]
+    assert first.regime == "exhaustive"
+    assert first.degree == 2
+    assert first.witness.target.poly == pp("x1^2+x1*x2+x1*x3", F2, 3)
+    assert trace.complete and trace.exhaustive

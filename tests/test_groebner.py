@@ -456,6 +456,18 @@ def test_colon_edge_cases():
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=repr)
 def test_membership_cofactors_match_containment(field, order):
     rng = random.Random(223 + (field.p or 0) + (order is LEX))
+
+    def lift(f, gens, nvars):
+        """The cofactors of f, checked against ``Ideal.contains``."""
+        zero = Polynomial.zero(nvars, field)
+        cofactors = membership_cofactors(f, gens, order)
+        assert (cofactors is None) == (not Ideal(gens, nvars, field).contains(f))
+        if cofactors is not None:
+            assert len(cofactors) == len(gens)
+            assert sum((c * g for c, g in zip(cofactors, gens)), zero) == f
+            assert all(c.is_zero() for c, g in zip(cofactors, gens) if g.is_zero())
+        return cofactors
+
     inside = outside = hidden = 0
     for n in range(30):
         nvars = rng.randint(2, 3)
@@ -470,21 +482,22 @@ def test_membership_cofactors_match_containment(field, order):
                  for g in gens), zero) if n % 3 != 1 else zero
         if n % 3:
             f = f + random_poly(rng, nvars, rng.randint(1, 3), field, homogeneous)
-        ideal = Ideal(gens, nvars, field)
-        cofactors = membership_cofactors(f, gens, order)
-        assert (cofactors is None) == (not ideal.contains(f))
-        if cofactors is None:
-            outside += 1
-            # f outside whose leading term is a leading term of the ideal
-            leads = [max(g.terms, key=order.key) for g in ideal.groebner_basis(order)]
-            lead = max(f.terms, key=order.key)
-            hidden += any(all(a <= b for a, b in zip(m, lead)) for m in leads)
+        if lift(f, gens, nvars) is not None:
+            inside += 1
             continue
-        inside += 1
-        assert len(cofactors) == len(gens)
-        assert sum((c * g for c, g in zip(cofactors, gens)), zero) == f
-        assert all(c.is_zero() for c, g in zip(cofactors, gens) if g.is_zero())
+        outside += 1
+        # f outside whose leading term is a leading term of the ideal
+        ideal = Ideal(gens, nvars, field)
+        leads = [max(g.terms, key=order.key) for g in ideal.groebner_basis(order)]
+        lead = max(f.terms, key=order.key)
+        hidden += any(all(a <= b for a, b in zip(m, lead)) for m in leads)
     assert inside >= 10 and outside >= 5 and hidden >= 3
+    # the zero ideal, given by one or more zero generators, contains only 0
+    for nvars in (1, 2, 3):
+        zero = Polynomial.zero(nvars, field)
+        for count in (1, 3):
+            assert lift(zero, [zero] * count, nvars) == [zero] * count
+            assert lift(random_poly(rng, nvars, 2, field), [zero] * count, nvars) is None
 
 
 def test_elimination_order_blocks():

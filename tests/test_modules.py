@@ -15,7 +15,7 @@ from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                               submodule_contains, submodule_equals, syzygies,
                               _chain_matrices, _schreyer_key, _schreyer_sort,
                               _schreyer_syzygies, _vec_to_dict)
-from smallsub.poly import Polynomial, mono_div
+from smallsub.poly import Polynomial, mono_div, monomials
 
 F2 = GF(2)
 F5 = GF(5)
@@ -82,13 +82,9 @@ def test_x2_xy_resolution():
 
 def test_resolution_invariants_random():
     rng = random.Random(61)
-    def monos(n, d):
-        if n == 0:
-            return [()]
-        return [(e,) + rest for e in range(d + 1) for rest in monos(n - 1, d - e)]
     for _ in range(12):
         nvars = rng.randint(2, 4)
-        pool = [m for m in monos(nvars, 2) if sum(m) == 2]
+        pool = list(monomials(nvars, 2))
         gens = []
         for _ in range(rng.randint(1, 3)):
             terms = {m: rng.randint(0, 4)
@@ -258,16 +254,8 @@ def _assert_matches_oracle(sub):
     return frame, res
 
 
-def _monos(nvars, low, high):
-    def rec(n, d):
-        if n == 0:
-            return [()] if d == 0 else []
-        return [(e,) + rest for e in range(d + 1) for rest in rec(n - 1, d - e)]
-    return [m for d in range(low, high + 1) for m in rec(nvars, d)]
-
-
 def _random_ideal(rng, field, nvars, low, high, count):
-    pool = _monos(nvars, low, high)
+    pool = [m for d in range(low, high + 1) for m in monomials(nvars, d)]
     gens = []
     while len(gens) < count:
         terms = {m: rng.randint(-4, 4) for m in rng.sample(pool, min(len(pool), 4))}
@@ -300,7 +288,7 @@ def test_minimal_resolution_matches_oracle_inhomogeneous(field):
 
 def test_minimal_resolution_matches_oracle_dense_quadrics():
     rng = random.Random(1)
-    gens = [Polynomial(4, F32003, {m: rng.randrange(32003) for m in _monos(4, 2, 2)})
+    gens = [Polynomial(4, F32003, {m: rng.randrange(32003) for m in monomials(4, 2)})
             for _ in range(3)]
     frame, res = _assert_matches_oracle(SubmoduleOfFree.from_ideal_generators(gens))
     assert res.ranks == [3, 3, 1]
@@ -311,7 +299,7 @@ def test_minimal_resolution_matches_oracle_unit_component():
     rng = random.Random(29)
     one = Polynomial.constant(1, 3, F5)
     for _ in range(6):
-        pool = _monos(3, 0, 2)
+        pool = [m for d in range(3) for m in monomials(3, d)]
         gens = [tuple(Polynomial(3, F5, {m: rng.randint(0, 4)
                                          for m in rng.sample(pool, 3)})
                       for _ in range(2)) for _ in range(rng.randint(1, 3))]

@@ -7,7 +7,7 @@ from smallsub.grammar import parse_polynomial as pp
 from smallsub.poly import (DimensionSequence, Form, GradedSpace, Polynomial,
                            coordinates_in_span, dehomogenize, derivative_space,
                            echelon_basis, homogenize, jacobian, leading_form,
-                           partial_derivative)
+                           monomials, partial_derivative)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -74,6 +74,42 @@ def test_arithmetic_matches_dense_oracle():
         g = random_poly(rng, 3, 3, F5)
         assert dense_of(f + g, monos) == dense_add(dense_of(f, monos), dense_of(g, monos), 5)
         assert dense_of(f * g, monos) == dense_mul(dense_of(f, monos), dense_of(g, monos), monos, index, 5)
+
+
+def _compositions(total, slots):
+    """The bound recursion's former enumerator of entry distributions."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def _monomials_of_degree(nvars, degree):
+    """The collapse search's former monomial list (first exponent descending)."""
+    if nvars == 1:
+        return [(degree,)]
+    out = []
+    for first in range(degree, -1, -1):
+        for rest in _monomials_of_degree(nvars - 1, degree - first):
+            out.append((first,) + rest)
+    return out
+
+
+def test_monomials_match_the_enumerators_they_replace():
+    for nvars in range(1, 6):
+        for degree in range(8):
+            got = list(monomials(nvars, degree))
+            assert got == list(_compositions(degree, nvars))
+            assert got == sorted(_monomials_of_degree(nvars, degree))
+            assert len(set(got)) == len(got)
+    assert list(monomials(0, 0)) == [()]
+    assert list(monomials(0, 3)) == []
 
 
 def test_partial_derivative_examples():
