@@ -147,6 +147,34 @@ def _degree_profiles(size: int, max_degree: int):
     yield from rec(1, size)
 
 
+def _slot_layout(p: int, nslots: int):
+    """Packed vectors over F_p: the slot width W and the slot-wise reduction.
+
+    A vector in F_p^nslots is one int with coordinate j in bits
+    [j*W, (j+1)*W).  ``norm`` reduces every slot holding a value below p^2
+    to its residue mod p at once, by Barrett reduction: with
+    w = bitlen(p^2), s = w + bitlen(p) and mult = floor(2^s/p) + 1, the
+    quotient of a slot value x is floor(x*mult / 2^s).  It is exact for
+    x < 2^w, because the error x*(mult - 2^s/p) stays below 2^w < 2^s/p
+    and so never carries x/p past the next integer.  Since x*mult <
+    2^(s+w), a slot of W = s + w bits holds its own product: one
+    multiplication forms the products of all slots with no carries
+    between them, and each quotient is bits [s, s+w) of its slot's
+    product, which ``low`` picks out after the shift.  A narrower slot
+    lets the next slot's product bits into that window.
+    """
+    w = (p * p).bit_length()
+    s = w + p.bit_length()
+    mult = (1 << s) // p + 1
+    width = s + w
+    low = ((1 << w) - 1) * (((1 << width * nslots) - 1) // ((1 << width) - 1))
+
+    def norm(v: int) -> int:
+        return v - p * (((v * mult) >> s) & low)
+
+    return width, norm
+
+
 def _collapse_search(target: Form, max_size: int, budget: Budget):
     """For each size 1..max_size in turn, yield the first generator tuple of
     that size whose ideal contains the target, or None once every tuple of
@@ -160,6 +188,13 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     1) along a depth-first walk over tuple prefixes, together with F
     reduced at every pivot, so a prefix's rows are reduced once for all
     tuples extending it.  Every tuple ticks one candidate counter.
+
+    Each row is one packed int (:func:`_slot_layout`), column j in slot j,
+    so a row operation is v + (p - f)*row followed by one slot-wise
+    reduction: every slot stays below p^2 in between, and holds its
+    residue mod p after it.  The first column left to eliminate is the
+    lowest set bit of v & pivmask, a row's pivot is its lowest set bit,
+    and F is in the span when its reduced residual is 0.
     """
     p, nvars, d = target.field.p, target.nvars, target.degree
     counter = Counter("collapse candidates", budget.max_candidates)
@@ -167,47 +202,57 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     # ascending order the same eliminations cost more, and the slowest
     # searches of the benchmark's collapse pool take about 8% longer
     columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
-    ncols = len(columns)
-    rows: list[list[int] | None] = [None] * ncols  # indexed by pivot column
+    width, norm = _slot_layout(p, len(columns))
+    slot = (1 << width) - 1
+    rows: dict[int, int] = {}  # pivot column -> row, 1 at the pivot
+    pivmask = 0  # the slots of the pivot columns
     domains: dict[int, tuple] = {}
 
     def domain(e: int):
         if e not in domains:
             monos, count = _class_domain(nvars, e, p)
-            products = [[columns[mono_mul(u, m)] for m in monos]
+            products = [[columns[mono_mul(u, m)] * width for m in monos]
                         for u in sorted(monomials(nvars, d - e), reverse=True)]
             domains[e] = (monos, count, products)
         return domains[e]
 
-    def reduce(vec: list[int]) -> list[int]:
-        for j in range(ncols):
-            f = vec[j]
-            if f and rows[j] is not None:
-                vec = [(a - f * b) % p for a, b in zip(vec, rows[j])]
+    def reduce(vec: int) -> int:
+        live = vec & pivmask
+        while live:
+            j = ((live & -live).bit_length() - 1) // width
+            vec = norm(vec + (p - (vec >> j * width & slot)) * rows[j])
+            # rows[j] is zero before column j and clears it, so only later
+            # columns can be live: masking the rest bounds the loop by the
+            # column count
+            live = vec & pivmask & -(1 << (j + 1) * width)
         return vec
 
     def add_rows(support, products, residual):
         """Insert the rows m*g of one class; return the residual and new pivots."""
+        nonlocal pivmask
         pivots = []
-        for cols in products:
-            vec = [0] * ncols
+        for shifts in products:
+            vec = 0
             for a, c in support:
-                vec[cols[a]] = c
+                vec |= c << shifts[a]
             vec = reduce(vec)
-            lead = next((j for j, x in enumerate(vec) if x), None)
-            if lead is None:
+            if not vec:
                 continue
-            if vec[lead] != 1:
-                inv = pow(vec[lead], p - 2, p)
-                vec = [x * inv % p for x in vec]
+            lead = ((vec & -vec).bit_length() - 1) // width
+            shift = lead * width
+            c = vec >> shift & slot
+            if c != 1:
+                vec = norm(vec * pow(c, p - 2, p))
             rows[lead] = vec
+            pivmask |= slot << shift
             pivots.append(lead)
-            f = residual[lead]
+            f = residual >> shift & slot
             if f:
-                residual = [(a - f * b) % p for a, b in zip(residual, vec)]
+                residual = norm(residual + (p - f) * vec)
         return residual, pivots
 
     def walk(profile, pos, start, residual):
+        nonlocal pivmask
         e = profile[pos]
         monos, count, products = domain(e)
         last = pos == len(profile) - 1
@@ -217,21 +262,21 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
             if last:
                 counter.tick()
             support = _class_support(i, len(monos), p)
+            mask = pivmask
             reduced, pivots = add_rows(support, products, residual)
             if last:
-                found = None if any(reduced) else []
+                found = None if reduced else []
             else:
                 nxt = i + 1 if profile[pos + 1] == e else 0
                 found = walk(profile, pos + 1, nxt, reduced)
             for j in pivots:
-                rows[j] = None
+                del rows[j]
+            pivmask = mask
             if found is not None:
                 return [_class_form(monos, support, nvars, target.field)] + found
         return None
 
-    residual = [0] * ncols
-    for m, c in target.poly.terms.items():
-        residual[columns[m]] = c
+    residual = sum(c << columns[m] * width for m, c in target.poly.terms.items())
     for size in range(1, max_size + 1):
         found = None
         for profile in _degree_profiles(size, d - 1):

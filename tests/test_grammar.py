@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallsub.fields import GF, QQ
 from smallsub.grammar import (MAX_VARIABLES, ParseError, format_polynomial,
@@ -92,3 +95,51 @@ def test_parse_forms_file():
     gens = parse_forms_file(text, F5)
     assert len(gens) == 2
     assert all(g.nvars == 2 for g in gens)
+
+
+# ----- property tests: hypothesis, derandomized so that runs repeat -----
+
+_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@_PROPERTY
+@given(st.text(alphabet="x0123456789+-*^ \t", max_size=40))
+def test_parse_raises_only_parse_error(text):
+    try:
+        f = parse_polynomial(text, F5)
+    except ParseError:
+        return
+    assert isinstance(f, Polynomial)
+
+
+@st.composite
+def _polynomials(draw, coefficients):
+    nvars = draw(st.integers(1, 4))
+    monomial = st.tuples(*[st.integers(0, 4)] * nvars)
+    terms = draw(st.dictionaries(monomial, coefficients, max_size=6))
+    return nvars, terms
+
+
+@_PROPERTY
+@given(st.sampled_from([2, 3, 5, 32003]), st.data())
+def test_format_parse_roundtrip_over_fp(p, data):
+    field = GF(p)
+    nvars, terms = data.draw(_polynomials(st.integers(0, p - 1)))
+    f = Polynomial(nvars, field, terms)
+    assert parse_polynomial(format_polynomial(f), field, nvars) == f
+
+
+@_PROPERTY
+@given(_polynomials(st.fractions(min_value=-50, max_value=50, max_denominator=12)))
+def test_format_parse_roundtrip_over_q_up_to_scalar(case):
+    # the text is the primitive integer multiple with positive lead
+    nvars, terms = case
+    f = Polynomial(nvars, QQ, terms)
+    g = parse_polynomial(format_polynomial(f), QQ, nvars)
+    if f.is_zero():
+        assert g.is_zero()
+        return
+    mono, c = next(iter(f.terms.items()))
+    scalar = Fraction(g.terms.get(mono, 0)) / c
+    assert scalar != 0
+    assert g == f.scale(scalar)

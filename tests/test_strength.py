@@ -5,14 +5,16 @@ from math import inf
 import pytest
 
 from smallsub import strength
-from smallsub.budget import Budget, BudgetExceededError
-from smallsub.fields import GF, QQ
+from smallsub.budget import Budget, BudgetExceededError, Counter
+from smallsub.fields import GF, QQ, _is_prime
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import Ideal, groebner_basis, membership_cofactors, normal_form
-from smallsub.poly import Form, Polynomial, gradient, grevlex_key
-from smallsub.strength import (CollapseWitness, StrengthReport, enumerate_forms,
-                               find_collapse, full_report, strength_exact,
-                               strength_lower_bound)
+from smallsub.poly import (Form, Polynomial, gradient, grevlex_key, mono_mul,
+                           monomials)
+from smallsub.strength import (CollapseWitness, StrengthReport, _class_domain,
+                               _class_form, _class_support, _degree_profiles,
+                               enumerate_forms, find_collapse, full_report,
+                               strength_exact, strength_lower_bound)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -301,3 +303,182 @@ def test_one_pass_budget_boundary():
     with pytest.raises(BudgetExceededError):
         find_collapse(F, 2, budget)
 
+
+# ----- differential check against the dense-list collapse kernel -----
+
+
+# The kernel that the packed rows replaced, kept as it was: one list of
+# residues per row, eliminated column by column.
+def _dense_collapse_search(target: Form, max_size: int, budget: Budget):
+    """For each size 1..max_size in turn, yield the first generator tuple of
+    that size whose ideal contains the target, or None once every tuple of
+    that size is ruled out.
+
+    Tuples run over degree profiles, and within one degree over increasing
+    class indices.  A tuple (g_1..g_k) is decided in degree d = deg F:
+    F lies in (g_1..g_k) exactly when it lies in the span of the products
+    m*g_i, m a monomial of degree d - deg g_i.  Those rows are kept in
+    echelon form (each row's first nonzero column is its pivot, scaled to
+    1) along a depth-first walk over tuple prefixes, together with F
+    reduced at every pivot, so a prefix's rows are reduced once for all
+    tuples extending it.  Every tuple ticks one candidate counter.
+    """
+    p, nvars, d = target.field.p, target.nvars, target.degree
+    counter = Counter("collapse candidates", budget.max_candidates)
+    # columns and product rows in lex-descending monomial order: under the
+    # ascending order the same eliminations cost more, and the slowest
+    # searches of the benchmark's collapse pool take about 8% longer
+    columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
+    ncols = len(columns)
+    rows: list[list[int] | None] = [None] * ncols  # indexed by pivot column
+    domains: dict[int, tuple] = {}
+
+    def domain(e: int):
+        if e not in domains:
+            monos, count = _class_domain(nvars, e, p)
+            products = [[columns[mono_mul(u, m)] for m in monos]
+                        for u in sorted(monomials(nvars, d - e), reverse=True)]
+            domains[e] = (monos, count, products)
+        return domains[e]
+
+    def reduce(vec: list[int]) -> list[int]:
+        for j in range(ncols):
+            f = vec[j]
+            if f and rows[j] is not None:
+                vec = [(a - f * b) % p for a, b in zip(vec, rows[j])]
+        return vec
+
+    def add_rows(support, products, residual):
+        """Insert the rows m*g of one class; return the residual and new pivots."""
+        pivots = []
+        for cols in products:
+            vec = [0] * ncols
+            for a, c in support:
+                vec[cols[a]] = c
+            vec = reduce(vec)
+            lead = next((j for j, x in enumerate(vec) if x), None)
+            if lead is None:
+                continue
+            if vec[lead] != 1:
+                inv = pow(vec[lead], p - 2, p)
+                vec = [x * inv % p for x in vec]
+            rows[lead] = vec
+            pivots.append(lead)
+            f = residual[lead]
+            if f:
+                residual = [(a - f * b) % p for a, b in zip(residual, vec)]
+        return residual, pivots
+
+    def walk(profile, pos, start, residual):
+        e = profile[pos]
+        monos, count, products = domain(e)
+        last = pos == len(profile) - 1
+        # leave room for the later positions of the same degree
+        stop = count - profile[pos + 1:].count(e)
+        for i in range(start, stop):
+            if last:
+                counter.tick()
+            support = _class_support(i, len(monos), p)
+            reduced, pivots = add_rows(support, products, residual)
+            if last:
+                found = None if any(reduced) else []
+            else:
+                nxt = i + 1 if profile[pos + 1] == e else 0
+                found = walk(profile, pos + 1, nxt, reduced)
+            for j in pivots:
+                rows[j] = None
+            if found is not None:
+                return [_class_form(monos, support, nvars, target.field)] + found
+        return None
+
+    residual = [0] * ncols
+    for m, c in target.poly.terms.items():
+        residual[columns[m]] = c
+    for size in range(1, max_size + 1):
+        found = None
+        for profile in _degree_profiles(size, d - 1):
+            found = walk(profile, 0, 0, residual)
+            if found is not None:
+                break
+        yield found
+        if found is not None:
+            return
+
+
+_KERNEL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
+_KERNEL_CAPS = (1, 7, 60, 400, 3000)
+
+
+def _random_poly(rng, nvars, degree, field):
+    p = field.p
+    return Polynomial(nvars, field, {m: rng.randrange(p) for m in monomials(nvars, degree)
+                                     if rng.random() < 0.6})
+
+
+def _nonzero_form(rng, nvars, d, field, product):
+    f = Polynomial.zero(nvars, field)
+    while f.is_zero():
+        if product:
+            e = rng.randint(1, d - 1)
+            f = _random_poly(rng, nvars, e, field) * _random_poly(rng, nvars, d - e, field)
+        else:
+            f = _random_poly(rng, nvars, d, field)
+    return Form(f)
+
+
+def _kernel_cases():
+    """Seeded forms in 2-4 variables of degree 2-3, half of them products
+    g*h, each with one candidate cap.  Then quadrics in 4 variables at the
+    largest cap: their pair searches run deep, and there the rows of the
+    second generator reduce against the first's and get rescaled."""
+    rng = random.Random(97)
+    for p in _KERNEL_PRIMES:
+        field = GF(p)
+        for i in range(20):
+            nvars, d = rng.randint(2, 4), rng.randint(2, 3)
+            cap = _KERNEL_CAPS[i % len(_KERNEL_CAPS)]
+            yield _nonzero_form(rng, nvars, d, field, i % 2), Budget(max_candidates=cap)
+        for _ in range(4):
+            yield (_nonzero_form(rng, 4, 2, field, False),
+                   Budget(max_candidates=_KERNEL_CAPS[-1]))
+
+
+def _kernel_outcomes(F, budget):
+    def first_factors(k):
+        w = _outcome(lambda: find_collapse(F, k, budget))
+        return w if w in (None, "budget exceeded") else tuple(g for g, _ in w.pairs)
+    return first_factors(1), first_factors(2), strength_exact(F, budget)
+
+
+def test_packed_kernel_matches_dense_kernel(monkeypatch):
+    cases = list(_kernel_cases())
+    with monkeypatch.context() as m:
+        m.setattr(strength, "_collapse_search", _dense_collapse_search)
+        expected = [_kernel_outcomes(F, budget) for F, budget in cases]
+    for (F, budget), want in zip(cases, expected):
+        assert _kernel_outcomes(F, budget) == want, (F.poly, budget.max_candidates)
+
+
+@pytest.mark.parametrize("p", [q for q in range(400) if _is_prime(q)] + [1009, 32003, 199_999])
+def test_slot_reduction_is_exact(p):
+    rng = random.Random(p)
+    nslots = 20
+    width, norm = strength._slot_layout(p, nslots)
+    edges = (0, p - 1, p, p * p - p, p * p - 1)
+    vectors = [[edges[(j + k) % len(edges)] for j in range(nslots)] for k in range(len(edges))]
+    vectors += [[rng.randrange(p * p) for _ in range(nslots)] for _ in range(20)]
+    for values in vectors:
+        packed = norm(sum(x << j * width for j, x in enumerate(values)))
+        got = [packed >> j * width & ((1 << width) - 1) for j in range(nslots)]
+        assert got == [x % p for x in values], p
+
+
+def test_strength_over_the_largest_enumerable_field():
+    # 200,000 linear classes in 2 variables: exactly the enumeration cap;
+    # -1 is not a square mod 199999, so x1^2 + x2^2 has no 1-collapse
+    field = GF(199_999)
+    report = strength_exact(Form(pp("x1^2+x2^2", field, 2)),
+                            Budget(max_candidates=250_000))
+    assert report.exact == 1
+    assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", field, 2),
+                                                          pp("x1+x2", field, 2)]
