@@ -33,6 +33,15 @@ class ParseError(ValueError):
 _TOKEN_CHARS = set("+-*^")
 
 
+def _integer(text: str, i: int, j: int) -> int:
+    """The decimal literal text[i:j]; Python refuses to convert one longer
+    than its int-string digit limit (4300 digits by default)."""
+    try:
+        return int(text[i:j])
+    except ValueError:
+        raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
+
+
 def _tokenize(text: str):
     tokens = []  # (kind, value, pos); kinds: int, var, op
     i, n = 0, len(text)
@@ -45,20 +54,20 @@ def _tokenize(text: str):
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _integer(text, i, j), i))
             i = j
             continue
         if ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError("variable needs an index, like x1", i)
-            idx = int(text[i + 1:j])
+            idx = _integer(text, i + 1, j)
             if idx < 1:
                 raise ParseError("variable indices start at x1", i)
             if idx > MAX_VARIABLES:

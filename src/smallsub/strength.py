@@ -10,7 +10,10 @@ Exhaustive search runs over small prime fields only.  It enumerates
 candidate generator tuples up to scalar rescaling, in one pass of
 ascending size, and decides each one by linear algebra in degree
 d = deg F: F lies in (g_1..g_k) exactly when it lies in the span of
-the products m*g_i with m of degree d - deg g_i.  Tuples sharing a
+the products m*g_i with m of degree d - deg g_i.  Generators have
+degree at most floor(d/2): a pair G*H is symmetric, so any collapse
+G_1*H_1 + ... + G_k*H_k can be written with the factor of degree at
+most d/2 of each pair as its generator.  Tuples sharing a
 prefix share that prefix's row echelon form and the reduced F.  A
 witness, when found, is lifted to explicit cofactors by
 :func:`smallsub.groebner.membership_cofactors` (one reduction against a
@@ -181,7 +184,18 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     that size is ruled out.
 
     Tuples run over degree profiles, and within one degree over increasing
-    class indices.  A tuple (g_1..g_k) is decided in degree d = deg F:
+    class indices.  A profile is a nondecreasing tuple of degrees in
+    [1, floor(d/2)], and this bound loses no collapse and changes no first
+    witness.  Swapping G and H in the pairs of a collapse with
+    deg G > d/2 maps its profile (e_1..e_k) to the sorted profile of the
+    min(e_i, d - e_i), which is lexicographically smaller; a swap that
+    leaves a zero or a repeated generator gives a smaller tuple, which an
+    earlier size has already ruled out.  So a search over every profile
+    in [1, d - 1] meets its first hit of each size in an all-small
+    profile, and the profiles walked here are exactly those, in the same
+    order and with the same tuples inside.
+
+    A tuple (g_1..g_k) is decided in degree d = deg F:
     F lies in (g_1..g_k) exactly when it lies in the span of the products
     m*g_i, m a monomial of degree d - deg g_i.  Those rows are kept in
     echelon form (each row's first nonzero column is its pivot, scaled to
@@ -279,7 +293,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     residual = sum(c << columns[m] * width for m, c in target.poly.terms.items())
     for size in range(1, max_size + 1):
         found = None
-        for profile in _degree_profiles(size, d - 1):
+        for profile in _degree_profiles(size, d // 2):
             found = walk(profile, 0, 0, residual)
             if found is not None:
                 break

@@ -120,6 +120,13 @@ def test_parse_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_overlong_literal_exit_code(capsys, default_int_digit_limit):
+    code = main(["strength", "--field", "p=5",
+                 "--form", "x1^" + "9" * (default_int_digit_limit + 700)])
+    assert code == 3
+    assert "too long (at position 3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [
     ["--gens", f"x{MAX_VARIABLES + 1} + 1"],
     ["--gens", "x1", "--nvars", str(MAX_VARIABLES + 1)],

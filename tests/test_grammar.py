@@ -51,6 +51,17 @@ def test_parse_errors_carry_position():
         parse_polynomial("x1 x2", F5)
     with pytest.raises(ParseError):
         parse_polynomial("x3", F5, nvars=2)
+    # a digit that is not decimal is no literal
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1^\u00b2", F5)
+    assert err.value.position == 3
+
+
+@pytest.mark.parametrize("prefix, digit", [("", "1"), ("x1^", "9"), ("x", "1")])
+def test_overlong_literal_is_a_parse_error(default_int_digit_limit, prefix, digit):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(prefix + digit * (default_int_digit_limit + 700), F5)
+    assert err.value.position == len(prefix)
 
 
 def test_format_parse_roundtrip_random():

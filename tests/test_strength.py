@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 from math import inf
 
@@ -206,7 +207,7 @@ def _old_find_collapse(F, k, budget):
         return None
     used = 0
     for size in range(1, k + 1):
-        for profile in combinations_with_replacement(range(1, F.degree), size):
+        for profile in combinations_with_replacement(range(1, F.degree // 2 + 1), size):
             groups = sorted({e: profile.count(e) for e in profile}.items())
             per_group = [combinations(_old_classes(F.nvars, e, F.field.p), mult)
                          for e, mult in groups]
@@ -304,12 +305,45 @@ def test_one_pass_budget_boundary():
         find_collapse(F, 2, budget)
 
 
+def test_cubic_budget_boundary():
+    # size 1 tests the 7 linear classes only, as a quadric is never a
+    # generator of a cubic's collapse; size 2 finds its witness at the
+    # third pair of lines
+    F = Form(pp("x1^3+x2^3+x3^3", F2, 3))
+    report = strength_exact(F, Budget(max_candidates=10))
+    assert report.exact == 1
+    assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", F2, 3),
+                                                          pp("x1+x2+x3", F2, 3)]
+    assert strength_exact(F) == report
+    for cap, lower in ((9, 1), (7, 1), (6, 0)):
+        report = strength_exact(F, Budget(max_candidates=cap))
+        assert (report.lower, report.exact, report.exhausted) == (lower, None, True)
+
+
+def test_enumeration_domain_cap():
+    # 2^18 - 1 = 262,143 linear classes exceed the cap; 2^17 - 1 do not
+    F = Form(pp("x1*x2", F2, 18))
+    with pytest.raises(BudgetExceededError) as err:
+        find_collapse(F, 1)
+    assert err.value.what == "collapse enumeration domain"
+    assert err.value.limit == strength.ENUMERATION_DOMAIN_CAP == 200_000
+    w = find_collapse(Form(pp("x1*x2", F2, 17)), 1)
+    assert [g.poly for g, _ in w.pairs] == [pp("x1", F2, 17)]
+    # the 2^28 - 1 quadric classes in 7 variables are never a cubic's
+    # generators, so its pairs of lines are reached
+    report = strength_exact(Form(pp("x1*x2*x3+x4*x5*x6", F2, 7)))
+    assert report.exact == 1
+    assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", F2, 7),
+                                                          pp("x1+x6", F2, 7)]
+
+
 # ----- differential check against the dense-list collapse kernel -----
 
 
 # The kernel that the packed rows replaced, kept as it was: one list of
 # residues per row, eliminated column by column.
-def _dense_collapse_search(target: Form, max_size: int, budget: Budget):
+def _dense_collapse_search(target: Form, max_size: int, budget: Budget,
+                           max_degree: int | None = None):
     """For each size 1..max_size in turn, yield the first generator tuple of
     that size whose ideal contains the target, or None once every tuple of
     that size is ruled out.
@@ -322,8 +356,13 @@ def _dense_collapse_search(target: Form, max_size: int, budget: Budget):
     1) along a depth-first walk over tuple prefixes, together with F
     reduced at every pivot, so a prefix's rows are reduced once for all
     tuples extending it.  Every tuple ticks one candidate counter.
+
+    Profiles run over degrees [1, max_degree], by default floor(d/2) as in
+    the packed kernel; d - 1 gives the full profiles that bound replaced.
     """
     p, nvars, d = target.field.p, target.nvars, target.degree
+    if max_degree is None:
+        max_degree = d // 2
     counter = Counter("collapse candidates", budget.max_candidates)
     # columns and product rows in lex-descending monomial order: under the
     # ascending order the same eliminations cost more, and the slowest
@@ -396,7 +435,7 @@ def _dense_collapse_search(target: Form, max_size: int, budget: Budget):
         residual[columns[m]] = c
     for size in range(1, max_size + 1):
         found = None
-        for profile in _degree_profiles(size, d - 1):
+        for profile in _degree_profiles(size, max_degree):
             found = walk(profile, 0, 0, residual)
             if found is not None:
                 break
@@ -457,6 +496,56 @@ def test_packed_kernel_matches_dense_kernel(monkeypatch):
         expected = [_kernel_outcomes(F, budget) for F, budget in cases]
     for (F, budget), want in zip(cases, expected):
         assert _kernel_outcomes(F, budget) == want, (F.poly, budget.max_candidates)
+
+
+# ----- differential check against the full degree profiles -----
+
+
+def _seeded_classes(rng, nvars, degree, p, count):
+    monos, total = _class_domain(nvars, degree, p)
+    return [_class_form(monos, _class_support(i, len(monos), p), nvars, GF(p))
+            for i in rng.sample(range(total), count)]
+
+
+def _half_degree_cases():
+    """Forms on which the search over every profile in [1, d - 1] resolves
+    under the default budget."""
+    rng = random.Random(103)
+    for p in (2, 3, 5):
+        yield from _old_classes(2, 3, p)
+    yield from _seeded_classes(rng, 3, 3, 2, 40)
+    yield from _seeded_classes(rng, 3, 3, 3, 12)
+    # no point over F2, so strength 2: sizes 1 and 2 are searched out
+    yield Form(pp("x1^3+x1*x2^2+x2^3+x1*x2*x3+x1*x3^2+x2*x3^2+x3^3", F2, 3))
+    for p in (2, 3, 5):
+        for d in (4, 5):
+            yield from _seeded_classes(rng, 2, d, p, 8)
+    yield from _seeded_classes(rng, 3, 4, 2, 30)
+    # no point over F2, so no 2-collapse has two linear generators; its
+    # first one pairs a line with a quadric
+    yield Form(pp("x1^4+x1*x2^3+x2^4+x1*x2*x3^2+x1*x3^3+x2*x3^3+x3^4", F2, 3))
+    # quartics and a quintic with no linear factor, so that their only
+    # 1-collapses pair two quadrics (d = 4) or a quadric and a cubic (d = 5)
+    for g, h, p, nvars in (("x1^2+x1*x2+x2^2", "x1^2+x1*x2+x2^2", 2, 2),
+                           ("x1^2+x1*x2+x2^2", "x1*x2+x3^2", 2, 3),
+                           ("x1^2+x2^2", "x1^2+x1*x2+2*x2^2", 3, 2),
+                           ("x1^2+2*x2^2", "x1^2+x1*x2+x2^2", 5, 2),
+                           ("x1^2+x1*x2+x2^2", "x1^3+x1*x2^2+x2^3", 2, 2)):
+        yield Form(pp(g, GF(p), nvars) * pp(h, GF(p), nvars))
+
+
+def test_half_degree_profiles_match_full_profiles(monkeypatch):
+    cases = list(_half_degree_cases())
+    expected = []
+    with monkeypatch.context() as m:
+        for F in cases:
+            m.setattr(strength, "_collapse_search",
+                      partial(_dense_collapse_search, max_degree=F.degree - 1))
+            want = _kernel_outcomes(F, Budget())
+            assert "budget exceeded" not in want[:2] and not want[2].exhausted, F.poly
+            expected.append(want)
+    for F, want in zip(cases, expected):
+        assert _kernel_outcomes(F, Budget()) == want, F.poly
 
 
 @pytest.mark.parametrize("p", [q for q in range(400) if _is_prime(q)] + [1009, 32003, 199_999])
