@@ -56,10 +56,6 @@ class CoefficientField:
     def characteristic(self) -> int:
         return self.p or 0
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
     def coerce(self, value) -> int | Fraction:
         """Canonical form of a coefficient: residue in [0, p) or Fraction."""
         if self.p is not None:

@@ -49,18 +49,19 @@ signature, smallest first, one pair per signature; the signature of an
 S-pair is the larger of sig(x^u g) and sig(x^w h), and a pair whose two
 are equal is never queued.  A pair is dropped when a known syzygy's
 signature divides its signature (the syzygy criterion): the signature
-of every zero reduction, and in ideal runs the Koszul signature of each
-pair of elements, the larger of hd(g) sig(h) and hd(h) sig(g), with hd
-the term that is largest in the signature order.  It is dropped too
-unless the element that generated it is the latest-added one whose
-signature divides its signature (the rewrite criterion).  A pair is
-reduced regularly (:func:`normal_form_vec` with a signature bound):
-x^u g reduces a term, leading or not, only when sig(x^u g) < sig(f): a
-bound computed once per reduced term and one integer compare per
-candidate divisor, never work per tail term.  The remainder, zero or
-not, has the pair's signature.  S-pairs are built from the codes of the
-two prepared tails.  All runs are budgeted: exceeding the configured
-pair or degree cap raises, it never degrades into a wrong answer.
+of every zero reduction, and in ideal runs, where every input term lies
+in component 0, the Koszul signature of each pair of elements, the
+larger of hd(g) sig(h) and hd(h) sig(g), with hd the term that is
+largest in the signature order.  It is dropped too unless the element
+that generated it is the latest-added one whose signature divides its
+signature (the rewrite criterion).  A pair is reduced regularly
+(:func:`normal_form_vec` with a signature bound): x^u g reduces a term,
+leading or not, only when sig(x^u g) < sig(f): a bound computed once
+per reduced term and one integer compare per candidate divisor, never
+work per tail term.  The remainder, zero or not, has the pair's
+signature.  S-pairs are built from the codes of the two prepared tails.
+All runs are budgeted: exceeding the configured pair or degree cap
+raises, it never degrades into a wrong answer.
 
 Heights are read off leading terms: height(I) = height(in(I)), the
 fewest variables meeting the support of every leading term of a
@@ -358,15 +359,16 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
     Live codes sit in a dict and a min-heap, so the largest term comes
     off first, and a term that cancels while queued is skipped when it
     comes off.  Returns the remainder, plus ``(index, mono, coeff)``
-    reduction records when tracking a reduction without ``sig``.
+    reduction records when tracking.
 
     With a signature key ``sig`` and a :class:`_Signed` basis the
-    reduction is regular: x^u g_k reduces a term only when its signature
-    key is below ``sig``, and a first divisor that is not regular
-    resumes the scan past it.  The remainder is then keyed by term codes,
-    for :func:`_prep_codes`.
+    reduction is regular: x^u g_k reduces the term h only when its
+    signature key offs[k] + weight(h) is below ``sig``, so the bound on
+    offs is computed once per reduced term, and a first divisor that is
+    not regular resumes the scan past it.  The remainder is then keyed
+    by term codes, for :func:`_prep_codes`; without ``sig``, by terms.
     """
-    rem: VecDict = {}
+    rem: dict = {}
     records = [] if track else None
     if vec:
         if isinstance(vec, _Codes):
@@ -377,14 +379,14 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
             work = {code(term, keyf(term)): c for term, c in vec.items()}
         heap = list(work)
         heapify(heap)
-        if sig is not None:
-            _reduce_regular(work, heap, basis, layout, p, sig, rem)
-            return rem
         guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
         if isinstance(basis, _Divisors):
             negs, memo = basis.negs, basis.memo
         else:
             negs, memo = [d[0] for d in basis], {}
+        if sig is not None:
+            even, odd, shift = layout.even, layout.odd, layout.code_shift
+            offs, scale, radix = basis.offs, basis.scale, basis.radix
         n = len(negs)
         get = work.get
         while heap:
@@ -399,9 +401,19 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
                         break
                 else:
                     memo[h] = ~n
-                    rem[unpack(h & low)] = c
+                    rem[h] = c
                     continue
                 memo[h] = hit
+            if sig is not None:
+                below = (sig + radix * (h >> shift)
+                         - scale * (((h & even) + ((h & odd) >> _FIELD)) % _DIGIT_SUM))
+                if offs[hit] >= below:
+                    for hit in range(hit + 1, n):
+                        if offs[hit] < below and not (h + negs[hit]) & mask:
+                            break
+                    else:
+                        rem[h] = c
+                        continue
             _, hlt, _, tail = basis[hit]
             hu = h - hlt
             if track:
@@ -416,59 +428,9 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
                     v = 0
                 v -= c * tc
                 work[s] = v % p if p else v
+        if sig is None:
+            rem = {unpack(h & low): c for h, c in rem.items()}
     return (rem, records) if track else rem
-
-
-def _reduce_regular(work: dict, heap: list, basis: _Signed, layout: _Layout, p,
-                    sig: int, rem: dict):
-    """The loop of :func:`normal_form_vec` under a signature bound.
-
-    A reducer x^u g_k of the term h is regular when offs[k] + weight(h)
-    < sig, so the bound on offs is computed once per reduced term.  The
-    remainder is keyed by term codes.
-    """
-    guard, mask = layout.guard, layout.mask
-    even, odd, shift = layout.even, layout.odd, layout.code_shift
-    negs, memo, offs = basis.negs, basis.memo, basis.offs
-    scale, radix = basis.scale, basis.radix
-    n = len(negs)
-    get = work.get
-    while heap:
-        h = heappop(heap)
-        c = work.pop(h)
-        if not c:
-            continue
-        hit = memo.get(h)
-        if hit is None or hit < 0:
-            for hit in range(0 if hit is None else ~hit, n):
-                if not (h + negs[hit]) & mask:
-                    break
-            else:
-                memo[h] = ~n
-                rem[h] = c
-                continue
-            memo[h] = hit
-        below = (sig + radix * (h >> shift)
-                 - scale * (((h & even) + ((h & odd) >> _FIELD)) % _DIGIT_SUM))
-        if offs[hit] >= below:
-            for hit in range(hit + 1, n):
-                if offs[hit] < below and not (h + negs[hit]) & mask:
-                    break
-            else:
-                rem[h] = c
-                continue
-        _, hlt, _, tail = basis[hit]
-        hu = h - hlt
-        for s, tc in tail:
-            s += hu
-            v = get(s)
-            if v is None:
-                if s & guard:
-                    raise _exponent_overflow()
-                heappush(heap, s)
-                v = 0
-            v -= c * tc
-            work[s] = v % p if p else v
 
 
 def _prep(vec: VecDict, keyf):
@@ -546,18 +508,19 @@ def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
 
 
 def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
-               budget: Budget | None = None, rank1: bool = False, *,
+               budget: Budget | None = None, *,
                stats: dict | None = None,
                until: Callable[[Monomial], bool] | None = None) -> list[VecDict]:
     """Compute a (non-reduced) monic Groebner basis of the span.
 
-    One signature-based loop (see the module docstring); ``rank1`` marks
-    an ideal run, whose Koszul syzygies are known.  A ``stats`` dict,
-    when given, receives the reduced pairs, the zero reductions among
-    them, the pairs that the syzygy and the rewrite criteria dropped,
-    and the basis size.  ``until``, when given, receives the leading
-    monomial of each element as it joins; a True return ends the run,
-    which then returns the elements so far, not a Groebner basis.
+    One signature-based loop (see the module docstring).  A run whose
+    every input term lies in component 0 is an ideal run, whose Koszul
+    syzygies are known.  A ``stats`` dict, when given, receives the
+    reduced pairs, the zero reductions among them, the pairs that the
+    syzygy and the rewrite criteria dropped, and the basis size.
+    ``until``, when given, receives the leading monomial of each element
+    as it joins; a True return ends the run, which then returns the
+    elements so far, not a Groebner basis.
     """
     budget = budget or DEFAULT_BUDGET
     p = field.p
@@ -579,6 +542,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         bias, mask, guard, low = layout.bias, layout.mask, layout.guard, layout.low
         code, degree, shift = layout.code, layout.degree, layout.code_shift
         zero = (0,) * nvars
+        ideal = not any(comp for i in inputs for comp, _ in vectors[i])
         leads = []
         for i in inputs:
             vec = coded[i] = _Codes(layout)
@@ -626,7 +590,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         prepped.append(prepared, off)
         neg_t = bias - t
         rewriters[i].append((new, neg_t))
-        if rank1:
+        if ideal:
             # the Koszul syzygy of g_k and g_new has the larger signature of
             # hd(g_new) * sig(g_k) and hd(g_k) * sig(g_new): compare sig - weight(hd)
             top_degree = max(map(sum, map(itemgetter(1), vec)))
@@ -781,7 +745,7 @@ def groebner_basis(gens: Sequence[Polynomial], order: TermOrder = GREVLEX,
     nvars, field = _ambient(gens)
     keyf = pot_key(order)
     basis = buchberger([_to_vec(g) for g in gens], keyf, field,
-                       budget=budget, rank1=True, stats=stats)
+                       budget=budget, stats=stats)
     reduced = autoreduce(basis, keyf, field)
     if stats is not None:
         stats["reduced_basis_size"] = len(reduced)
@@ -1082,7 +1046,7 @@ class Ideal:
                     break
         else:
             buchberger([_to_vec(g) for g in self.generators], pot_key(GREVLEX),
-                       self.field, budget=budget, rank1=True, until=watch.add)
+                       self.field, budget=budget, until=watch.add)
         return inf if watch.unit else watch.bound
 
     # --- elimination-based operations ---

@@ -115,7 +115,7 @@ def module_groebner_basis(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
         return []
     keyf = pot_key(order)
     basis = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
-                       sub.field, budget=budget, rank1=(sub.rank == 1))
+                       sub.field, budget=budget)
     reduced = autoreduce(basis, keyf, sub.field)
     return [_dict_to_vec(v, sub.rank, sub.nvars, sub.field) for v in reduced]
 
@@ -132,7 +132,7 @@ def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
         return False
     keyf = pot_key(order)
     gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
-                    sub.field, budget=budget, rank1=(sub.rank == 1))
+                    sub.field, budget=budget)
     prepped = _Divisors(_prep(g, keyf) for g in gb)
     return not any(normal_form_vec(v, prepped, keyf, sub.field.p) for v in vecs)
 
@@ -387,7 +387,7 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
         return FreeResolution(sub.rank, [], nvars, field)
     keyf = pot_key(order)
     gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
-                    sub.field, budget=budget, rank1=(sub.rank == 1))
+                    sub.field, budget=budget)
     gb = _schreyer_sort(autoreduce(gb, keyf, field), keyf)
     levels: list[list[VecDict]] = []
     while gb:

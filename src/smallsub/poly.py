@@ -32,17 +32,9 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Quotient a / b; caller guarantees divisibility."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomials(nvars: int, degree: int):
@@ -109,6 +101,15 @@ class Polynomial:
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, field, {mono: 1})
 
+    def _with_terms(self, terms: dict) -> "Polynomial":
+        """A polynomial of this ring from canonical nonzero ``terms``,
+        taken as they are."""
+        result = Polynomial.__new__(Polynomial)
+        object.__setattr__(result, "nvars", self.nvars)
+        object.__setattr__(result, "field", self.field)
+        object.__setattr__(result, "terms", terms)
+        return result
+
     # ----- queries -----
 
     def is_zero(self) -> bool:
@@ -152,20 +153,12 @@ class Polynomial:
                 out[m] = v
             elif m in out:
                 del out[m]
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "field", self.field)
-        object.__setattr__(result, "terms", out)
-        return result
+        return self._with_terms(out)
 
     def __neg__(self):
         p = self.field.p
         out = {m: (-c % p if p else -c) for m, c in self.terms.items()}
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "field", self.field)
-        object.__setattr__(result, "terms", out)
-        return result
+        return self._with_terms(out)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -191,11 +184,7 @@ class Polynomial:
                     out[m] = v
                 elif m in out:
                     del out[m]
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "field", self.field)
-        object.__setattr__(result, "terms", out)
-        return result
+        return self._with_terms(out)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -204,11 +193,7 @@ class Polynomial:
         """Multiply by a nonzero canonical coefficient (no coercion)."""
         p = self.field.p
         out = {m: (c * coeff % p if p else c * coeff) for m, c in self.terms.items()}
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "field", self.field)
-        object.__setattr__(result, "terms", out)
-        return result
+        return self._with_terms(out)
 
     def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
         p = self.field.p
@@ -219,11 +204,7 @@ class Polynomial:
                 v %= p
             if v:
                 out[tuple(x + y for x, y in zip(m, mono))] = v
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "field", self.field)
-        object.__setattr__(result, "terms", out)
-        return result
+        return self._with_terms(out)
 
     def __pow__(self, n: int):
         if n < 0:
