@@ -110,6 +110,8 @@ def cubic_eta_A(n1: int, n2: int, n3: int, eta: int,
         raise ValueError("entries must be nonnegative")
     if eta < 1:
         raise ValueError("eta must be positive")
+    if characteristic < 0:
+        raise ValueError("characteristic must be nonnegative")
     b = 2 * (n2 + n3) + eta + (1 if n2 != 0 else 0)
     if characteristic == 2:
         r = 2 * (2 * b + 1) * (b - 1)
@@ -230,6 +232,8 @@ def phi(h: int, d: int, B3: Callable[[int, int], int] | None = None,
     """
     if h < 0 or d < 1:
         raise ValueError("need h >= 0 and d >= 1")
+    if characteristic is not None and characteristic < 0:
+        raise ValueError("characteristic must be nonnegative")
     if characteristic is not None and (characteristic == 0 or d % characteristic):
         return h
     if h == 0:

@@ -48,11 +48,10 @@ class RetaCertificate:
 
 
 def _ideal_of(forms: Sequence[Form], extra: Sequence[Polynomial] = ()) -> Ideal:
-    gens = [f.poly for f in forms] + list(extra)
-    return Ideal(gens, forms[0].nvars, forms[0].field)
+    return Ideal([*forms, *extra], forms[0].nvars, forms[0].field)
 
 
-def is_regular_sequence(forms: Sequence[Form | Polynomial],
+def is_regular_sequence(forms: Sequence[Polynomial],
                         budget: Budget | None = None) -> bool:
     """Height criterion: homogeneous forms of positive degree are a regular
     sequence iff their ideal has height equal to their number."""
@@ -134,7 +133,7 @@ def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int,
     return Ideal(gens, sample.nvars, sample.field)
 
 
-def check_reta(forms: Sequence[Form | Polynomial], eta: int,
+def check_reta(forms: Sequence[Polynomial], eta: int,
                budget: Budget | None = None) -> RetaCertificate:
     """Certify Serre's R_eta for the quotient by a regular sequence.
 
@@ -164,7 +163,7 @@ def check_reta(forms: Sequence[Form | Polynomial], eta: int,
         smooth=smooth, note=note)
 
 
-def singular_locus_codim(forms: Sequence[Form | Polynomial],
+def singular_locus_codim(forms: Sequence[Polynomial],
                          budget: Budget | None = None) -> int:
     """Codimension of the singular locus inside the complete intersection
     of a regular sequence (see :func:`check_reta`)."""
@@ -184,6 +183,8 @@ def minors_height_check(matrix: Sequence[Sequence[Polynomial]],
     rows = len(matrix)
     if rows == 0:
         raise ValueError("empty matrix")
+    if not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("matrix rows must be non-empty and of one length")
     sample = matrix[0][0]
     degrees = []
     for row in matrix:

@@ -97,9 +97,9 @@ def _witness_payload(witness):
     if witness is None:
         return None
     return {
-        "target": format_polynomial(witness.target.poly),
+        "target": format_polynomial(witness.target),
         "k": witness.k,
-        "pairs": [[format_polynomial(g.poly), format_polynomial(h.poly)]
+        "pairs": [[format_polynomial(g), format_polynomial(h)]
                   for g, h in witness.pairs],
     }
 
@@ -176,7 +176,7 @@ def _cmd_strength(args, field, budget):
     form = Form(parse_polynomial(args.form, field, args.nvars))
     report = full_report(form, budget, args.max_k)
     payload = {
-        "form": format_polynomial(form.poly),
+        "form": format_polynomial(form),
         "lower": _num(report.lower),
         "upper": _num(report.upper),
         "exact": _num(report.exact),
@@ -192,20 +192,33 @@ def _cmd_collapse(args, field, budget):
     form = Form(parse_polynomial(args.form, field, args.nvars))
     witness = find_collapse(form, args.k, budget)
     return {
-        "form": format_polynomial(form.poly),
+        "form": format_polynomial(form),
         "k": args.k,
         "witness": _witness_payload(witness),
         "found": witness is not None,
     }, 0
 
 
+def _load_matrix(path, field):
+    """The polynomial rows of a ``certify --matrix`` JSON file."""
+    spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise CliError("the matrix file must hold a JSON object")
+    rows, nvars = spec.get("rows"), spec.get("nvars")
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and row and all(isinstance(t, str) for t in row)
+            for row in rows)):
+        raise CliError("matrix rows must be a non-empty list of non-empty text lists")
+    mfield = spec.get("field", field.spec())
+    if not isinstance(mfield, str) or (nvars is not None and type(nvars) is not int):
+        raise CliError("matrix field must be a string and nvars an integer")
+    mfield = parse_field_spec(mfield)
+    return [[parse_polynomial(text, mfield, nvars) for text in row] for row in rows]
+
+
 def _cmd_certify(args, field, budget):
     if args.matrix:
-        spec = json.loads(Path(args.matrix).read_text())
-        mfield = parse_field_spec(spec.get("field", field.spec()))
-        nvars = spec.get("nvars")
-        rows = [[parse_polynomial(text, mfield, nvars) for text in row]
-                for row in spec["rows"]]
+        rows = _load_matrix(args.matrix, field)
         if args.theorem != "max-minors":
             raise CliError(f"unknown matrix theorem {args.theorem!r}")
         ok = minors_height_check(rows, budget)
@@ -215,7 +228,7 @@ def _cmd_certify(args, field, budget):
         raise CliError("need --eta for the R_eta certificate")
     cert = check_reta(forms, args.eta, budget)
     payload = {
-        "forms": [format_polynomial(f.poly) for f in cert.forms],
+        "forms": [format_polynomial(f) for f in cert.forms],
         "eta": cert.eta,
         "codim_singular": cert.codim_singular,
         "verdict": "pass" if cert.verdict else "fail",
@@ -246,7 +259,7 @@ def _cmd_descend(args, field, budget):
     rng = random.Random(args.seed)
     trace = small_subalgebra(space, policy, budget, rng)
     payload = {
-        "input": [format_polynomial(f.poly) for f in space.basis],
+        "input": [format_polynomial(f) for f in space.basis],
         "policy": args.policy,
         "steps": [{
             "before": list(s.before),
@@ -255,7 +268,7 @@ def _cmd_descend(args, field, budget):
             "regime": s.regime,
             "witness": _witness_payload(s.witness),
         } for s in trace.steps],
-        "final_generators": [format_polynomial(f.poly)
+        "final_generators": [format_polynomial(f)
                              for f in trace.final_generators],
         "s": len(trace.final_generators),
         "complete": trace.complete,

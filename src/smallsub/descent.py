@@ -116,7 +116,7 @@ def descend_step(space: GradedSpace, degree: int,
     if target.degree != degree:
         raise ValueError("witness target does not have the requested degree")
     piece = space.piece(degree)
-    coords = coordinates_in_span(target.poly, [b.poly for b in piece])
+    coords = coordinates_in_span(target, piece)
     if coords is None:
         raise ValueError("witness target is not in the degree piece")
     pivot = next((j for j, c in enumerate(coords) if c), None)
@@ -139,7 +139,7 @@ def _combination(piece: Sequence[Form], support) -> Form:
     poly = Polynomial.zero(piece[0].nvars, piece[0].field)
     for j, c in support:
         if c:
-            poly = poly + piece[j].poly.scale(c)
+            poly = poly + piece[j].scale(c)
     return Form(poly)
 
 
@@ -177,7 +177,8 @@ def _find_move(space: GradedSpace, policy: ThresholdPolicy, budget: Budget,
         t = policy.threshold(delta, degree)
         if t == 0:
             continue
-        kcap = t if t is not None else (policy.max_k or space.nvars)
+        kcap = t if t is not None else (
+            space.nvars if policy.max_k is None else policy.max_k)
         seen: set[Form] = set()
         for regime, candidate in _candidates(space, degree, rng):
             if candidate in seen:
@@ -227,7 +228,7 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
         for d in range(2, len(current.dimension_sequence) + 1)
         if current.dimension_sequence[d - 1] > 0)
     gens = tuple(current.basis)
-    membership = tuple(subalgebra_membership(f.poly, gens, budget)
+    membership = tuple(subalgebra_membership(f, gens, budget)
                        for f in original)
     try:
         from .certify import is_regular_sequence
@@ -251,7 +252,6 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Form],
     gens = [as_form(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    f = f.poly if hasattr(f, "poly") else f
     nvars = gens[0].nvars
     field = gens[0].field
     if f.nvars != nvars or f.field != field:
@@ -260,7 +260,7 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Form],
     relations = []
     for j, g in enumerate(gens):
         tag = Polynomial.variable(nvars + j, total, field)
-        relations.append(tag - g.poly.extended(total))
+        relations.append(tag - g.extended(total))
     gb = groebner_basis(relations, elimination_order(nvars), budget)
     nf = normal_form(f.extended(total), gb, elimination_order(nvars))
     return all(all(e == 0 for e in mono[:nvars]) for mono in nf.terms)

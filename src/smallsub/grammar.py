@@ -168,9 +168,6 @@ def _format_mono(mono) -> str:
 
 def format_polynomial(f: Polynomial) -> str:
     """Deterministic grammar text for a polynomial."""
-    from .poly import Form
-    if isinstance(f, Form):
-        f = f.poly
     if not f.terms:
         return "0"
     items = sorted(f.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)

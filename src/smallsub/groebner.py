@@ -933,8 +933,7 @@ class Ideal:
 
     def __init__(self, generators: Iterable[Polynomial], nvars: int | None = None,
                  field: CoefficientField | None = None):
-        gens = [g.poly if hasattr(g, "poly") else g for g in generators]
-        gens = [g for g in gens if not g.is_zero()]
+        gens = [g for g in generators if not g.is_zero()]
         if gens:
             ambient = _ambient(gens)
             if nvars is not None and nvars != ambient[0]:
@@ -978,7 +977,6 @@ class Ideal:
         return _from_vec(rem, f.nvars, f.field)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
-        f = f.poly if hasattr(f, "poly") else f
         return self.normal_form(f, budget=budget).is_zero()
 
     def contains_ideal(self, other: "Ideal", budget: Budget | None = None) -> bool:
@@ -1133,7 +1131,6 @@ def leading_form_ideal(gens: Sequence[Polynomial],
     grevlex refines the degree (Cox, Little and O'Shea, *Ideals,
     Varieties, and Algorithms*, Ch. 8 Sec. 4).
     """
-    gens = [g.poly if hasattr(g, "poly") else g for g in gens]
     if not gens or any(g.is_zero() for g in gens):
         raise ValueError("generators must be nonzero")
     return Ideal([g.homogeneous_component(g.total_degree())

@@ -55,7 +55,7 @@ class SubmoduleOfFree:
             raise ValueError("ambient rank must be positive")
         gens: list[Vector] = []
         for vec in generators:
-            vec = tuple(v.poly if hasattr(v, "poly") else v for v in vec)
+            vec = tuple(vec)
             if len(vec) != rank:
                 raise ValueError(f"vector has {len(vec)} entries, ambient rank is {rank}")
             if any(not v.is_zero() for v in vec):
@@ -78,7 +78,6 @@ class SubmoduleOfFree:
 
     @classmethod
     def from_ideal_generators(cls, gens: Sequence[Polynomial]) -> "SubmoduleOfFree":
-        gens = [g.poly if hasattr(g, "poly") else g for g in gens]
         if not gens:
             raise ValueError("need at least one generator")
         return cls(1, [(g,) for g in gens], gens[0].nvars, gens[0].field)
@@ -140,7 +139,6 @@ def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
 def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
                        order: TermOrder = GREVLEX,
                        budget: Budget | None = None) -> bool:
-    vec = tuple(v.poly if hasattr(v, "poly") else v for v in vec)
     return _contains_all(sub, [vec], order, budget)
 
 
@@ -161,8 +159,6 @@ def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
              order: TermOrder = GREVLEX,
              budget: Budget | None = None) -> list[Vector]:
     """Generators of the syzygy module of the given vectors in R^rank."""
-    vectors = [tuple(v.poly if hasattr(v, "poly") else v for v in vec)
-               for vec in vectors]
     n = len(vectors)
     if n == 0:
         return []
@@ -204,18 +200,17 @@ def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
 
 def koszul_relations(forms: Sequence[Polynomial]) -> SubmoduleOfFree:
     """The Koszul syzygies F_j e_i - F_i e_j of a list of ring elements."""
-    polys = [f.poly if hasattr(f, "poly") else f for f in forms]
-    if not polys:
+    if not forms:
         raise ValueError("need at least one form")
-    nvars, field = polys[0].nvars, polys[0].field
-    c = len(polys)
+    nvars, field = forms[0].nvars, forms[0].field
+    c = len(forms)
     zero = Polynomial.zero(nvars, field)
     gens = []
     for i in range(c):
         for j in range(i + 1, c):
             vec = [zero] * c
-            vec[i] = polys[j]
-            vec[j] = -polys[i]
+            vec[i] = forms[j]
+            vec[j] = -forms[i]
             gens.append(tuple(vec))
     return SubmoduleOfFree(c, gens, nvars, field)
 

@@ -7,7 +7,10 @@ an empty term dict.  Values are immutable after construction and every
 operation returns a fresh value, so everything here is safe to share
 across threads.
 
-A *form* is a nonzero homogeneous polynomial of positive degree; a
+A *form* is a nonzero homogeneous polynomial of positive degree.
+:class:`Form` is a :class:`Polynomial` that adds its degree, so every
+function that takes a polynomial takes a form as it is; its ``poly``
+property returns the form itself and is kept for compatibility.  A
 *graded space* is a finite-dimensional span of forms, reduced to a
 homogeneous echelon basis, with its dimension sequence (trailing zeros
 stripped, compared in the largest-differing-index well-order).
@@ -219,8 +222,6 @@ class Polynomial:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, Form):
-            other = other.poly
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.nvars == other.nvars and self.field == other.field
@@ -267,10 +268,12 @@ class Polynomial:
         return out
 
 
-class Form:
-    """A nonzero homogeneous polynomial of positive degree."""
+class Form(Polynomial):
+    """A nonzero homogeneous polynomial of positive degree: a
+    :class:`Polynomial` that adds its ``degree``.  ``poly`` returns the
+    form itself and is kept for compatibility."""
 
-    __slots__ = ("poly", "degree")
+    __slots__ = ("degree",)
 
     def __init__(self, poly: Polynomial):
         if poly.is_zero():
@@ -280,35 +283,17 @@ class Form:
         d = poly.total_degree()
         if d < 1:
             raise ValueError("a form must have positive degree")
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "nvars", poly.nvars)
+        object.__setattr__(self, "field", poly.field)
+        object.__setattr__(self, "terms", poly.terms)
         object.__setattr__(self, "degree", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
-
     @property
-    def nvars(self) -> int:
-        return self.poly.nvars
-
-    @property
-    def field(self) -> CoefficientField:
-        return self.poly.field
-
-    def __eq__(self, other):
-        if isinstance(other, Form):
-            return self.poly == other.poly
-        if isinstance(other, Polynomial):
-            return self.poly == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def __repr__(self):
-        return repr(self.poly)
+    def poly(self) -> Polynomial:
+        return self
 
 
-def as_form(value: Polynomial | Form) -> Form:
+def as_form(value: Polynomial) -> Form:
     return value if isinstance(value, Form) else Form(value)
 
 
@@ -317,8 +302,6 @@ def as_form(value: Polynomial | Form) -> Form:
 
 def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     """Formal partial derivative with respect to x_i, in the field characteristic."""
-    if isinstance(f, Form):
-        f = f.poly
     if not 0 <= i < f.nvars:
         raise ValueError(f"variable index {i} out of range")
     terms = {}
@@ -331,20 +314,18 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.nvars, f.field, terms)
 
 
-def gradient(f: Polynomial | Form) -> list[Polynomial]:
-    poly = f.poly if isinstance(f, Form) else f
-    return [partial_derivative(poly, i) for i in range(poly.nvars)]
+def gradient(f: Polynomial) -> list[Polynomial]:
+    return [partial_derivative(f, i) for i in range(f.nvars)]
 
 
-def derivative_space(f: Form | Polynomial) -> list[Polynomial]:
+def derivative_space(f: Polynomial) -> list[Polynomial]:
     """A linearly independent spanning set for the space of partial derivatives of f."""
-    poly = f.poly if isinstance(f, Form) else f
-    if poly.is_zero():
+    if f.is_zero():
         raise ValueError("the zero polynomial has no derivative space")
-    return echelon_basis(gradient(poly))
+    return echelon_basis(gradient(f))
 
 
-def jacobian(forms: Sequence[Form | Polynomial]) -> list[list[Polynomial]]:
+def jacobian(forms: Sequence[Polynomial]) -> list[list[Polynomial]]:
     """Jacobian matrix: row i is the gradient of forms[i]."""
     if not forms:
         raise ValueError("need at least one form")
@@ -365,16 +346,15 @@ def homogenize(f: Polynomial) -> Form:
     return Form(Polynomial(f.nvars + 1, f.field, terms))
 
 
-def dehomogenize(f: Polynomial | Form) -> Polynomial:
+def dehomogenize(f: Polynomial) -> Polynomial:
     """Set the last variable to 1 and drop it."""
-    poly = f.poly if isinstance(f, Form) else f
-    if poly.nvars == 0:
+    if f.nvars == 0:
         raise ValueError("no variable to dehomogenize")
     terms: dict[Monomial, object] = {}
-    for m, c in poly.terms.items():
+    for m, c in f.terms.items():
         mono = m[:-1]
         terms[mono] = terms.get(mono, 0) + c
-    return Polynomial(poly.nvars - 1, poly.field, terms)
+    return Polynomial(f.nvars - 1, f.field, terms)
 
 
 def leading_form(f: Polynomial) -> Form:
@@ -400,8 +380,6 @@ def echelon_basis(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """
     basis: list[tuple[Monomial, Polynomial]] = []  # (pivot, monic poly), pivot descending
     for f in polys:
-        if isinstance(f, Form):
-            f = f.poly
         for pivot, g in basis:
             c = f.terms.get(pivot)
             if c:
@@ -423,8 +401,6 @@ def coordinates_in_span(f: Polynomial, basis: Sequence[Polynomial]):
 
     ``basis`` must come from :func:`echelon_basis` (monic, reduced).
     """
-    if isinstance(f, Form):
-        f = f.poly
     coords = []
     rem = f
     pivots = [max(g.terms, key=grevlex_key) for g in basis]
@@ -498,7 +474,7 @@ class GradedSpace:
         raise AttributeError("GradedSpace is immutable")
 
     @classmethod
-    def from_forms(cls, forms: Iterable[Form | Polynomial]) -> "GradedSpace":
+    def from_forms(cls, forms: Iterable[Polynomial]) -> "GradedSpace":
         by_degree: dict[int, list[Polynomial]] = {}
         ambient = None
         for f in forms:
@@ -507,7 +483,7 @@ class GradedSpace:
                 ambient = (f.nvars, f.field)
             elif ambient != (f.nvars, f.field):
                 raise ValueError("forms live in different ambient rings")
-            by_degree.setdefault(f.degree, []).append(f.poly)
+            by_degree.setdefault(f.degree, []).append(f)
         basis: list[Form] = []
         for d in sorted(by_degree):
             basis.extend(Form(g) for g in echelon_basis(by_degree[d]))

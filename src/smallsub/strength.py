@@ -54,8 +54,8 @@ class CollapseWitness:
         for g, h in self.pairs:
             if not (1 <= g.degree < d and 1 <= h.degree < d):
                 raise ValueError("witness factors must have smaller positive degree")
-            total = total + g.poly * h.poly
-        if total != self.target.poly:
+            total = total + g * h
+        if total != self.target:
             raise ValueError("witness equation does not reproduce the target form")
 
     @property
@@ -290,7 +290,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
                 return [_class_form(monos, support, nvars, target.field)] + found
         return None
 
-    residual = sum(c << columns[m] * width for m, c in target.poly.terms.items())
+    residual = sum(c << columns[m] * width for m, c in target.terms.items())
     for size in range(1, max_size + 1):
         found = None
         for profile in _degree_profiles(size, d // 2):
@@ -304,8 +304,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
 
 def _lift_witness(target: Form, gens: list[Form],
                   budget: Budget | None) -> CollapseWitness:
-    cofactors = membership_cofactors(target.poly, [g.poly for g in gens],
-                                     budget=budget)
+    cofactors = membership_cofactors(target, gens, budget=budget)
     if cofactors is None:
         raise InternalError("Groebner lifting rejected a collapse that the "
                             "degree-d membership test accepted")
@@ -318,7 +317,7 @@ def _lift_witness(target: Form, gens: list[Form],
     return CollapseWitness(target, tuple(pairs))
 
 
-def find_collapse(target: Form | Polynomial, k: int,
+def find_collapse(target: Polynomial, k: int,
                   budget: Budget | None = None) -> CollapseWitness | None:
     """Search exhaustively for a collapse with at most k pairs.
 
@@ -343,7 +342,7 @@ def find_collapse(target: Form | Polynomial, k: int,
     return None
 
 
-def strength_exact(target: Form | Polynomial, budget: Budget | None = None,
+def strength_exact(target: Polynomial, budget: Budget | None = None,
                    max_k: int | None = None) -> StrengthReport:
     """Exact strength by exhaustive search over a small prime field.
 
@@ -356,6 +355,8 @@ def strength_exact(target: Form | Polynomial, budget: Budget | None = None,
     """
     target = as_form(target)
     budget = budget or DEFAULT_BUDGET
+    if max_k is not None and max_k < 0:
+        raise ValueError("max_k must be nonnegative")
     if target.degree == 1:
         return StrengthReport(lower=inf, upper=inf, exact=inf)
     if target.field.p is None:
@@ -377,19 +378,19 @@ def strength_exact(target: Form | Polynomial, budget: Budget | None = None,
     return StrengthReport(lower=completed, upper=inf, field_caveat=True)
 
 
-def strength_lower_bound(target: Form | Polynomial,
+def strength_lower_bound(target: Polynomial,
                          budget: Budget | None = None) -> int | float:
     """Extension-stable lower bound: ceil(h/2) - 1 for h the height of the
     ideal generated by F together with its partial derivatives."""
     target = as_form(target)
-    gens = [target.poly] + [g for g in gradient(target.poly) if not g.is_zero()]
+    gens = [target] + [g for g in gradient(target) if not g.is_zero()]
     h = Ideal(gens, target.nvars, target.field).height(budget)
     if h == inf:
         return inf
     return ceil(h / 2) - 1
 
 
-def full_report(target: Form | Polynomial, budget: Budget | None = None,
+def full_report(target: Polynomial, budget: Budget | None = None,
                 max_k: int | None = None) -> StrengthReport:
     """Exhaustive result combined with the Jacobian certificate."""
     report = strength_exact(target, budget, max_k)

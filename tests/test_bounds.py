@@ -118,3 +118,12 @@ def test_default_cubic_B3_monotone():
     vals = [default_cubic_B3(h) for h in range(4)]
     assert vals == sorted(vals)
     assert vals[0] == 0
+
+
+def test_negative_characteristic_is_rejected():
+    with pytest.raises(ValueError, match="characteristic"):
+        cubic_eta_A(0, 0, 1, 1, -1)
+    with pytest.raises(ValueError, match="characteristic"):
+        phi(4, 3, characteristic=-1)
+    with pytest.raises(ValueError, match="characteristic"):
+        BoundTable.default(characteristic=-1)

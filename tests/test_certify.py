@@ -236,3 +236,11 @@ def test_jacobian_row_height_hypothesis_implies_reta():
         h_df = Ideal(ds, 4, F5).height() if ds else 0
         if h_df >= eta + 1 + 2 * n - 1:
             assert cert.verdict
+
+
+@pytest.mark.parametrize("matrix", [[[]], [[], []], [["x1", "x2"], ["x1^2"]]],
+                         ids=["empty-row", "empty-rows", "ragged"])
+def test_minors_height_check_rejects_empty_and_ragged_rows(matrix):
+    rows = [[pp(t, GF(5), 2) for t in row] for row in matrix]
+    with pytest.raises(ValueError, match="rows"):
+        minors_height_check(rows)

@@ -297,3 +297,46 @@ def test_deep_bound_recursion_hits_the_node_budget(capsys, argv):
     report = _json_out(capsys)
     assert report["budget_exceeded"] is True
     assert "bound recursion nodes" in report["error"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"field": "p=5"},
+    [["x1", "x2"]],
+    {"rows": []},
+    {"rows": [[]]},
+    {"rows": [["x1"], []]},
+    {"rows": ["x1"]},
+    {"rows": [[1, 2]]},
+    {"rows": [["x1"]], "nvars": "3"},
+    {"rows": [["x1"]], "field": 5},
+    {"rows": [["x1", "x2"], ["x1^2"]]},
+], ids=["no-rows", "list", "no-row", "empty-row", "one-empty-row", "row-not-list",
+        "entry-not-string", "nvars-not-int", "field-not-string", "ragged"])
+def test_malformed_matrix_file_exit_code(capsys, tmp_path, spec):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(spec))
+    code = main(["certify", "--matrix", str(path), "--theorem", "max-minors"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_descend_max_k_zero_is_a_cap(capsys):
+    # x1*x2 + x3*x4 needs a collapse of two pairs
+    code = main(["descend", "--field", "p=2", "--forms", "x1*x2+x3*x4",
+                 "--policy", "maximal", "--max-k", "0"])
+    assert code == 0
+    result = _json_out(capsys)["result"]
+    assert result["steps"] == []
+    assert result["s"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["strength", "--field", "p=2", "--form", "x1*x2+x3*x4", "--max-k", "-1"],
+    ["bounds", "--table", "cubic", "--char", "-1", "--delta", "0,0,1"],
+    ["bounds", "--table", "phi", "--h", "4", "--d", "3", "--char", "-1"],
+], ids=["strength-max-k", "cubic-char", "phi-char"])
+def test_negative_caps_and_characteristics_exit_code(capsys, argv):
+    assert main(argv) == 3
+    assert "must be nonnegative" in capsys.readouterr().err

@@ -250,3 +250,11 @@ def test_step_found_only_by_the_closing_sweep():
     assert first.degree == 2
     assert first.witness.target.poly == pp("x1^2+x1*x2+x1*x3", F2, 3)
     assert trace.complete and trace.exhaustive
+
+
+@pytest.mark.parametrize("max_k, steps", [(0, 0), (1, 0), (2, 1), (None, 1)])
+def test_maximal_policy_max_k_zero_is_a_cap(max_k, steps):
+    # x1*x2 + x3*x4 over F2 needs a collapse of two pairs
+    space = GradedSpace.from_forms([Form(pp("x1*x2+x3*x4", GF(2), 4))])
+    trace = small_subalgebra(space, ThresholdPolicy.maximal(max_k=max_k))
+    assert len(trace.steps) == steps

@@ -1,0 +1,76 @@
+"""A form is a polynomial: ``Form`` values pass every boundary as they are,
+and arithmetic on forms returns plain polynomials."""
+
+import pytest
+
+from smallsub.descent import subalgebra_membership
+from smallsub.fields import GF, QQ
+from smallsub.grammar import format_polynomial
+from smallsub.grammar import parse_polynomial as pp
+from smallsub.groebner import Ideal, leading_form_ideal, membership_cofactors
+from smallsub.modules import (SubmoduleOfFree, koszul_relations, submodule_contains,
+                              syzygies)
+from smallsub.poly import Form, Polynomial, coordinates_in_span, echelon_basis
+
+F5 = GF(5)
+TEXTS = ["x1^2 + 2*x2*x3", "x2^2 - x1*x3", "x3^2"]
+
+
+def _forms_and_polys(field):
+    polys = [pp(t, field, 3) for t in TEXTS]
+    return [Form(p) for p in polys], polys
+
+
+def test_form_is_a_polynomial():
+    f = pp(TEXTS[0], F5, 3)
+    form = Form(f)
+    assert isinstance(form, Polynomial)
+    assert form == f and f == form
+    assert hash(form) == hash(f)
+    assert repr(form) == repr(f)
+    assert form.poly is form
+    assert form.degree == 2
+    with pytest.raises(AttributeError):
+        form.degree = 3
+    with pytest.raises(AttributeError):
+        form.terms = {}
+
+
+def test_arithmetic_on_forms_returns_plain_polynomials():
+    (f, g, _h), _ = _forms_and_polys(F5)
+    results = [f + g, f * g, f - f, f.scale(2), f.extended(4), -f, 3 * f,
+               f * 0, f ** 2, f.mul_term((1, 0, 0), 2),
+               f.homogeneous_component(2)]
+    assert all(type(r) is Polynomial for r in results)
+    assert (f - f).is_zero()
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["GF(5)", "QQ"])
+def test_forms_and_polynomials_give_equal_results(field):
+    forms, polys = _forms_and_polys(field)
+    (f, g, h), (pf, pg, ph) = forms, polys
+    ptarget = pf * pp("x1", field, 3) + pg * pp("x2", field, 3)
+    target = Form(ptarget)
+
+    assert Ideal(forms).generators == Ideal(polys).generators
+    assert Ideal(forms).groebner_basis() == Ideal(polys).groebner_basis()
+    assert Ideal(forms).contains(target) and Ideal(polys).contains(ptarget)
+    assert (leading_form_ideal(forms).generators
+            == leading_form_ideal(polys).generators)
+    assert (membership_cofactors(target, forms)
+            == membership_cofactors(ptarget, polys))
+
+    sub = SubmoduleOfFree(2, [(f, g), (g, h)])
+    psub = SubmoduleOfFree(2, [(pf, pg), (pg, ph)])
+    assert sub.generators == psub.generators
+    assert submodule_contains(sub, (f, g)) and submodule_contains(psub, (pf, pg))
+    assert (syzygies([(f,), (g,), (h,)], 1, 3, field)
+            == syzygies([(pf,), (pg,), (ph,)], 1, 3, field))
+    assert koszul_relations(forms).generators == koszul_relations(polys).generators
+
+    assert [format_polynomial(x) for x in forms] == [format_polynomial(x) for x in polys]
+    basis = echelon_basis(forms)
+    assert basis == echelon_basis(polys)
+    assert coordinates_in_span(f, basis) == coordinates_in_span(pf, basis)
+    assert (subalgebra_membership(Form(f * g), forms)
+            == subalgebra_membership(pf * pg, polys) is True)

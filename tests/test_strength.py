@@ -571,3 +571,13 @@ def test_strength_over_the_largest_enumerable_field():
     assert report.exact == 1
     assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", field, 2),
                                                           pp("x1+x2", field, 2)]
+
+
+def test_strength_exact_rejects_a_negative_cap():
+    quadric = Form(pp("x1*x2+x3*x4", F2, 4))
+    with pytest.raises(ValueError, match="max_k"):
+        strength_exact(quadric, max_k=-1)
+    with pytest.raises(ValueError, match="max_k"):
+        strength_exact(Form(pp("x1", F2, 4)), max_k=-1)
+    report = strength_exact(quadric, max_k=0)
+    assert (report.lower, report.upper) == (0, inf)
