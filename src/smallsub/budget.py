@@ -33,9 +33,11 @@ class Budget:
         does the reduction of an input.  Each Schreyer step of a free
         resolution counts its pair reductions against the same cap.
     max_degree: lcm degree ceiling during a Groebner run (None = no cap).
-    max_candidates: generator tuples tested per collapse enumeration;
+    max_candidates: generator tuples enumerated per collapse search;
         for a form of degree d these are the tuples of forms of degree
-        at most floor(d/2), the only generators a collapse needs.
+        at most floor(d/2), the only generators a collapse needs.  A
+        tuple the search skips, because an earlier tuple has the same
+        spans, still counts.
     max_steps: descent steps / recursion nodes / search nodes of one
         height (``Ideal.height``, ``height_at_least``, ``dimension``) /
         determinants built by ``minors_ideal``.

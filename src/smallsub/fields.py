@@ -52,6 +52,9 @@ class CoefficientField:
     def __setattr__(self, name, value):
         raise AttributeError("CoefficientField is immutable")
 
+    def __reduce__(self):
+        return CoefficientField, (self.p,)
+
     @property
     def characteristic(self) -> int:
         return self.p or 0

@@ -87,22 +87,25 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    # ----- constructors -----
+    def __reduce__(self):
+        return Polynomial, (self.nvars, self.field, self.terms)
+
+    # ----- constructors (plain polynomials on either class) -----
 
     @classmethod
     def zero(cls, nvars: int, field: CoefficientField) -> "Polynomial":
-        return cls(nvars, field)
+        return Polynomial(nvars, field)
 
     @classmethod
     def constant(cls, value, nvars: int, field: CoefficientField) -> "Polynomial":
-        return cls(nvars, field, {(0,) * nvars: value})
+        return Polynomial(nvars, field, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, i: int, nvars: int, field: CoefficientField) -> "Polynomial":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, field, {mono: 1})
+        return Polynomial(nvars, field, {mono: 1})
 
     def _with_terms(self, terms: dict) -> "Polynomial":
         """A polynomial of this ring from canonical nonzero ``terms``,
@@ -287,6 +290,9 @@ class Form(Polynomial):
         object.__setattr__(self, "field", poly.field)
         object.__setattr__(self, "terms", poly.terms)
         object.__setattr__(self, "degree", d)
+
+    def __reduce__(self):
+        return Form, (Polynomial(self.nvars, self.field, self.terms),)
 
     @property
     def poly(self) -> Polynomial:

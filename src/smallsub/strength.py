@@ -8,27 +8,29 @@ linear forms have strength +infinity.
 
 Exhaustive search runs over small prime fields only.  It enumerates
 candidate generator tuples up to scalar rescaling, in one pass of
-ascending size, and decides each one by linear algebra in degree
-d = deg F: F lies in (g_1..g_k) exactly when it lies in the span of
-the products m*g_i with m of degree d - deg g_i.  Generators have
-degree at most floor(d/2): a pair G*H is symmetric, so any collapse
-G_1*H_1 + ... + G_k*H_k can be written with the factor of degree at
-most d/2 of each pair as its generator.  Tuples sharing a
-prefix share that prefix's row echelon form and the reduced F.  A
-witness, when found, is lifted to explicit cofactors by
-:func:`smallsub.groebner.membership_cofactors` (one reduction against a
-basis of the tag-component embedding), which cross-checks the
-linear-algebra verdict, and is verified exactly on construction.  A
-"no collapse" answer is reported only when the enumeration finished;
-running out of budget is a distinguished outcome.  Exhaustive results
-are tagged as specific to the ground field, while the Jacobian height
-bound is stable under field extension.
+ascending size.  Tuples of same-degree generators with equal spans
+generate the same ideal, so it decides one tuple per span (a strength-2
+cubic in 4 variables over F3 decides 130 planes, not 780 pairs of
+lines), each by linear algebra in degree d = deg F: F lies in
+(g_1..g_k) exactly when it lies in the span of the products m*g_i with
+m of degree d - deg g_i.  Generators have degree at most floor(d/2): a
+pair G*H is symmetric, so any collapse G_1*H_1 + ... + G_k*H_k can be
+written with the factor of degree at most d/2 of each pair as its
+generator.  Tuples sharing a prefix share that prefix's row echelon
+form and the reduced F.  A witness, when found, is lifted to explicit
+cofactors by :func:`smallsub.groebner.membership_cofactors` (one
+reduction against a basis of the tag-component embedding), which
+cross-checks the linear-algebra verdict, and is verified exactly on
+construction.  A "no collapse" answer is reported only when the
+enumeration finished; running out of budget is a distinguished outcome.
+Exhaustive results are tagged as specific to the ground field, while
+the Jacobian height bound is stable under field extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, inf
+from math import ceil, comb, inf
 
 from .budget import (Budget, BudgetExceededError, Counter, DEFAULT_BUDGET,
                      InternalError)
@@ -178,6 +180,46 @@ def _slot_layout(p: int, nslots: int):
     return width, norm
 
 
+def _extend_span(span: tuple, vec: int, p: int, width: int, norm) -> tuple | None:
+    """The reduced echelon form of S + <vec> when the class vec is the least
+    class of that span outside S; None otherwise, and when vec lies in S.
+
+    ``span`` holds the reduced echelon form of S in F_p^m as (pivot, row)
+    pairs in pivot order, each row 1 at its pivot; rows and vec are packed
+    as in :func:`_slot_layout`, and vec has leading coefficient 1.  The
+    classes of S + <vec> outside S are those of the coset v' + S, for v'
+    the residual of vec against S, whose lead L is no pivot.  A member
+    s + v' leads at min(lead(s), L), so when no pivot precedes L the least
+    one is v' itself, normalized.  Otherwise the least leads at the first
+    pivot; scaled to 1 there it is r_1 + sum b_k*r_k + mu*v' (r_1 the
+    first row), whose slot at each later pivot is b_k, so every b_k is 0,
+    and mu != 0 makes slot L least: 0, or 1 where r_1 has 0 there.  The
+    cost is O(len(span) * m) whatever p is: no coset member is listed.
+    """
+    slot = (1 << width) - 1
+    res = vec
+    for piv, row in span:
+        c = res >> piv * width & slot
+        if c:
+            res = norm(res + (p - c) * row)
+    if not res:
+        return None
+    lead = ((res & -res).bit_length() - 1) // width
+    new = norm(res * pow(res >> lead * width & slot, p - 2, p))
+    least = new
+    if span and span[0][0] < lead:
+        first = span[0][1]
+        f = first >> lead * width & slot
+        least = norm(first + ((p - f) if f else 1) * new)
+    if least != vec:
+        return None
+    rows = [(lead, new)]
+    for piv, row in span:
+        f = row >> lead * width & slot
+        rows.append((piv, norm(row + (p - f) * new) if f else row))
+    return tuple(sorted(rows))
+
+
 def _collapse_search(target: Form, max_size: int, budget: Budget):
     """For each size 1..max_size in turn, yield the first generator tuple of
     that size whose ideal contains the target, or None once every tuple of
@@ -201,7 +243,21 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     echelon form (each row's first nonzero column is its pivot, scaled to
     1) along a depth-first walk over tuple prefixes, together with F
     reduced at every pivot, so a prefix's rows are reduced once for all
-    tuples extending it.  Every tuple ticks one candidate counter.
+    tuples extending it.
+
+    The walk decides one tuple per chain of block spans, a block being a
+    run of equal degrees in the profile: class i is decided at a position
+    only when it is the least class of S + <g_i> outside S, for S the span
+    of the classes its block has chosen so far (:func:`_extend_span`).
+    Otherwise i and every tuple below it are skipped.  A skipped tuple has
+    the same block spans, and so the same ideal, as a lexicographically
+    earlier tuple of the same profile, which the walk has already ruled
+    out; a tuple with a dependent block has the ideal of a smaller tuple,
+    which an earlier size has ruled out.  So the first hit of each size is
+    the one a walk over every increasing tuple finds.  The candidate
+    counter still counts that walk's tuples, one tick each: a skip ticks
+    all the tuples below it in one call, so every budget outcome is that
+    walk's too.
 
     Each row is one packed int (:func:`_slot_layout`), column j in slot j,
     so a row operation is v + (p - f)*row followed by one slot-wise
@@ -227,8 +283,21 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
             monos, count = _class_domain(nvars, e, p)
             products = [[columns[mono_mul(u, m)] * width for m in monos]
                         for u in sorted(monomials(nvars, d - e), reverse=True)]
-            domains[e] = (monos, count, products)
+            domains[e] = (monos, count, products, _slot_layout(p, len(monos)))
         return domains[e]
+
+    def tuples_below(profile, pos, i, later):
+        """Last-position tuples the walk over every increasing tuple visits
+        under class i at position pos, with ``later`` positions of the same
+        degree after it; a later degree's domain is built only where that
+        walk would build it."""
+        e = profile[pos]
+        total = comb(domain(e)[1] - i - 1, later)
+        for f in sorted(set(profile[pos + 1:]) - {e}):
+            if not total:
+                break
+            total *= comb(domain(f)[1], profile.count(f))
+        return total
 
     def reduce(vec: int) -> int:
         live = vec & pivmask
@@ -265,24 +334,36 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
                 residual = norm(residual + (p - f) * vec)
         return residual, pivots
 
-    def walk(profile, pos, start, residual):
+    def walk(profile, pos, start, residual, span):
         nonlocal pivmask
         e = profile[pos]
-        monos, count, products = domain(e)
+        monos, count, products, (cwidth, cnorm) = domain(e)
         last = pos == len(profile) - 1
+        later = profile[pos + 1:].count(e)
         # leave room for the later positions of the same degree
-        stop = count - profile[pos + 1:].count(e)
-        for i in range(start, stop):
+        for i in range(start, count - later):
+            support = _class_support(i, len(monos), p)
+            # a block's first class is the least of its own span, and the
+            # only class of a one-class block needs no span
+            if span or later:
+                grown = _extend_span(span, sum(c << a * cwidth for a, c in support),
+                                     p, cwidth, cnorm)
+                if grown is None:
+                    # the tuples below share their block spans with an
+                    # earlier tuple, or have a dependent block: all ruled
+                    # out already
+                    counter.tick(tuples_below(profile, pos, i, later))
+                    continue
             if last:
                 counter.tick()
-            support = _class_support(i, len(monos), p)
             mask = pivmask
             reduced, pivots = add_rows(support, products, residual)
             if last:
                 found = None if reduced else []
+            elif later:
+                found = walk(profile, pos + 1, i + 1, reduced, grown)
             else:
-                nxt = i + 1 if profile[pos + 1] == e else 0
-                found = walk(profile, pos + 1, nxt, reduced)
+                found = walk(profile, pos + 1, 0, reduced, ())
             for j in pivots:
                 del rows[j]
             pivmask = mask
@@ -294,7 +375,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     for size in range(1, max_size + 1):
         found = None
         for profile in _degree_profiles(size, d // 2):
-            found = walk(profile, 0, 0, residual)
+            found = walk(profile, 0, 0, residual, ())
             if found is not None:
                 break
         yield found
@@ -375,7 +456,7 @@ def strength_exact(target: Polynomial, budget: Budget | None = None,
         # sizes <= completed were ruled out exhaustively
         return StrengthReport(lower=completed, upper=inf,
                               field_caveat=completed > 0, exhausted=True)
-    return StrengthReport(lower=completed, upper=inf, field_caveat=True)
+    return StrengthReport(lower=completed, upper=inf, field_caveat=completed > 0)
 
 
 def strength_lower_bound(target: Polynomial,

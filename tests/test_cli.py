@@ -332,6 +332,15 @@ def test_descend_max_k_zero_is_a_cap(capsys):
     assert result["s"] == 1
 
 
+def test_strength_max_k_zero_claims_no_field_caveat(capsys):
+    # no size was searched, so the lower bound 0 rests on no enumeration
+    code = main(["strength", "--field", "p=2", "--form", "x1*x2+x3*x4", "--max-k", "0"])
+    assert code == 0
+    result = _json_out(capsys)["result"]
+    assert (result["lower"], result["upper"], result["exact"]) == (0, "inf", None)
+    assert result["field_caveat"] is False and result["exhausted"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["strength", "--field", "p=2", "--form", "x1*x2+x3*x4", "--max-k", "-1"],
     ["bounds", "--table", "cubic", "--char", "-1", "--delta", "0,0,1"],

@@ -1,6 +1,9 @@
 """A form is a polynomial: ``Form`` values pass every boundary as they are,
 and arithmetic on forms returns plain polynomials."""
 
+import copy
+import pickle
+
 import pytest
 
 from smallsub.descent import subalgebra_membership
@@ -74,3 +77,25 @@ def test_forms_and_polynomials_give_equal_results(field):
     assert coordinates_in_span(f, basis) == coordinates_in_span(pf, basis)
     assert (subalgebra_membership(Form(f * g), forms)
             == subalgebra_membership(pf * pg, polys) is True)
+
+
+def test_constructors_return_plain_polynomials_on_either_class():
+    for cls in (Polynomial, Form):
+        x1 = cls.variable(0, 2, F5)
+        assert type(x1) is Polynomial and x1 == pp("x1", F5, 2)
+        assert type(cls.zero(2, F5)) is Polynomial and cls.zero(2, F5).is_zero()
+        assert cls.constant(7, 2, QQ) == pp("7", QQ, 2)
+        with pytest.raises(ValueError):
+            cls.variable(2, 2, F5)
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["GF(5)", "QQ"])
+def test_pickle_and_copy_round_trips(field):
+    poly = pp("x1^2 + 2*x2*x3 - 1", field, 3)
+    form = Form(pp(TEXTS[0], field, 3))
+    for value in (field, poly, form):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                     copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+    assert pickle.loads(pickle.dumps(form)).degree == copy.deepcopy(form).degree == 2

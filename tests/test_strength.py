@@ -581,3 +581,220 @@ def test_strength_exact_rejects_a_negative_cap():
         strength_exact(Form(pp("x1", F2, 4)), max_k=-1)
     report = strength_exact(quadric, max_k=0)
     assert (report.lower, report.upper) == (0, inf)
+
+
+# ----- span-canonical pruning -----
+
+
+def _class_vector(i, m, p):
+    vec = [0] * m
+    for a, c in _class_support(i, m, p):
+        vec[a] = c
+    return tuple(vec)
+
+
+def _class_key(vec):
+    """A class's place in the one class order: its lead, then its tail."""
+    lead = next(j for j, x in enumerate(vec) if x)
+    return lead, vec[lead + 1:]
+
+
+def _rref(vectors, p):
+    """Reduced echelon rows of the span of ``vectors``, in pivot order."""
+    rows = {}
+    for v in vectors:
+        v = list(v)
+        for piv, row in rows.items():
+            c = v[piv]
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+        if any(v):
+            lead = next(j for j, x in enumerate(v) if x)
+            inv = pow(v[lead], p - 2, p)
+            v = [x * inv % p for x in v]
+            for piv, row in list(rows.items()):
+                c = row[lead]
+                rows[piv] = [(a - c * b) % p for a, b in zip(row, v)]
+            rows[lead] = v
+    return [(piv, tuple(rows[piv])) for piv in sorted(rows)]
+
+
+def _packed(rows, width):
+    return tuple((piv, sum(x << j * width for j, x in enumerate(row))) for piv, row in rows)
+
+
+def _least_new_class(span_rows, vec, p):
+    """The least class of S + <vec> outside S, by listing the whole span."""
+    basis = [row for _, row in span_rows] + [vec]
+    inside = {tuple(sum(c * row[j] for c, row in zip(coeffs, basis[:-1])) % p
+                    for j in range(len(vec)))
+              for coeffs in product(range(p), repeat=len(basis) - 1)}
+    members = []
+    for coeffs in product(range(p), repeat=len(basis)):
+        w = tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) % p
+                  for j in range(len(vec)))
+        if w not in inside:
+            lead = next(x for x in w if x)
+            members.append(tuple(x * pow(lead, p - 2, p) % p for x in w))
+    return min(members, key=_class_key, default=None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_class_key_is_the_class_order(p):
+    for m in range(1, 5):
+        keys = [_class_key(_class_vector(i, m, p))
+                for i in range(strength.class_count(m, p))]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_extend_span_matches_brute_force_cosets(p):
+    rng = random.Random(p)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        # keep the listed span, p^(dim S + 1) vectors, small
+        most = max(j for j in range(m) if p ** (j + 1) <= 3000)
+        count = strength.class_count(m, p)
+        span_rows = _rref([_class_vector(rng.randrange(count), m, p)
+                           for _ in range(rng.randint(0, most))], p)
+        vec = _class_vector(rng.randrange(count), m, p)
+        width, norm = strength._slot_layout(p, m)
+        grown = strength._extend_span(_packed(span_rows, width),
+                                      sum(x << j * width for j, x in enumerate(vec)),
+                                      p, width, norm)
+        if _least_new_class(span_rows, vec, p) == vec:
+            basis = [row for _, row in span_rows] + [vec]
+            assert grown == _packed(_rref(basis, p), width), (span_rows, vec)
+        else:
+            assert grown is None, (span_rows, vec)
+
+
+@pytest.mark.parametrize("m, r, p, subspaces", [(4, 2, 3, 130), (5, 3, 2, 155),
+                                                (3, 2, 5, 31), (4, 3, 3, 40)])
+def test_accepted_tuples_are_one_per_subspace(m, r, p, subspaces):
+    # Gaussian binomials: the 780 pairs of lines in 4 variables over F3
+    # span 130 planes, and the 4,495 triples in 5 variables over F2 span
+    # 155 subspaces
+    width, norm = strength._slot_layout(p, m)
+    count = strength.class_count(m, p)
+    vecs = [sum(c << a * width for a, c in _class_support(i, m, p)) for i in range(count)]
+    accepted = []
+
+    def walk(start, span, left):
+        if not left:
+            accepted.append(span)
+            return
+        for i in range(start, count):
+            grown = strength._extend_span(span, vecs[i], p, width, norm)
+            if grown is not None:
+                walk(i + 1, grown, left - 1)
+
+    walk(0, (), r)
+    assert len(accepted) == len(set(accepted)) == subspaces
+
+
+# The caps of _KERNEL_CAPS stop a natural walk over forms in 3 variables
+# long before it reaches two generators of degree 2, or lines followed by
+# a quadric, so these walks are restricted to such profiles.  Their blocks
+# hold at most two generators each, so no tuple is dependent, and the
+# restriction keeps every tuple the pruning skips equal in ideal to an
+# earlier tuple of its own profile.
+_TWO_QUADRICS = {2: [(2, 2)]}
+_LINES_THEN_QUADRIC = {1: [(1,)], 3: [(1, 1, 2)]}
+
+
+def _span_cases():
+    """Quartics in 3 variables over F5 and F7, each with a profile table."""
+    rng = random.Random(107)
+    for p in (5, 7):
+        field = GF(p)
+        monos, _ = _class_domain(3, 2, p)
+        for _ in range(2):
+            # F lies in (x1^2, q) for a quadric class q below 600, so the
+            # walk over pairs of quadrics meets a hit within 600 pairs
+            q = _class_form(monos, _class_support(rng.randrange(1, 600), len(monos), p),
+                            3, field)
+            F = Form(pp("x1^2", field, 3) * _random_poly(rng, 3, 2, field)
+                     + q * _random_poly(rng, 3, 2, field))
+            yield F, _TWO_QUADRICS
+        yield _nonzero_form(rng, 3, 4, field, False), _LINES_THEN_QUADRIC
+        # no x2^4 term: the first pair of lines, x1 and x1 + x3, cut out a
+        # point where F vanishes, so the first quadric completes a collapse
+        yield Form(pp("x1^4 + 2*x1*x2^3 + x3^4 + x2^2*x3^2", field, 3)), _LINES_THEN_QUADRIC
+
+
+def _recording_counters(monkeypatch):
+    counters = []
+
+    class Recording(Counter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counters.append(self)
+
+    monkeypatch.setattr(strength, "Counter", Recording)
+    monkeypatch.setitem(globals(), "Counter", Recording)
+    return counters
+
+
+def test_span_pruned_walk_matches_dense_kernel_on_degree_two_blocks(monkeypatch):
+    counters = _recording_counters(monkeypatch)
+    for F, profiles in _span_cases():
+        def restricted(size, max_degree, profiles=profiles):
+            return profiles.get(size, [])
+        monkeypatch.setattr(strength, "_degree_profiles", restricted)
+        monkeypatch.setitem(globals(), "_degree_profiles", restricted)
+        for cap in _KERNEL_CAPS:
+            budget = Budget(max_candidates=cap)
+            with monkeypatch.context() as m:
+                m.setattr(strength, "_collapse_search", _dense_collapse_search)
+                del counters[:]
+                want = _kernel_outcomes(F, budget)
+                want_used = [c.used for c in counters]
+            del counters[:]
+            assert _kernel_outcomes(F, budget) == want, (F, cap)
+            # a run that ended on a hit or ran out its tuples ticked each
+            # tuple once; one cut by the cap may stop mid-skip
+            got_used = [c.used for c in counters]
+            assert [u if u <= cap else None for u in got_used] == \
+                [u if u <= cap else None for u in want_used], (F, cap)
+
+
+def _ticks_of_full_walk(F, profiles, found):
+    """Tuples the walk over every increasing tuple ticks, through ``found``."""
+    classes = {}
+    ticks = 0
+    for size in sorted(profiles):
+        for profile in profiles[size]:
+            groups = sorted({e: profile.count(e) for e in profile}.items())
+            for e, _ in groups:
+                classes.setdefault(e, list(enumerate_forms(F.nvars, e, F.field)))
+            for combos in product(*[combinations(classes[e], mult) for e, mult in groups]):
+                ticks += 1
+                if [g for combo in combos for g in combo] == found:
+                    return ticks
+    raise AssertionError("the tuple is not in the walk")
+
+
+@pytest.mark.parametrize("text, p, profiles, ticks", [
+    # no line over F3 lies on this cubic surface, and it has no point on
+    # x1 = x4 = 0, so every triple (x1, x1 + x4, l) fails; (x1, x1 + 2*x4)
+    # spans the same plane, so its 37 triples tick at once; the first hit,
+    # (x1, x1 + x3, x1 + x2), cuts out the point (0:0:0:1): 40 + 780 + 81
+    ("x1^3 + 2*x2^3 + 2*x2^2*x3 + 2*x1*x3^2 + 2*x2*x3^2 + x3^3 + 2*x1^2*x4"
+     " + x2*x3*x4 + x3*x4^2", 3, None, 901),
+    # no point over F2 on x1 = 0, so the 7 pairs of lines there fail with
+    # every quadric, and the 7 pairs (x1, l) with l of lead x2, x3 or x4
+    # skip their 1,023 quadrics each at once: 2*7*1,023 + 129
+    ("x1^3 + x2^3 + x2*x3^2 + x2*x3*x4 + x2*x4^2 + x3^3 + x3*x4^2 + x4^3", 2,
+     {3: [(1, 1, 2)]}, 14_451),
+], ids=["same-degree-block", "later-degree-block"])
+def test_skipped_subtrees_tick_every_tuple_they_hold(monkeypatch, text, p, profiles, ticks):
+    F = Form(pp(text, GF(p), 4))
+    if profiles is None:
+        profiles = {size: list(_degree_profiles(size, F.degree // 2)) for size in range(1, 5)}
+    else:
+        monkeypatch.setattr(strength, "_degree_profiles",
+                            lambda size, max_degree: profiles.get(size, []))
+    counters = _recording_counters(monkeypatch)
+    *_, found = strength._collapse_search(F, max(profiles), Budget(max_candidates=10**6))
+    assert found is not None
+    assert counters[0].used == _ticks_of_full_walk(F, profiles, found) == ticks
