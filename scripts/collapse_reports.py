@@ -5,12 +5,7 @@ forms, and ``descend --policy maximal`` on the 20 descent fixtures with
 seeds 0 and 1, exactly as ``bench/workloads.py`` builds them.  Each line
 holds the argv, the exit code and the report text.  Run it in two
 checkouts and compare the outputs to show that a change leaves every
-report byte-identical.  One field may change under an engine change:
-the second factors H_i of witness pairs, the cofactors that
-``membership_cofactors`` lifts, which depend on the Groebner basis it
-reduces against.  Every other field (exit codes, verdicts, strengths,
-bounds, witness sizes and first factors, final generators, membership)
-must stay byte-identical:
+report byte-identical:
 
     PYTHONPATH=src python3 scripts/collapse_reports.py > reports.jsonl
 """

@@ -988,10 +988,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def is_unit(self, budget: Budget | None = None) -> bool:
-        gb = self.groebner_basis(budget=budget)
-        return any(g.is_constant() and not g.is_zero() for g in gb)
-
     def dimension(self, budget: Budget | None = None) -> int:
         """Krull dimension of R/I, N minus :meth:`height`; -1 for the
         unit ideal."""

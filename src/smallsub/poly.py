@@ -35,11 +35,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def monomials(nvars: int, degree: int):
     """Yield the exponent tuples of one total degree in ``nvars`` variables,
     lexicographically ascending (the first exponent ascending)."""
@@ -199,17 +194,6 @@ class Polynomial:
         """Multiply by a nonzero canonical coefficient (no coercion)."""
         p = self.field.p
         out = {m: (c * coeff % p if p else c * coeff) for m, c in self.terms.items()}
-        return self._with_terms(out)
-
-    def mul_term(self, mono: Monomial, coeff) -> "Polynomial":
-        p = self.field.p
-        out = {}
-        for m, c in self.terms.items():
-            v = c * coeff
-            if p:
-                v %= p
-            if v:
-                out[tuple(x + y for x, y in zip(m, mono))] = v
         return self._with_terms(out)
 
     def __pow__(self, n: int):
@@ -478,6 +462,9 @@ class GradedSpace:
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedSpace is immutable")
+
+    def __reduce__(self):
+        return GradedSpace, (self.basis,)
 
     @classmethod
     def from_forms(cls, forms: Iterable[Polynomial]) -> "GradedSpace":

@@ -17,11 +17,10 @@ m of degree d - deg g_i.  Generators have degree at most floor(d/2): a
 pair G*H is symmetric, so any collapse G_1*H_1 + ... + G_k*H_k can be
 written with the factor of degree at most d/2 of each pair as its
 generator.  Tuples sharing a prefix share that prefix's row echelon
-form and the reduced F.  A witness, when found, is lifted to explicit
-cofactors by :func:`smallsub.groebner.membership_cofactors` (one
-reduction against a basis of the tag-component embedding), which
-cross-checks the linear-algebra verdict, and is verified exactly on
-construction.  A "no collapse" answer is reported only when the
+form and the reduced F.  A witness gets its cofactors from one more
+elimination in degree d on the same packed F_p kernel, of the product
+rows tagged by (i, m), which cross-checks the verdict, and is verified
+exactly on construction.  A "no collapse" answer is reported only when the
 enumeration finished; running out of budget is a distinguished outcome.
 Exhaustive results are tagged as specific to the ground field, while
 the Jacobian height bound is stable under field extension.
@@ -30,12 +29,13 @@ the Jacobian height bound is stable under field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 from math import ceil, comb, inf
 
 from .budget import (Budget, BudgetExceededError, Counter, DEFAULT_BUDGET,
                      InternalError)
 from .fields import CoefficientField
-from .groebner import Ideal, membership_cofactors
+from .groebner import Ideal
 from .poly import (Form, Monomial, Polynomial, as_form, gradient, grevlex_key,
                    mono_mul, monomials)
 
@@ -141,19 +141,12 @@ def enumerate_forms(nvars: int, degree: int, field: CoefficientField):
 
 
 def _degree_profiles(size: int, max_degree: int):
-    """Nondecreasing tuples in [1, max_degree]^size."""
-    def rec(start: int, remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for d in range(start, max_degree + 1):
-            for rest in rec(d, remaining - 1):
-                yield (d,) + rest
-    yield from rec(1, size)
+    """Nondecreasing tuples in [1, max_degree]^size, lexicographically."""
+    return combinations_with_replacement(range(1, max_degree + 1), size)
 
 
 def _slot_layout(p: int, nslots: int):
-    """Packed vectors over F_p: the slot width W and the slot-wise reduction.
+    """Packed vectors over F_p: the slot width W and the kernel around it.
 
     A vector in F_p^nslots is one int with coordinate j in bits
     [j*W, (j+1)*W).  ``norm`` reduces every slot holding a value below p^2
@@ -167,57 +160,78 @@ def _slot_layout(p: int, nslots: int):
     between them, and each quotient is bits [s, s+w) of its slot's
     product, which ``low`` picks out after the shift.  A narrower slot
     lets the next slot's product bits into that window.
+
+    An echelon form maps each pivot slot to a row that is zero before it
+    and 1 at it; ``reduce(vec, rows, mask)``, mask covering the pivot
+    slots, clears vec at every pivot by row operations vec + (p - f)*row,
+    each slot below p^2 until one ``norm``.  ``monic(vec)`` gives the lead
+    (lowest) slot of a nonzero vec and vec scaled to 1 there.
     """
     w = (p * p).bit_length()
     s = w + p.bit_length()
     mult = (1 << s) // p + 1
     width = s + w
-    low = ((1 << w) - 1) * (((1 << width * nslots) - 1) // ((1 << width) - 1))
+    slot = (1 << width) - 1
+    low = ((1 << w) - 1) * (((1 << width * nslots) - 1) // slot)
 
     def norm(v: int) -> int:
         return v - p * (((v * mult) >> s) & low)
 
-    return width, norm
+    def reduce(vec: int, rows: dict[int, int], mask: int) -> int:
+        live = vec & mask
+        while live:
+            j = ((live & -live).bit_length() - 1) // width
+            vec = norm(vec + (p - (vec >> j * width & slot)) * rows[j])
+            # rows[j] is zero before slot j and clears it, so only later
+            # pivots can be live: masking the rest bounds the loop by the
+            # pivot count
+            live = vec & mask & -(1 << (j + 1) * width)
+        return vec
+
+    def monic(vec: int) -> tuple[int, int]:
+        lead = ((vec & -vec).bit_length() - 1) // width
+        c = vec >> lead * width & slot
+        return lead, vec if c == 1 else norm(vec * pow(c, p - 2, p))
+
+    return width, norm, reduce, monic
 
 
-def _extend_span(span: tuple, vec: int, p: int, width: int, norm) -> tuple | None:
+def _extend_span(span: tuple, vec: int, p: int, layout) -> tuple | None:
     """The reduced echelon form of S + <vec> when the class vec is the least
     class of that span outside S; None otherwise, and when vec lies in S.
 
-    ``span`` holds the reduced echelon form of S in F_p^m as (pivot, row)
-    pairs in pivot order, each row 1 at its pivot; rows and vec are packed
-    as in :func:`_slot_layout`, and vec has leading coefficient 1.  The
-    classes of S + <vec> outside S are those of the coset v' + S, for v'
-    the residual of vec against S, whose lead L is no pivot.  A member
-    s + v' leads at min(lead(s), L), so when no pivot precedes L the least
-    one is v' itself, normalized.  Otherwise the least leads at the first
-    pivot; scaled to 1 there it is r_1 + sum b_k*r_k + mu*v' (r_1 the
-    first row), whose slot at each later pivot is b_k, so every b_k is 0,
-    and mu != 0 makes slot L least: 0, or 1 where r_1 has 0 there.  The
-    cost is O(len(span) * m) whatever p is: no coset member is listed.
+    ``span`` is the reduced echelon form (rows, mask) of S in F_p^m, and
+    ``layout`` the kernel of :func:`_slot_layout` for F_p^m; vec is packed
+    and has leading coefficient 1.  The classes of S + <vec> outside S are
+    those of the coset v' + S, for v' the residual of vec against S, whose
+    lead L is no pivot.  A member s + v' leads at min(lead(s), L), so when
+    no pivot precedes L the least one is v' itself, normalized.  Otherwise
+    the least leads at the first pivot; scaled to 1 there it is
+    r_1 + sum b_k*r_k + mu*v' (r_1 the first row), whose slot at each later
+    pivot is b_k, so every b_k is 0, and mu != 0 makes slot L least: 0, or
+    1 where r_1 has 0 there.  The cost is O(dim S * m) whatever p is: no
+    coset member is listed.
     """
+    width, norm, reduce, monic = layout
     slot = (1 << width) - 1
-    res = vec
-    for piv, row in span:
-        c = res >> piv * width & slot
-        if c:
-            res = norm(res + (p - c) * row)
+    rows, mask = span
+    res = reduce(vec, rows, mask)
     if not res:
         return None
-    lead = ((res & -res).bit_length() - 1) // width
-    new = norm(res * pow(res >> lead * width & slot, p - 2, p))
+    lead, new = monic(res)
+    shift = lead * width
     least = new
-    if span and span[0][0] < lead:
-        first = span[0][1]
-        f = first >> lead * width & slot
+    if mask & ((1 << shift) - 1):
+        first = rows[((mask & -mask).bit_length() - 1) // width]
+        f = first >> shift & slot
         least = norm(first + ((p - f) if f else 1) * new)
     if least != vec:
         return None
-    rows = [(lead, new)]
-    for piv, row in span:
-        f = row >> lead * width & slot
-        rows.append((piv, norm(row + (p - f) * new) if f else row))
-    return tuple(sorted(rows))
+    grown = {lead: new}
+    for piv, row in rows.items():
+        f = row >> shift & slot
+        grown[piv] = norm(row + (p - f) * new) if f else row
+    return grown, mask | slot << shift
 
 
 def _collapse_search(target: Form, max_size: int, budget: Budget):
@@ -259,12 +273,9 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     all the tuples below it in one call, so every budget outcome is that
     walk's too.
 
-    Each row is one packed int (:func:`_slot_layout`), column j in slot j,
-    so a row operation is v + (p - f)*row followed by one slot-wise
-    reduction: every slot stays below p^2 in between, and holds its
-    residue mod p after it.  The first column left to eliminate is the
-    lowest set bit of v & pivmask, a row's pivot is its lowest set bit,
-    and F is in the span when its reduced residual is 0.
+    Each row is one packed int, column j in slot j, reduced and made monic
+    by the kernel of :func:`_slot_layout`: a row's pivot is its lowest set
+    slot, and F is in the span when its reduced residual is 0.
     """
     p, nvars, d = target.field.p, target.nvars, target.degree
     counter = Counter("collapse candidates", budget.max_candidates)
@@ -272,7 +283,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     # ascending order the same eliminations cost more, and the slowest
     # searches of the benchmark's collapse pool take about 8% longer
     columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
-    width, norm = _slot_layout(p, len(columns))
+    width, _, reduce, monic = _slot_layout(p, len(columns))
     slot = (1 << width) - 1
     rows: dict[int, int] = {}  # pivot column -> row, 1 at the pivot
     pivmask = 0  # the slots of the pivot columns
@@ -299,45 +310,27 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
             total *= comb(domain(f)[1], profile.count(f))
         return total
 
-    def reduce(vec: int) -> int:
-        live = vec & pivmask
-        while live:
-            j = ((live & -live).bit_length() - 1) // width
-            vec = norm(vec + (p - (vec >> j * width & slot)) * rows[j])
-            # rows[j] is zero before column j and clears it, so only later
-            # columns can be live: masking the rest bounds the loop by the
-            # column count
-            live = vec & pivmask & -(1 << (j + 1) * width)
-        return vec
-
-    def add_rows(support, products, residual):
-        """Insert the rows m*g of one class; return the residual and new pivots."""
+    def add_rows(support, products):
+        """Insert the rows m*g of one class; return their pivots."""
         nonlocal pivmask
         pivots = []
         for shifts in products:
             vec = 0
             for a, c in support:
                 vec |= c << shifts[a]
-            vec = reduce(vec)
-            if not vec:
-                continue
-            lead = ((vec & -vec).bit_length() - 1) // width
-            shift = lead * width
-            c = vec >> shift & slot
-            if c != 1:
-                vec = norm(vec * pow(c, p - 2, p))
-            rows[lead] = vec
-            pivmask |= slot << shift
-            pivots.append(lead)
-            f = residual >> shift & slot
-            if f:
-                residual = norm(residual + (p - f) * vec)
-        return residual, pivots
+            vec = reduce(vec, rows, pivmask)
+            if vec:
+                lead, vec = monic(vec)
+                rows[lead] = vec
+                pivmask |= slot << lead * width
+                pivots.append(lead)
+        return pivots
 
     def walk(profile, pos, start, residual, span):
         nonlocal pivmask
         e = profile[pos]
-        monos, count, products, (cwidth, cnorm) = domain(e)
+        monos, count, products, layout = domain(e)
+        cwidth = layout[0]
         last = pos == len(profile) - 1
         later = profile[pos + 1:].count(e)
         # leave room for the later positions of the same degree
@@ -345,9 +338,9 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
             support = _class_support(i, len(monos), p)
             # a block's first class is the least of its own span, and the
             # only class of a one-class block needs no span
-            if span or later:
+            if span[1] or later:
                 grown = _extend_span(span, sum(c << a * cwidth for a, c in support),
-                                     p, cwidth, cnorm)
+                                     p, layout)
                 if grown is None:
                     # the tuples below share their block spans with an
                     # earlier tuple, or have a dependent block: all ruled
@@ -357,13 +350,14 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
             if last:
                 counter.tick()
             mask = pivmask
-            reduced, pivots = add_rows(support, products, residual)
+            pivots = add_rows(support, products)
+            reduced = reduce(residual, rows, pivmask)
             if last:
                 found = None if reduced else []
             elif later:
                 found = walk(profile, pos + 1, i + 1, reduced, grown)
             else:
-                found = walk(profile, pos + 1, 0, reduced, ())
+                found = walk(profile, pos + 1, 0, reduced, ({}, 0))
             for j in pivots:
                 del rows[j]
             pivmask = mask
@@ -375,7 +369,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     for size in range(1, max_size + 1):
         found = None
         for profile in _degree_profiles(size, d // 2):
-            found = walk(profile, 0, 0, residual, ())
+            found = walk(profile, 0, 0, residual, ({}, 0))
             if found is not None:
                 break
         yield found
@@ -383,19 +377,42 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
             return
 
 
-def _lift_witness(target: Form, gens: list[Form],
-                  budget: Budget | None) -> CollapseWitness:
-    cofactors = membership_cofactors(target, gens, budget=budget)
-    if cofactors is None:
-        raise InternalError("Groebner lifting rejected a collapse that the "
-                            "degree-d membership test accepted")
-    pairs = []
-    d = target.degree
-    for g, c in zip(gens, cofactors):
-        h = c.homogeneous_component(d - g.degree)
-        if not h.is_zero():
-            pairs.append((g, Form(h)))
-    return CollapseWitness(target, tuple(pairs))
+def _lift_witness(target: Form, gens: list[Form]) -> CollapseWitness:
+    """The witness of a tuple the search accepted, solved in degree d.
+
+    Its cofactors are those of :func:`smallsub.groebner.membership_cofactors`:
+    the unique c with sum c_i g_i = F and no term in LT(Syz), the syzygies'
+    leading terms under e_1 > e_2 > ..., then grevlex (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 2 Sec. 6, Prop. 1).
+    In degree d those are the pivots of the syzygy rows below, as tag slots
+    run in that order.  Row u*g_i holds its degree-d columns and a 1 in the
+    tag slot of (i, u); a row whose columns eliminate away is a syzygy, and
+    -F reduced against every row holds c in its tag slots.
+    """
+    field, nvars, d = target.field, target.nvars, target.degree
+    columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
+    tags = [(i, u) for i, g in enumerate(gens)
+            for u in sorted(monomials(nvars, d - g.degree), key=grevlex_key, reverse=True)]
+    width, _, reduce, monic = _slot_layout(field.p, len(columns) + len(tags))
+    slot, top = (1 << width) - 1, len(columns) * width  # top: the first tag bit
+    rows, mask = {}, 0
+    for t, (i, u) in enumerate(tags):
+        vec = sum(c << columns[mono_mul(u, m)] * width for m, c in gens[i].terms.items())
+        vec = reduce(vec | 1 << top + t * width, rows, mask)
+        if vec:
+            lead, vec = monic(vec)
+            rows[lead] = vec
+            mask |= slot << lead * width
+    rest = reduce(sum((field.p - c) << columns[m] * width for m, c in target.terms.items()),
+                  rows, mask)
+    if rest & (1 << top) - 1:
+        raise InternalError("the degree-d solve rejected a collapse that the search accepted")
+    terms: list[dict] = [{} for _ in gens]
+    for t, (i, u) in enumerate(tags):
+        if c := rest >> top + t * width & slot:
+            terms[i][u] = c
+    return CollapseWitness(target, tuple((g, Form(Polynomial(nvars, field, h)))
+                                         for g, h in zip(gens, terms) if h))
 
 
 def find_collapse(target: Polynomial, k: int,
@@ -404,9 +421,9 @@ def find_collapse(target: Polynomial, k: int,
 
     Generator tuples of sizes 1..k are tried in a fixed order, and each is
     decided by the degree-d membership test (no Groebner basis per
-    candidate).  Returns the witness of the first tuple that works, lifted
-    to explicit cofactors, or None only when the whole enumeration
-    completed.  Every call counts its own candidates against
+    candidate).  Returns the witness of the first tuple that works, its
+    cofactors solved in degree d (:func:`_lift_witness`), or None only
+    when the whole enumeration completed.  Every call counts its own candidates against
     ``budget.max_candidates``.
     """
     target = as_form(target)
@@ -419,7 +436,7 @@ def find_collapse(target: Polynomial, k: int,
         raise ValueError("exhaustive collapse search needs a finite prime field")
     for gens in _collapse_search(target, k, budget):
         if gens is not None:
-            return _lift_witness(target, gens, budget)
+            return _lift_witness(target, gens)
     return None
 
 
@@ -447,7 +464,7 @@ def strength_exact(target: Polynomial, budget: Budget | None = None,
     try:
         for gens in _collapse_search(target, cap, budget):
             if gens is not None:
-                witness = _lift_witness(target, gens, budget)
+                witness = _lift_witness(target, gens)
                 value = witness.k - 1
                 return StrengthReport(lower=value, upper=value, exact=value,
                                       field_caveat=value > 0, witness=witness)

@@ -167,8 +167,19 @@ def test_budget_exceeded_exit_code(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    # witness lifting disagreeing with the collapse verdict is a bug, not a verdict
-    monkeypatch.setattr(strength, "membership_cofactors", lambda *a, **kw: None)
+    # a degree-d solve disagreeing with the collapse verdict is a bug, not a
+    # verdict: here the lift's layout, the only one with more slots than
+    # the 3 quadratic monomials, reduces nothing, so F's residual stays
+    # nonzero while the search still finds x1
+    layout = strength._slot_layout
+
+    def no_reduction(p, nslots):
+        width, norm, reduce, monic = layout(p, nslots)
+        if nslots > 3:
+            reduce = lambda vec, rows, mask: vec
+        return width, norm, reduce, monic
+
+    monkeypatch.setattr(strength, "_slot_layout", no_reduction)
     code = main(["collapse", "--field", "p=2", "--form", "x1*x2", "--k", "1"])
     assert code == 4
     report = _json_out(capsys)

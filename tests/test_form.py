@@ -42,7 +42,7 @@ def test_form_is_a_polynomial():
 def test_arithmetic_on_forms_returns_plain_polynomials():
     (f, g, _h), _ = _forms_and_polys(F5)
     results = [f + g, f * g, f - f, f.scale(2), f.extended(4), -f, 3 * f,
-               f * 0, f ** 2, f.mul_term((1, 0, 0), 2),
+               f * 0, f ** 2, f * Polynomial(3, F5, {(1, 0, 0): 2}),
                f.homogeneous_component(2)]
     assert all(type(r) is Polynomial for r in results)
     assert (f - f).is_zero()

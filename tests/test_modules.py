@@ -1,5 +1,6 @@
 import random
 from math import comb
+from operator import sub
 
 import pytest
 
@@ -15,7 +16,7 @@ from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                               submodule_contains, submodule_equals, syzygies,
                               _chain_matrices, _schreyer_key, _schreyer_sort,
                               _schreyer_syzygies, _vec_to_dict)
-from smallsub.poly import Polynomial, mono_div, monomials
+from smallsub.poly import Polynomial, monomials
 
 F2 = GF(2)
 F5 = GF(5)
@@ -222,8 +223,8 @@ def _all_pairs_syzygies(gb, keyf, field):
             spair = _s_pair(prepped[i], prepped[j], lcm, keyf(lcm), p)
             rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
             assert not rem
-            sigma = {(i, mono_div(lcm[1], im)): one}
-            for idx, umono, factor in [(j, mono_div(lcm[1], jm), one)] + records:
+            sigma = {(i, tuple(map(sub, lcm[1], im))): one}
+            for idx, umono, factor in [(j, tuple(map(sub, lcm[1], jm)), one)] + records:
                 v = sigma.get((idx, umono), 0) - factor
                 if p:
                     v %= p

@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import inf
 
 import pytest
 
@@ -138,5 +139,5 @@ def test_saturation_matches_iterated_colon_route(field):
         ours = ideal.saturation(f)
         oracle = _saturation_by_iterated_colon(ideal, f)
         assert ours.groebner_basis() == oracle.groebner_basis(), (ideal, f)
-        units += ours.is_unit()
+        units += ours.height() == inf
     assert units >= 2

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -254,6 +256,14 @@ def test_graded_space_reduction():
     assert V.dimension == 3
     assert tuple(V.dimension_sequence) == (1, 2)
     assert len(V.piece(2)) == 2
+
+
+def test_graded_space_pickles_and_copies():
+    V = GradedSpace.from_forms([Form(pp("x1^2+x2^2", F5, 2))])
+    for W in (copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))):
+        assert type(W) is GradedSpace
+        assert W.basis == V.basis
+        assert tuple(W.dimension_sequence) == tuple(V.dimension_sequence) == (0, 1)
 
 
 def test_rational_field_exactness():

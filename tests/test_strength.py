@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 
-from smallsub import strength
+from smallsub import groebner, strength
 from smallsub.budget import Budget, BudgetExceededError, Counter
 from smallsub.fields import GF, QQ, _is_prime
 from smallsub.grammar import parse_polynomial as pp
@@ -552,7 +552,7 @@ def test_half_degree_profiles_match_full_profiles(monkeypatch):
 def test_slot_reduction_is_exact(p):
     rng = random.Random(p)
     nslots = 20
-    width, norm = strength._slot_layout(p, nslots)
+    width, norm, _, _ = strength._slot_layout(p, nslots)
     edges = (0, p - 1, p, p * p - p, p * p - 1)
     vectors = [[edges[(j + k) % len(edges)] for j in range(nslots)] for k in range(len(edges))]
     vectors += [[rng.randrange(p * p) for _ in range(nslots)] for _ in range(20)]
@@ -622,6 +622,16 @@ def _packed(rows, width):
     return tuple((piv, sum(x << j * width for j, x in enumerate(row))) for piv, row in rows)
 
 
+def _span(packed, width):
+    """``_extend_span``'s (rows, mask) for packed (pivot, row) pairs."""
+    return dict(packed), sum(((1 << width) - 1) << piv * width for piv, _ in packed)
+
+
+def _pairs(span):
+    """The (pivot, row) pairs of an ``_extend_span`` result, in pivot order."""
+    return None if span is None else tuple(sorted(span[0].items()))
+
+
 def _least_new_class(span_rows, vec, p):
     """The least class of S + <vec> outside S, by listing the whole span."""
     basis = [row for _, row in span_rows] + [vec]
@@ -657,10 +667,11 @@ def test_extend_span_matches_brute_force_cosets(p):
         span_rows = _rref([_class_vector(rng.randrange(count), m, p)
                            for _ in range(rng.randint(0, most))], p)
         vec = _class_vector(rng.randrange(count), m, p)
-        width, norm = strength._slot_layout(p, m)
-        grown = strength._extend_span(_packed(span_rows, width),
-                                      sum(x << j * width for j, x in enumerate(vec)),
-                                      p, width, norm)
+        layout = strength._slot_layout(p, m)
+        width = layout[0]
+        grown = _pairs(strength._extend_span(_span(_packed(span_rows, width), width),
+                                             sum(x << j * width for j, x in enumerate(vec)),
+                                             p, layout))
         if _least_new_class(span_rows, vec, p) == vec:
             basis = [row for _, row in span_rows] + [vec]
             assert grown == _packed(_rref(basis, p), width), (span_rows, vec)
@@ -674,21 +685,22 @@ def test_accepted_tuples_are_one_per_subspace(m, r, p, subspaces):
     # Gaussian binomials: the 780 pairs of lines in 4 variables over F3
     # span 130 planes, and the 4,495 triples in 5 variables over F2 span
     # 155 subspaces
-    width, norm = strength._slot_layout(p, m)
+    layout = strength._slot_layout(p, m)
+    width = layout[0]
     count = strength.class_count(m, p)
     vecs = [sum(c << a * width for a, c in _class_support(i, m, p)) for i in range(count)]
     accepted = []
 
     def walk(start, span, left):
         if not left:
-            accepted.append(span)
+            accepted.append(_pairs(span))
             return
         for i in range(start, count):
-            grown = strength._extend_span(span, vecs[i], p, width, norm)
+            grown = strength._extend_span(span, vecs[i], p, layout)
             if grown is not None:
                 walk(i + 1, grown, left - 1)
 
-    walk(0, (), r)
+    walk(0, ({}, 0), r)
     assert len(accepted) == len(set(accepted)) == subspaces
 
 
@@ -798,3 +810,72 @@ def test_skipped_subtrees_tick_every_tuple_they_hold(monkeypatch, text, p, profi
     *_, found = strength._collapse_search(F, max(profiles), Budget(max_candidates=10**6))
     assert found is not None
     assert counters[0].used == _ticks_of_full_walk(F, profiles, found) == ticks
+
+
+# ----- witnesses from the degree-d solve -----
+
+
+def _lift_cases():
+    """Seeded (F, gens) with F in (gens): every p in 2..11, N 2-5, d 2-4 and
+    k 1-3, with repeated generators, generators dependent on earlier ones
+    (a multiple, a sum, or a monomial times one) and zero summands h_i."""
+    rng = random.Random(2211)
+    for p in (2, 3, 5, 7, 11):
+        field = GF(p)
+        for _ in range(36):
+            nvars, d, k = rng.randint(2, 5), rng.randint(2, 4), rng.randint(1, 3)
+            gens = []
+            for _ in range(k):
+                e = rng.randint(1, d - 1)
+                same = [g for g in gens if g.degree == e]
+                lower = [g for g in gens if g.degree < e]
+                kind = rng.random()
+                if same and kind < 0.15:
+                    g = rng.choice(same)
+                elif same and kind < 0.3:
+                    g = rng.choice(same) * rng.randrange(1, p) + rng.choice(same)
+                elif lower and kind < 0.4:
+                    low = rng.choice(lower)
+                    u = rng.choice(list(monomials(nvars, e - low.degree)))
+                    g = low * Polynomial(nvars, field, {u: 1})
+                else:
+                    g = _random_poly(rng, nvars, e, field)
+                gens.append(_nonzero_form(rng, nvars, e, field, False)
+                            if g.is_zero() else Form(g))
+            F = Polynomial.zero(nvars, field)
+            for g in gens:
+                if rng.random() < 0.8:
+                    F = F + g * _random_poly(rng, nvars, d - g.degree, field)
+            if not F.is_zero():
+                yield Form(F), gens
+
+
+def test_lift_matches_membership_cofactors():
+    cases = list(_lift_cases())
+    assert len(cases) >= 150
+    kinds = set()
+    for F, gens in cases:
+        cofactors = membership_cofactors(F, gens)
+        want = tuple((g, Form(h)) for g, c in zip(gens, cofactors)
+                     if not (h := c.homogeneous_component(F.degree - g.degree)).is_zero())
+        assert strength._lift_witness(F, gens).pairs == want, (F, gens)
+        kinds.add((F.field.p, len(gens), len(want) < len(gens),
+                   len(set(gens)) < len(gens)))
+    # every field meets a dropped zero summand and a repeated generator
+    assert {(p, True) for p in (2, 3, 5, 7, 11)} <= {(p, d) for p, _, d, _ in kinds}
+    assert {(p, True) for p in (2, 3, 5, 7, 11)} <= {(p, r) for p, _, _, r in kinds}
+    assert {k for _, k, _, _ in kinds} == {1, 2, 3}
+
+
+def test_collapse_path_runs_no_groebner_lift(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the collapse path called the Groebner lift")
+
+    monkeypatch.setattr(groebner, "membership_cofactors", refuse)
+    F = Form(pp("x1*x2+x3*x4", F2, 4))
+    witness = find_collapse(F, 2)
+    assert witness is not None and witness.k == 2
+    report = strength_exact(F)
+    assert (report.exact, report.witness) == (1, witness)
+    cubic = Form(pp("x1^3+x2^3+x3^3", F3, 3))
+    assert strength_exact(cubic).witness.target == cubic
