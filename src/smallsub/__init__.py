@@ -8,8 +8,7 @@ from .certify import (RetaCertificate, check_reta, determinant,
                       is_regular_sequence, minors_height_check, minors_ideal,
                       singular_locus_codim)
 from .descent import (DescentStep, DescentTrace, ThresholdPolicy,
-                      compare_sequences, descend_step, small_subalgebra,
-                      subalgebra_membership)
+                      descend_step, small_subalgebra, subalgebra_membership)
 from .fields import GF, QQ, CoefficientField, parse_field_spec
 from .grammar import (ParseError, format_polynomial, parse_forms_file,
                       parse_generators, parse_polynomial)

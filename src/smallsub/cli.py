@@ -5,8 +5,14 @@ One binary, subcommands for every operation, deterministic JSON reports
 exceeded, 3 parse error, 4 internal error.  Budgets come from flags or
 the environment (SMALLSUB_MAX_PAIRS, SMALLSUB_MAX_DEGREE,
 SMALLSUB_MAX_CANDIDATES, SMALLSUB_MAX_STEPS), else from ``Budget()``.
-Reports are byte-identical across runs for fixed inputs, seed and
-budgets; wall-clock timing is added only on request.
+Each subcommand declares only the flags its handler reads: ``--order``
+on ``gb`` and ``pdim``, ``--verbose`` on ``gb``, ``--seed`` on
+``descend``, ``--field`` and ``--nvars`` on all but ``bounds`` and
+``selftest``; any other flag is malformed input.  A report's ``config``
+echoes the field, order and seed, with ``Q``, ``grevlex`` and ``0``
+where the subcommand has no such flag.  Reports are byte-identical
+across runs for fixed inputs, seed and budgets; wall-clock timing is
+added only on request.
 """
 
 from __future__ import annotations
@@ -60,33 +66,30 @@ def _budget(args) -> Budget:
             return flag
         raw = os.environ.get(f"SMALLSUB_{name.upper()}")
         return int(raw) if raw else getattr(DEFAULT_BUDGET, name)
-    candidates = args.max_candidates
-    if candidates is None and getattr(args, "budget", None) is not None:
-        candidates = args.budget  # shorthand for the enumeration cap
     return Budget(
         max_pairs=pick(args.max_pairs, "max_pairs"),
         max_degree=pick(args.max_degree, "max_degree"),
-        max_candidates=pick(candidates, "max_candidates"),
+        max_candidates=pick(args.max_candidates, "max_candidates"),
         max_steps=pick(args.max_steps, "max_steps"),
     )
 
 
 def _order(args):
-    return LEX if getattr(args, "order", "grevlex") == "lex" else GREVLEX
+    return LEX if args.order == "lex" else GREVLEX
 
 
 def _load_polys(args, field):
-    if getattr(args, "gens", None):
+    if args.gens:
         return parse_generators(args.gens, field, args.nvars)
-    if getattr(args, "gens_file", None):
+    if args.gens_file:
         return parse_forms_file(Path(args.gens_file).read_text(), field, args.nvars)
     raise CliError("need --gens or --gens-file")
 
 
 def _load_forms(args, field):
-    if getattr(args, "forms", None):
+    if args.forms:
         polys = parse_generators(args.forms, field, args.nvars)
-    elif getattr(args, "forms_file", None):
+    elif args.forms_file:
         polys = parse_forms_file(Path(args.forms_file).read_text(), field, args.nvars)
     else:
         raise CliError("need --forms or --forms-file")
@@ -366,17 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "subalgebras of polynomial rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="Q", help="p=<prime> or Q")
-        p.add_argument("--nvars", type=int, default=None)
-        p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
+    def common(p, ring=True):
+        if ring:
+            p.add_argument("--field", default="Q", help="p=<prime> or Q")
+            p.add_argument("--nvars", type=int, default=None)
         p.add_argument("--output", choices=["json", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timing", action="store_true")
-        p.add_argument("--verbose", action="store_true",
-                       help="trace output (pair counts) on stderr")
-        p.add_argument("--budget", type=int, default=None,
-                       help="shorthand for --max-candidates")
         p.add_argument("--max-pairs", type=int, default=None)
         p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--max-candidates", type=int, default=None)
@@ -387,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--gens", help="semicolon-separated generator list")
         p.add_argument("--gens-file", help="file with one polynomial per line")
+        if name in ("gb", "pdim"):
+            p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
+        if name == "gb":
+            p.add_argument("--verbose", action="store_true",
+                           help="trace output (pair counts) on stderr")
         if name == "sat":
             p.add_argument("--by", required=True, help="saturate by this polynomial")
         if name in ("colon", "intersect"):
@@ -418,9 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="maximal")
     p.add_argument("--eta", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bounds")
-    common(p)
+    common(p, ring=False)
     p.add_argument("--table", required=True,
                    choices=["quadric-B", "quadric-thresholds", "cubic",
                             "phi", "B", "C"])
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None)
 
     p = sub.add_parser("selftest")
-    common(p)
+    common(p, ring=False)
 
     return parser
 
@@ -466,8 +470,9 @@ def run(argv=None) -> tuple[int, dict | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 3, None
     started = time.monotonic()
+    spec = getattr(args, "field", "Q")
     try:
-        field = parse_field_spec(args.field)
+        field = parse_field_spec(spec)
         budget = _budget(args)
         payload, code = _HANDLERS[args.command](args, field, budget)
     except (CliError, ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -487,9 +492,9 @@ def run(argv=None) -> tuple[int, dict | None]:
         "schema": SCHEMA,
         "command": args.command,
         "config": {
-            "field": args.field,
+            "field": spec,
             "order": getattr(args, "order", "grevlex"),
-            "seed": args.seed,
+            "seed": getattr(args, "seed", 0),
             "budgets": {
                 "max_pairs": budget.max_pairs,
                 "max_degree": budget.max_degree,

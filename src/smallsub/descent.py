@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
-from .groebner import elimination_order, groebner_basis, normal_form
+from .groebner import Ideal, elimination_order
 from .poly import (DimensionSequence, Form, GradedSpace, Polynomial, as_form,
                    coordinates_in_span)
 from .strength import CollapseWitness, _class_support, class_count, find_collapse
@@ -35,12 +35,6 @@ SAMPLE_BUDGET = 8
 #: Most projective classes the closing sweep lists in one piece; a larger
 #: piece is skipped, and the trace is then not exhaustive.
 EXHAUST_CAP = 4096
-
-
-def compare_sequences(a, b) -> int:
-    """-1, 0, or 1: compare dimension sequences in the descent well-order
-    (entries at the largest differing index decide)."""
-    return DimensionSequence(a).compare(DimensionSequence(b))
 
 
 @dataclass(frozen=True)
@@ -228,8 +222,7 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
         for d in range(2, len(current.dimension_sequence) + 1)
         if current.dimension_sequence[d - 1] > 0)
     gens = tuple(current.basis)
-    membership = tuple(subalgebra_membership(f, gens, budget)
-                       for f in original)
+    membership = _memberships(original, gens, budget)
     try:
         from .certify import is_regular_sequence
         regular = is_regular_sequence(gens, budget)
@@ -249,18 +242,24 @@ def subalgebra_membership(f: Polynomial, gens: Sequence[Form],
     variables; membership holds exactly when the normal form mentions
     only tags.
     """
+    return _memberships([f], gens, budget)[0]
+
+
+def _memberships(fs: Sequence[Polynomial], gens: Sequence[Form],
+                 budget: Budget | None) -> tuple[bool, ...]:
+    """:func:`subalgebra_membership` of each f, off one elimination basis."""
     gens = [as_form(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
-    nvars = gens[0].nvars
-    field = gens[0].field
-    if f.nvars != nvars or f.field != field:
-        raise ValueError("polynomial and generators live in different rings")
+    nvars, field = gens[0].nvars, gens[0].field
     total = nvars + len(gens)
-    relations = []
-    for j, g in enumerate(gens):
-        tag = Polynomial.variable(nvars + j, total, field)
-        relations.append(tag - g.extended(total))
-    gb = groebner_basis(relations, elimination_order(nvars), budget)
-    nf = normal_form(f.extended(total), gb, elimination_order(nvars))
-    return all(all(e == 0 for e in mono[:nvars]) for mono in nf.terms)
+    relations = Ideal([Polynomial.variable(nvars + j, total, field) - g.extended(total)
+                       for j, g in enumerate(gens)])
+    order = elimination_order(nvars)
+    out = []
+    for f in fs:
+        if f.nvars != nvars or f.field != field:
+            raise ValueError("polynomial and generators live in different rings")
+        nf = relations.normal_form(f.extended(total), order, budget)
+        out.append(all(all(e == 0 for e in mono[:nvars]) for mono in nf.terms))
+    return tuple(out)

@@ -50,7 +50,7 @@ S-pair is the larger of sig(x^u g) and sig(x^w h), and a pair whose two
 are equal is never queued.  A pair is dropped when a known syzygy's
 signature divides its signature (the syzygy criterion): the signature
 of every zero reduction, and in ideal runs, where every input term lies
-in component 0, the Koszul signature of each pair of elements, the
+in one component, the Koszul signature of each pair of elements, the
 larger of hd(g) sig(h) and hd(h) sig(g), with hd the term that is
 largest in the signature order.  It is dropped too unless the element
 that generated it is the latest-added one whose signature divides its
@@ -514,7 +514,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     """Compute a (non-reduced) monic Groebner basis of the span.
 
     One signature-based loop (see the module docstring).  A run whose
-    every input term lies in component 0 is an ideal run, whose Koszul
+    every input term lies in one component is an ideal run, whose Koszul
     syzygies are known.  A ``stats`` dict, when given, receives the
     reduced pairs, the zero reductions among them, the pairs that the
     syzygy and the rewrite criteria dropped, and the basis size.
@@ -542,7 +542,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         bias, mask, guard, low = layout.bias, layout.mask, layout.guard, layout.low
         code, degree, shift = layout.code, layout.degree, layout.code_shift
         zero = (0,) * nvars
-        ideal = not any(comp for i in inputs for comp, _ in vectors[i])
+        ideal = len({comp for i in inputs for comp, _ in vectors[i]}) == 1
         leads = []
         for i in inputs:
             vec = coded[i] = _Codes(layout)
@@ -597,7 +597,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
             top = lt_code if top_degree == lt_degree else min(
                 h for h, _ in tail if degree(h) == top_degree)
             c_new = sig - scale * top_degree + radix * (top >> shift) + origin_weight
-            hd_new = top & low
+            hd_new = top & ((1 << layout.comp_shift) - 1)  # its monomial bits
             for c_k, i_k, t_k, hd_k in heads:
                 if c_k > c_new:
                     i_s, t_s = i_k, t_k + hd_new

@@ -120,7 +120,7 @@ def module_groebner_basis(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
 
 
 def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
-                  order: TermOrder, budget: Budget | None) -> bool:
+                  budget: Budget | None) -> bool:
     """Whether every vector lies in ``sub``: one basis of ``sub``, prepared
     once and only when a nonzero vector needs it, reduces them in turn
     until one leaves a remainder."""
@@ -129,7 +129,7 @@ def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
         return True
     if sub.is_zero():
         return False
-    keyf = pot_key(order)
+    keyf = pot_key(GREVLEX)
     gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
                     sub.field, budget=budget)
     prepped = _Divisors(_prep(g, keyf) for g in gb)
@@ -137,9 +137,8 @@ def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
 
 
 def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
-                       order: TermOrder = GREVLEX,
                        budget: Budget | None = None) -> bool:
-    return _contains_all(sub, [vec], order, budget)
+    return _contains_all(sub, [vec], budget)
 
 
 def submodule_equals(a: SubmoduleOfFree, b: SubmoduleOfFree,
@@ -147,8 +146,8 @@ def submodule_equals(a: SubmoduleOfFree, b: SubmoduleOfFree,
     """Equality by two containments, each against one basis per side."""
     if a.rank != b.rank:
         raise ValueError("submodules of free modules of different ranks")
-    return (_contains_all(a, b.generators, GREVLEX, budget)
-            and _contains_all(b, a.generators, GREVLEX, budget))
+    return (_contains_all(a, b.generators, budget)
+            and _contains_all(b, a.generators, budget))
 
 
 # ----- syzygies and kernels -----
@@ -156,14 +155,13 @@ def submodule_equals(a: SubmoduleOfFree, b: SubmoduleOfFree,
 
 def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
              nvars: int, field: CoefficientField,
-             order: TermOrder = GREVLEX,
              budget: Budget | None = None) -> list[Vector]:
     """Generators of the syzygy module of the given vectors in R^rank."""
     n = len(vectors)
     if n == 0:
         return []
     gb = buchberger(_tagged([_vec_to_dict(v) for v in vectors], rank, nvars, field.one),
-                    pot_key(order), field, budget=budget)
+                    pot_key(GREVLEX), field, budget=budget)
     out: list[Vector] = []
     for g in gb:
         if all(comp >= rank for (comp, _m) in g):
@@ -174,7 +172,6 @@ def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
 
 def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
                   target: SubmoduleOfFree,
-                  order: TermOrder = GREVLEX,
                   budget: Budget | None = None) -> SubmoduleOfFree:
     """Kernel of R^r -> R^m -> R^m / target, where the m x r matrix gives
     the first map by columns."""
@@ -189,7 +186,7 @@ def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
     nvars, field = target.nvars, target.field
     columns = [tuple(matrix[i][j] for i in range(m)) for j in range(r)]
     stacked = columns + [tuple(v) for v in target.generators]
-    syz = syzygies(stacked, m, nvars, field, order, budget)
+    syz = syzygies(stacked, m, nvars, field, budget)
     kernel_gens = []
     for vec in syz:
         head = vec[:r]

@@ -9,11 +9,10 @@ across threads.
 
 A *form* is a nonzero homogeneous polynomial of positive degree.
 :class:`Form` is a :class:`Polynomial` that adds its degree, so every
-function that takes a polynomial takes a form as it is; its ``poly``
-property returns the form itself and is kept for compatibility.  A
-*graded space* is a finite-dimensional span of forms, reduced to a
-homogeneous echelon basis, with its dimension sequence (trailing zeros
-stripped, compared in the largest-differing-index well-order).
+function that takes a polynomial takes a form as it is.  A *graded
+space* is a finite-dimensional span of forms, reduced to a homogeneous
+echelon basis, with its dimension sequence (trailing zeros stripped,
+compared in the largest-differing-index well-order).
 """
 
 from __future__ import annotations
@@ -233,32 +232,10 @@ class Polynomial:
         pad = (0,) * (nvars - self.nvars)
         return Polynomial(nvars, self.field, {m + pad: c for m, c in self.terms.items()})
 
-    def apply_map(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Ring map x_i -> images[i]; all images share one ambient ring."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        if not images:
-            raise ValueError("empty ambient ring")
-        nvars, field = images[0].nvars, images[0].field
-        powers: list[dict[int, Polynomial]] = [{} for _ in range(self.nvars)]
-        out = Polynomial.zero(nvars, field)
-        for m, c in self.terms.items():
-            term = Polynomial.constant(c, nvars, field)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                term = term * cache[e]
-            out = out + term
-        return out
-
 
 class Form(Polynomial):
     """A nonzero homogeneous polynomial of positive degree: a
-    :class:`Polynomial` that adds its ``degree``.  ``poly`` returns the
-    form itself and is kept for compatibility."""
+    :class:`Polynomial` that adds its ``degree``."""
 
     __slots__ = ("degree",)
 
@@ -277,11 +254,6 @@ class Form(Polynomial):
 
     def __reduce__(self):
         return Form, (Polynomial(self.nvars, self.field, self.terms),)
-
-    @property
-    def poly(self) -> Polynomial:
-        return self
-
 
 def as_form(value: Polynomial) -> Form:
     return value if isinstance(value, Form) else Form(value)

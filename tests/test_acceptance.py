@@ -64,8 +64,8 @@ def test_criterion_1_euler_identity():
             total = Polynomial.zero(n, field)
             for i in range(n):
                 total = total + Polynomial.variable(i, n, field) \
-                    * partial_derivative(F.poly, i)
-            assert total == F.poly * d
+                    * partial_derivative(F, i)
+            assert total == F * d
 
 
 def test_criterion_2_collapse_easy_direction():
@@ -80,7 +80,7 @@ def test_criterion_2_collapse_easy_direction():
             if trial % 2 == 0:
                 g = _random_form(rng, n, rng.randint(1, d - 1), field)
                 h = _random_form(rng, n, d - g.degree, field)
-                F = Form(g.poly * h.poly)
+                F = Form(g * h)
             else:
                 F = _random_form(rng, n, d, field)
             try:
@@ -90,7 +90,7 @@ def test_criterion_2_collapse_easy_direction():
             if w is None:
                 continue
             witnesses += 1
-            gens = [F.poly] + [q for q in gradient(F.poly) if not q.is_zero()]
+            gens = [F] + [q for q in gradient(F) if not q.is_zero()]
             height = Ideal(gens, n, field).height()
             assert height <= 2 * w.k
         assert witnesses >= 40, "the sample must actually produce witnesses"
@@ -118,7 +118,7 @@ def _oracle_strength_quadric_f2(F):
     """Brute force over ideals generated by <= 2 linear forms, membership by
     linear algebra on the degree-2 graded piece (no Groebner machinery)."""
     monos2 = list(monomials(3, 2))
-    target = [F.poly.terms.get(m, 0) for m in monos2]
+    target = [F.terms.get(m, 0) for m in monos2]
     linears = []
     for bits in range(1, 8):
         coeffs = [(bits >> i) & 1 for i in range(3)]
@@ -163,8 +163,8 @@ def test_criterion_4_distinct_degree_minors_suite():
         rng = random.Random(2022)
         for trial in range(100):
             n = (3, 4, 5)[trial % 3]
-            row1 = [_random_form(rng, n, 1, F5).poly for _ in range(n)]
-            row2 = [_random_form(rng, n, 2, F5).poly for _ in range(n)]
+            row1 = [_random_form(rng, n, 1, F5) for _ in range(n)]
+            row2 = [_random_form(rng, n, 2, F5) for _ in range(n)]
             assert minors_height_check([row1, row2])
 
 
@@ -175,10 +175,10 @@ def test_criterion_5_regular_sequence_koszul_crosscheck():
         for trial in range(50):
             n = rng.randint(3, 5)
             c = rng.choice([2, 2, 3])
-            polys = [_random_form(rng, n, rng.randint(1, 3), F5).poly
+            polys = [_random_form(rng, n, rng.randint(1, 3), F5)
                      for _ in range(c)]
             if trial % 4 == 0:
-                polys[-1] = polys[0] * _random_form(rng, n, 1, F5).poly
+                polys[-1] = polys[0] * _random_form(rng, n, 1, F5)
             by_height = is_regular_sequence([Form(f) for f in polys])
             syzygy_module = kernel_of_map(
                 [polys], SubmoduleOfFree(1, [], n, F5))
@@ -256,10 +256,10 @@ def test_criterion_9_leading_form_pipeline():
             n = rng.randint(2, 3)
             gens = []
             for _ in range(rng.randint(1, 2)):
-                f = _random_form(rng, n, rng.randint(1, 2), F5).poly
+                f = _random_form(rng, n, rng.randint(1, 2), F5)
                 low = Polynomial.constant(rng.randint(0, 4), n, F5)
                 if rng.random() < 0.8:
-                    low = low + _random_form(rng, n, 1, F5).poly
+                    low = low + _random_form(rng, n, 1, F5)
                 gens.append(f + low if f.total_degree() > 1 else f)
             gens = [g for g in gens if not g.is_zero() and not g.is_constant()]
             if not gens:
@@ -269,14 +269,14 @@ def test_criterion_9_leading_form_pipeline():
                 element = Polynomial.zero(n, F5)
                 for g in gens:
                     if rng.random() < 0.7:
-                        cof = _random_form(rng, n, 1, F5).poly
+                        cof = _random_form(rng, n, 1, F5)
                         cof = cof + Polynomial.constant(rng.randint(0, 4), n, F5)
                     else:
                         cof = Polynomial.constant(rng.randint(1, 4), n, F5)
                     element = element + cof * g
                 if element.is_zero() or element.is_constant():
                     continue
-                lf = leading_form(element).poly
+                lf = leading_form(element)
                 assert pipeline.contains(lf)
                 checks += 1
         assert checks >= 50

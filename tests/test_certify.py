@@ -185,8 +185,8 @@ def test_minors_height_check_random_rows():
     rng = random.Random(97)
     for _ in range(12):
         n = rng.randint(3, 4)
-        row1 = [random_form(rng, n, 1, F5).poly for _ in range(n)]
-        row2 = [random_form(rng, n, 2, F5).poly for _ in range(n)]
+        row1 = [random_form(rng, n, 1, F5) for _ in range(n)]
+        row2 = [random_form(rng, n, 2, F5) for _ in range(n)]
         assert minors_height_check([row1, row2])
 
 
@@ -211,10 +211,10 @@ def test_regular_iff_initial_segment_heights():
         c = rng.randint(2, 3)
         seq = [random_form(rng, n, rng.randint(1, 2), F5) for _ in range(c)]
         if rng.random() < 0.4:
-            seq[-1] = Form(seq[0].poly * random_form(rng, n, 1, F5).poly)
+            seq[-1] = Form(seq[0] * random_form(rng, n, 1, F5))
         whole = is_regular_sequence(seq)
         segments = all(
-            Ideal([f.poly for f in seq[:cut]], n, F5).height() == cut
+            Ideal(seq[:cut], n, F5).height() == cut
             for cut in range(1, c + 1))
         assert whole == segments
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -5,7 +6,7 @@ import pytest
 
 from smallsub import strength
 from smallsub.budget import Budget, InternalError
-from smallsub.cli import main, run
+from smallsub.cli import build_parser, main, run
 from smallsub.fields import GF
 from smallsub.grammar import MAX_VARIABLES, parse_polynomial as pp
 
@@ -24,12 +25,13 @@ def test_gb_subcommand(capsys):
 
 
 def test_reports_are_byte_identical(capsys):
-    argv = ["strength", "--field", "p=2", "--form", "x1*x2+x3*x4", "--seed", "7"]
+    argv = ["descend", "--field", "p=2", "--forms", "x1*x2+x3*x4", "--seed", "7"]
     main(argv)
     first = capsys.readouterr().out
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+    assert json.loads(first)["config"]["seed"] == 7
 
 
 def test_strength_subcommand(capsys):
@@ -242,15 +244,71 @@ def test_verbose_trace_on_stderr(capsys):
                    "rewrite_skips=0 basis_size=3 reduced_basis_size=3\n")
 
 
-def test_budget_shorthand_sets_candidate_cap(capsys):
+def test_candidate_cap_degrades_to_an_interval(capsys):
     code = main(["strength", "--field", "p=3",
-                 "--form", "x1*x2+x2*x3+x1*x3", "--budget", "2"])
+                 "--form", "x1*x2+x2*x3+x1*x3", "--max-candidates", "2"])
     capsys.readouterr()
     assert code == 0  # degrades to an honest interval, not an error
     code, report = run(["strength", "--field", "p=3",
-                        "--form", "x1*x2+x2*x3+x1*x3", "--budget", "2"])
+                        "--form", "x1*x2+x2*x3+x1*x3", "--max-candidates", "2"])
     assert report["config"]["budgets"]["max_candidates"] == 2
     assert report["result"]["exhausted"] is True
+
+
+def test_lcm_degree_cap(capsys):
+    argv = ["gb", "--field", "p=5", "--gens", "x1^2 - x2; x1*x2 - x3"]
+    assert main(argv + ["--max-degree", "2"]) == 2
+    assert "groebner lcm degree limit 2" in _json_out(capsys)["error"]
+    assert main(argv + ["--max-degree", "3"]) == 0
+    assert _json_out(capsys)["result"]["basis"] == [
+        "x1^2 + 4*x2", "x1*x2 + 4*x3", "x2^2 + 4*x1*x3"]
+
+
+# a valid command line per subcommand, and the flags each one does not read
+_BASE_ARGV = {
+    "gb": ["--gens", "x1"],
+    "sat": ["--gens", "x1", "--by", "x1"],
+    "colon": ["--gens", "x1", "--with", "x1"],
+    "intersect": ["--gens", "x1", "--with", "x1"],
+    "leading-ideal": ["--gens", "x1"],
+    "pdim": ["--gens", "x1"],
+    "strength": ["--form", "x1*x2"],
+    "collapse": ["--form", "x1*x2", "--k", "1"],
+    "certify": ["--forms", "x1*x2", "--eta", "1"],
+    "descend": ["--field", "p=2", "--forms", "x1*x2"],
+    "bounds": ["--table", "quadric-B", "--n", "2"],
+    "selftest": [],
+}
+_DROPPED = sorted(
+    [(cmd, "--budget", "2") for cmd in _BASE_ARGV]
+    + [(cmd, "--order", "lex") for cmd in _BASE_ARGV if cmd not in ("gb", "pdim")]
+    + [(cmd, "--verbose", None) for cmd in _BASE_ARGV if cmd != "gb"]
+    + [(cmd, "--seed", "7") for cmd in _BASE_ARGV if cmd != "descend"]
+    + [(cmd, flag, value) for cmd in ("bounds", "selftest")
+       for flag, value in (("--field", "p=7"), ("--nvars", "3"))])
+
+
+@pytest.mark.parametrize("cmd, flag, value", _DROPPED,
+                         ids=[f"{cmd}{flag}" for cmd, flag, _ in _DROPPED])
+def test_flags_a_subcommand_does_not_read_exit_3(capsys, cmd, flag, value):
+    argv = [cmd] + _BASE_ARGV[cmd]
+    build_parser().parse_args(argv)  # valid without the flag
+    assert main(argv + [flag] + ([value] if value else [])) == 3
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_option_slots_and_config_defaults():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    slots = sum(len(action.option_strings)
+                for sub in subparsers.choices.values() for action in sub._actions
+                if "-h" not in action.option_strings)
+    assert len(_DROPPED) == 48 and slots == 133
+    _, report = run(["sat", "--field", "p=5", "--gens", "x1*x2", "--by", "x1"])
+    config = report["config"]
+    assert (config["field"], config["order"], config["seed"]) == ("p=5", "grevlex", 0)
+    _, report = run(["bounds", "--table", "quadric-B", "--n", "2"])
+    assert report["config"]["field"] == "Q"
 
 
 def test_parser_is_reused_across_runs(capsys):

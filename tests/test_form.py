@@ -31,7 +31,6 @@ def test_form_is_a_polynomial():
     assert form == f and f == form
     assert hash(form) == hash(f)
     assert repr(form) == repr(f)
-    assert form.poly is form
     assert form.degree == 2
     with pytest.raises(AttributeError):
         form.degree = 3

@@ -35,7 +35,7 @@ def test_find_collapse_square():
     w = find_collapse(Form(pp("x1^2", F5, 1)), 1)
     assert w is not None and w.k == 1
     g, h = w.pairs[0]
-    assert g.poly * h.poly == pp("x1^2", F5, 1)
+    assert g * h == pp("x1^2", F5, 1)
 
 
 def test_find_collapse_linear_is_none():
@@ -128,10 +128,10 @@ def test_easy_direction_height_bound():
         h_poly = Polynomial(3, F3, {(1, 0, 0): rng.randint(1, 2),
                                     (0, 1, 0): rng.randint(0, 2),
                                     (0, 0, 1): rng.randint(0, 2)})
-        F = Form(g.poly * h_poly)
+        F = Form(g * h_poly)
         w = find_collapse(F, 2)
         assert w is not None
-        gens = [F.poly] + [d for d in gradient(F.poly) if not d.is_zero()]
+        gens = [F] + [d for d in gradient(F) if not d.is_zero()]
         h = Ideal(gens, 3, F3).height()
         assert h <= 2 * w.k
 
@@ -142,7 +142,7 @@ def _divisor_oracle_reducible(F: Form) -> bool:
     for d in range(1, F.degree):
         for g in enumerate_forms(F.nvars, d, F.field):
             try:
-                exact_divide(F.poly, g.poly)
+                exact_divide(F, g)
                 return True
             except ValueError:
                 continue
@@ -217,10 +217,9 @@ def _old_find_collapse(F, k, budget):
                 if used > budget.max_candidates:
                     raise BudgetExceededError("collapse candidates",
                                               budget.max_candidates)
-                gb = groebner_basis([g.poly for g in gens], budget=budget)
-                if normal_form(F.poly, gb).is_zero():
-                    cof = membership_cofactors(F.poly, [g.poly for g in gens],
-                                               budget=budget)
+                gb = groebner_basis(gens, budget=budget)
+                if normal_form(F, gb).is_zero():
+                    cof = membership_cofactors(F, gens, budget=budget)
                     parts = [(g, c.homogeneous_component(F.degree - g.degree))
                              for g, c in zip(gens, cof)]
                     return CollapseWitness(F, tuple((g, Form(h)) for g, h in parts
@@ -312,7 +311,7 @@ def test_cubic_budget_boundary():
     F = Form(pp("x1^3+x2^3+x3^3", F2, 3))
     report = strength_exact(F, Budget(max_candidates=10))
     assert report.exact == 1
-    assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", F2, 3),
+    assert [g for g, _ in report.witness.pairs] == [pp("x1", F2, 3),
                                                           pp("x1+x2+x3", F2, 3)]
     assert strength_exact(F) == report
     for cap, lower in ((9, 1), (7, 1), (6, 0)):
@@ -328,12 +327,12 @@ def test_enumeration_domain_cap():
     assert err.value.what == "collapse enumeration domain"
     assert err.value.limit == strength.ENUMERATION_DOMAIN_CAP == 200_000
     w = find_collapse(Form(pp("x1*x2", F2, 17)), 1)
-    assert [g.poly for g, _ in w.pairs] == [pp("x1", F2, 17)]
+    assert [g for g, _ in w.pairs] == [pp("x1", F2, 17)]
     # the 2^28 - 1 quadric classes in 7 variables are never a cubic's
     # generators, so its pairs of lines are reached
     report = strength_exact(Form(pp("x1*x2*x3+x4*x5*x6", F2, 7)))
     assert report.exact == 1
-    assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", F2, 7),
+    assert [g for g, _ in report.witness.pairs] == [pp("x1", F2, 7),
                                                           pp("x1+x6", F2, 7)]
 
 
@@ -431,7 +430,7 @@ def _dense_collapse_search(target: Form, max_size: int, budget: Budget,
         return None
 
     residual = [0] * ncols
-    for m, c in target.poly.terms.items():
+    for m, c in target.terms.items():
         residual[columns[m]] = c
     for size in range(1, max_size + 1):
         found = None
@@ -495,7 +494,7 @@ def test_packed_kernel_matches_dense_kernel(monkeypatch):
         m.setattr(strength, "_collapse_search", _dense_collapse_search)
         expected = [_kernel_outcomes(F, budget) for F, budget in cases]
     for (F, budget), want in zip(cases, expected):
-        assert _kernel_outcomes(F, budget) == want, (F.poly, budget.max_candidates)
+        assert _kernel_outcomes(F, budget) == want, (F, budget.max_candidates)
 
 
 # ----- differential check against the full degree profiles -----
@@ -542,10 +541,10 @@ def test_half_degree_profiles_match_full_profiles(monkeypatch):
             m.setattr(strength, "_collapse_search",
                       partial(_dense_collapse_search, max_degree=F.degree - 1))
             want = _kernel_outcomes(F, Budget())
-            assert "budget exceeded" not in want[:2] and not want[2].exhausted, F.poly
+            assert "budget exceeded" not in want[:2] and not want[2].exhausted, F
             expected.append(want)
     for F, want in zip(cases, expected):
-        assert _kernel_outcomes(F, Budget()) == want, F.poly
+        assert _kernel_outcomes(F, Budget()) == want, F
 
 
 @pytest.mark.parametrize("p", [q for q in range(400) if _is_prime(q)] + [1009, 32003, 199_999])
@@ -569,7 +568,7 @@ def test_strength_over_the_largest_enumerable_field():
     report = strength_exact(Form(pp("x1^2+x2^2", field, 2)),
                             Budget(max_candidates=250_000))
     assert report.exact == 1
-    assert [g.poly for g, _ in report.witness.pairs] == [pp("x1", field, 2),
+    assert [g for g, _ in report.witness.pairs] == [pp("x1", field, 2),
                                                           pp("x1+x2", field, 2)]
 
 
@@ -879,3 +878,90 @@ def test_collapse_path_runs_no_groebner_lift(monkeypatch):
     assert (report.exact, report.witness) == (1, witness)
     cubic = Form(pp("x1^3+x2^3+x3^3", F3, 3))
     assert strength_exact(cubic).witness.target == cubic
+
+
+# ----- quadric strength from rank and discriminant (odd p) -----
+
+
+def _is_square(a, p):
+    """Euler's criterion for a nonzero a mod an odd prime p."""
+    return pow(a, (p - 1) // 2, p) == 1
+
+
+def _diagonal(F: Form):
+    """The nonzero diagonal entries of a congruence diagonalization of the
+    symmetric matrix of the quadric F over F_p, p odd."""
+    p, n = F.field.p, F.nvars
+    half = pow(2, -1, p)
+    a = [[0] * n for _ in range(n)]
+    for m, c in F.terms.items():
+        i, j = [v for v, e in enumerate(m) for _ in range(e)]
+        if i == j:
+            a[i][i] = c % p
+        else:
+            a[i][j] = a[j][i] = c * half % p
+    diag = []
+    live = list(range(n))
+    while live:
+        k = next((i for i in live if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair  # x_i -> x_i + x_j makes a[i][i] = 2 a[i][j] != 0
+            for r in range(n):
+                a[r][i] = (a[r][i] + a[r][j]) % p
+            for r in range(n):
+                a[i][r] = (a[i][r] + a[j][r]) % p
+            k = i
+        live.remove(k)
+        inv = pow(a[k][k], -1, p)
+        for j in live:
+            f = a[j][k] * inv % p
+            for r in range(n):
+                a[j][r] = (a[j][r] - f * a[k][r]) % p
+            for r in range(n):
+                a[r][j] = (a[r][j] - f * a[r][k]) % p
+        diag.append(a[k][k])
+    return diag
+
+
+def _quadric_strength(F: Form, is_square=_is_square) -> int:
+    """r - w - 1, for r the rank and w the Witt index of the nondegenerate
+    part (Lidl and Niederreiter, *Finite Fields*, Ch. 6): w = (r - 1)/2
+    for odd r, and for even r, r/2 when (-1)^(r/2) det is a square, else
+    r/2 - 1."""
+    p = F.field.p
+    diag = _diagonal(F)
+    r = len(diag)
+    if r % 2:
+        w = (r - 1) // 2
+    else:
+        det = (-1) ** (r // 2)
+        for d in diag:
+            det = det * d % p
+        w = r // 2 if is_square(det, p) else r // 2 - 1
+    return r - w - 1
+
+
+def _oracle_quadrics():
+    yield from enumerate_forms(2, 2, F3)
+    yield from enumerate_forms(3, 2, F3)
+    rng = random.Random(9)
+    for field in (F3, F5):
+        for i in range(40):  # every other one a product, of rank at most 2
+            yield _nonzero_form(rng, 4, 2, field, product=i % 2 == 0)
+
+
+def test_quadric_strength_matches_rank_and_witt_index():
+    cases = list(_oracle_quadrics())
+    assert len(cases) == 13 + 364 + 80
+    for F in cases:
+        assert strength_exact(F).exact == _quadric_strength(F), F
+
+
+def test_quadric_oracle_rejects_a_wrong_square_test():
+    def wrong(a, p):
+        return not _is_square(a, p)
+    assert any(_quadric_strength(F, wrong) != strength_exact(F).exact
+               for F in enumerate_forms(2, 2, F3))
