@@ -78,13 +78,13 @@ run with the unit ideal, and other runs complete.  The fewest meeting
 variables come from a branch and bound (:func:`_hitting_number`), whose
 nodes ``Budget.max_steps`` caps.
 
-Intersection and saturation are one elimination of a tag variable each;
-the ideal of top-degree forms is read off one grevlex basis.  Lifts and
-colons use the tag-component embedding of :mod:`smallsub.modules`
-instead: cofactors of a membership are the tag components of one
-remainder against a position-over-term basis, and I : J is the tag
-component of one such basis (see :func:`membership_cofactors` and
-:meth:`Ideal.colon`).
+Kernels use the tag-component embedding: the kernel of R^r -> R^m / T
+is the tag block of one position-over-term basis (:func:`_modulo`), and
+syzygies, kernels of module maps, I : J and I cap J are each one call
+of it.  Cofactors of a membership are the tag components of one
+remainder against such a basis (:func:`membership_cofactors`).  Only
+saturation eliminates a tag variable, the t of Rabinowitsch's 1 - t*f;
+the ideal of top-degree forms is read off one grevlex basis.
 """
 
 from __future__ import annotations
@@ -714,6 +714,22 @@ def _tagged(vectors: Sequence[VecDict], rank: int, nvars: int, one) -> list[VecD
     return [{**v, (rank + i, tag): one} for i, v in enumerate(vectors)]
 
 
+def _modulo(columns: Sequence[VecDict], target: Sequence[VecDict], rank: int,
+            nvars: int, field: CoefficientField,
+            budget: Budget | None = None) -> list[VecDict]:
+    """Generators of the kernel of R^r -> R^rank / T, e_j -> columns[j],
+    T spanned by ``target`` (Singular's ``modulo``; Greuel and Pfister,
+    Sec. 2.8): the elements of one position-over-term basis of the
+    columns[j] + e_{rank+j} and the target vectors that lie wholly in the
+    tag block, shifted down to e_0..e_{r-1}.  x is in the tag block of
+    that span exactly when sum x_j columns[j] lies in T, and POT
+    eliminates e_0..e_{rank-1}."""
+    gb = buchberger(_tagged(columns, rank, nvars, field.one) + list(target),
+                    pot_key(GREVLEX), field, budget=budget)
+    return [{(comp - rank, m): c for (comp, m), c in g.items()}
+            for g in gb if all(comp >= rank for comp, _ in g)]
+
+
 # ----- Polynomial-level wrappers -----
 
 
@@ -760,6 +776,7 @@ def _prep_basis(basis: Sequence[Polynomial], keyf) -> list[tuple]:
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
                 order: TermOrder = GREVLEX) -> Polynomial:
     """Remainder of f on full division by a (Groebner) basis."""
+    _ambient([f, *basis])
     if f.is_zero() or not basis:
         return f
     keyf = pot_key(order)
@@ -779,11 +796,11 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
     when f lies in the ideal.  Zero generators get zero cofactors.
     """
     gens = list(gens)
+    nvars, field = _ambient([f, *gens])
     nonzero = [i for i, g in enumerate(gens) if not g.is_zero()]
     if not nonzero:
         # the zero ideal contains only zero
         return [f] * len(gens) if f.is_zero() else None
-    nvars, field = _ambient([gens[i] for i in nonzero])
     keyf = pot_key(order)
     basis = buchberger(_tagged([_to_vec(gens[i]) for i in nonzero], 1, nvars, field.one),
                        keyf, field, budget=budget)
@@ -798,6 +815,7 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f / g for an exact single-divisor division."""
+    f._check_compatible(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
@@ -961,6 +979,8 @@ class Ideal:
 
     def normal_form(self, f: Polynomial, order: TermOrder = GREVLEX,
                     budget: Budget | None = None) -> Polynomial:
+        if f.nvars != self.nvars or f.field != self.field:
+            raise ValueError("f lives in a different ambient ring")
         basis = self.groebner_basis(order, budget)
         if f.is_zero() or not basis:
             return f
@@ -1043,46 +1063,35 @@ class Ideal:
                        self.field, budget=budget, until=watch.add)
         return inf if watch.unit else watch.bound
 
-    # --- elimination-based operations ---
+    # --- kernels and elimination ---
 
-    def _eliminate_tag(self, rows: list[list[tuple[int, Polynomial]]],
-                       budget: Budget | None) -> "Ideal":
-        """Tag-free part of an ideal in K[t, x], t the first variable.
-
-        Each row lists (e, g) pairs and stands for sum t^e * g.  One
-        basis under ``elimination_order(1)``; its elements free of t
-        generate the intersection with K[x].
-        """
-        nv = self.nvars + 1
-        lifted = []
-        for row in rows:
-            terms = {}
-            for e, g in row:
-                terms.update(((e,) + m, c) for m, c in g.terms.items())
-            lifted.append(Polynomial(nv, self.field, terms))
-        gb = groebner_basis(lifted, elimination_order(1), budget)
-        kept = [Polynomial(self.nvars, self.field,
-                           {m[1:]: c for m, c in g.terms.items()})
-                for g in gb if all(m[0] == 0 for m in g.terms)]
-        return Ideal(kept, self.nvars, self.field)
+    def _kernel(self, column: VecDict, target: list[VecDict], rank: int,
+                budget: Budget | None) -> "Ideal":
+        """The ideal of h with h * column in the span of ``target`` in
+        R^rank, as its reduced grevlex basis (see :func:`_modulo`)."""
+        nvars, field = self.nvars, self.field
+        kept = autoreduce(_modulo([column], target, rank, nvars, field, budget),
+                          pot_key(GREVLEX), field)
+        return Ideal([_from_vec(g, nvars, field) for g in kept], nvars, field)
 
     def intersection(self, other: "Ideal", budget: Budget | None = None) -> "Ideal":
-        """I cap J: eliminate t from t*I + (1 - t)*J."""
+        """I cap J: the h with h (e_0 + e_1) in I e_0 + J e_1, one
+        position-over-term basis."""
         if self.nvars != other.nvars or self.field != other.field:
             raise ValueError("ideals live in different ambient rings")
         if self.is_zero() or other.is_zero():
             return Ideal([], self.nvars, self.field)
-        return self._eliminate_tag(
-            [[(1, g)] for g in self.generators]
-            + [[(0, h), (1, -h)] for h in other.generators], budget)
+        tag = (0,) * self.nvars
+        target = [{(j, mono): c for mono, c in g.terms.items()}
+                  for j, ideal in enumerate((self, other)) for g in ideal.generators]
+        return self._kernel({(0, tag): self.field.one, (1, tag): self.field.one},
+                            target, 2, budget)
 
     def colon(self, other, budget: Budget | None = None) -> "Ideal":
         """I : J, one position-over-term basis.
 
-        For J = (g_1..g_m) and I = (f_1..f_r), the vectors
-        sum_j g_j e_{j-1} + e_m and f_i e_j span a submodule whose
-        elements free of e_0..e_{m-1} are h e_m with h g_j in I for every
-        j; the basis elements in e_m alone generate I : J.
+        For J = (g_1..g_m) and I = (f_1..f_r), I : J is the set of h with
+        h (g_1 e_0 + ... + g_m e_{m-1}) in the span of the f_i e_j.
         """
         if isinstance(other, Polynomial):
             other = Ideal([other], self.nvars, self.field)
@@ -1092,27 +1101,31 @@ class Ideal:
             one = Polynomial.constant(1, self.nvars, self.field)
             return Ideal([one], self.nvars, self.field)
         m = len(other.generators)
-        spread = {(j, mono): c for j, g in enumerate(other.generators)
+        column = {(j, mono): c for j, g in enumerate(other.generators)
                   for mono, c in g.terms.items()}
-        vectors = _tagged([spread], m, self.nvars, self.field.one) + [
-            {(j, mono): c for mono, c in f.terms.items()}
-            for f in self.generators for j in range(m)]
-        keyf = pot_key(GREVLEX)
-        gb = buchberger(vectors, keyf, self.field, budget=budget)
-        kept = autoreduce([g for g in gb if all(comp == m for comp, _ in g)],
-                          keyf, self.field)
-        return Ideal([_from_vec(g, self.nvars, self.field) for g in kept],
-                     self.nvars, self.field)
+        target = [{(j, mono): c for mono, c in f.terms.items()}
+                  for f in self.generators for j in range(m)]
+        return self._kernel(column, target, m, budget)
 
     def saturation(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
-        """I : f^infinity: eliminate t from I + (1 - t*f) (Rabinowitsch)."""
+        """I : f^infinity: eliminate t from I + (1 - t*f) (Rabinowitsch).
+
+        One basis in K[t, x] under ``elimination_order(1)``; its elements
+        free of t generate the saturation.
+        """
         if f.is_zero():
             raise ValueError("cannot saturate by zero")
         if f.nvars != self.nvars or f.field != self.field:
             raise ValueError("f lives in a different ambient ring")
-        one = Polynomial.constant(1, self.nvars, self.field)
-        return self._eliminate_tag(
-            [[(0, g)] for g in self.generators] + [[(0, one), (1, -f)]], budget)
+        nv, field = self.nvars + 1, self.field
+        lifted = [Polynomial(nv, field, {(0,) + m: c for m, c in g.terms.items()})
+                  for g in self.generators]
+        rabinowitsch = {(1,) + m: -c for m, c in f.terms.items()}
+        lifted.append(Polynomial(nv, field, {(0,) * nv: 1, **rabinowitsch}))
+        gb = groebner_basis(lifted, elimination_order(1), budget)
+        kept = [Polynomial(self.nvars, field, {m[1:]: c for m, c in g.terms.items()})
+                for g in gb if all(m[0] == 0 for m in g.terms)]
+        return Ideal(kept, self.nvars, field)
 
     def __repr__(self):
         inside = "; ".join(repr(g) for g in self.generators) or "0"

@@ -1,13 +1,12 @@
 """Submodules of free modules: syzygies, kernels, finite free resolutions.
 
-Kernels are computed by the tag-component embedding: to find the
-syzygies of vectors v_1..v_n in R^m, run a Groebner basis of the
-vectors (v_i + e_{m+i}) in R^(m+n) under a position-over-term order;
-basis elements supported entirely in the tag block project onto
-generators of the syzygy module.  The same embedding lifts ideal
-memberships to cofactors and computes colon ideals
-(:func:`smallsub.groebner.membership_cofactors`,
-:meth:`smallsub.groebner.Ideal.colon`).
+Kernels are computed by the tag-component embedding: the kernel of
+R^n -> R^m / T, e_i -> v_i, is the tag block of one Groebner basis of
+the vectors v_i + e_{m+i} and the generators of T in R^(m+n) under a
+position-over-term order (:func:`smallsub.groebner._modulo`).  Syzygies
+are the case T = 0, and ``Ideal.colon`` and ``Ideal.intersection`` are
+kernels of this kind too.  The same embedding lifts ideal memberships to
+cofactors (:func:`smallsub.groebner.membership_cofactors`).
 
 Resolutions iterate Schreyer's construction: the reductions of the
 S-pairs of a Groebner basis G yield syzygies that are already a
@@ -38,7 +37,7 @@ from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, Intern
 from .fields import CoefficientField
 from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
                        buchberger, normal_form_vec, pot_key, _Divisors, _Layout,
-                       _layout, _prep, _s_pair, _sub_scaled_packed, _tagged)
+                       _layout, _modulo, _prep, _s_pair, _sub_scaled_packed)
 from .poly import Monomial, Polynomial
 
 Vector = tuple[Polynomial, ...]
@@ -157,24 +156,16 @@ def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
              nvars: int, field: CoefficientField,
              budget: Budget | None = None) -> list[Vector]:
     """Generators of the syzygy module of the given vectors in R^rank."""
-    n = len(vectors)
-    if n == 0:
-        return []
-    gb = buchberger(_tagged([_vec_to_dict(v) for v in vectors], rank, nvars, field.one),
-                    pot_key(GREVLEX), field, budget=budget)
-    out: list[Vector] = []
-    for g in gb:
-        if all(comp >= rank for (comp, _m) in g):
-            shifted = {(comp - rank, m): c for (comp, m), c in g.items()}
-            out.append(_dict_to_vec(shifted, n, nvars, field))
-    return out
+    kernel = _modulo([_vec_to_dict(v) for v in vectors], [], rank, nvars, field, budget)
+    return [_dict_to_vec(g, len(vectors), nvars, field) for g in kernel]
 
 
 def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
                   target: SubmoduleOfFree,
                   budget: Budget | None = None) -> SubmoduleOfFree:
     """Kernel of R^r -> R^m -> R^m / target, where the m x r matrix gives
-    the first map by columns."""
+    the first map by columns: one :func:`smallsub.groebner._modulo` of
+    the columns, with the target's generators left untagged."""
     m = len(matrix)
     if m != target.rank:
         raise ValueError("matrix row count must equal the ambient rank of the target")
@@ -184,15 +175,13 @@ def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
     if any(len(row) != r for row in matrix):
         raise ValueError("ragged matrix")
     nvars, field = target.nvars, target.field
-    columns = [tuple(matrix[i][j] for i in range(m)) for j in range(r)]
-    stacked = columns + [tuple(v) for v in target.generators]
-    syz = syzygies(stacked, m, nvars, field, budget)
-    kernel_gens = []
-    for vec in syz:
-        head = vec[:r]
-        if any(not v.is_zero() for v in head):
-            kernel_gens.append(head)
-    return SubmoduleOfFree(r, kernel_gens, nvars, field)
+    if any(e.nvars != nvars or e.field != field for row in matrix for e in row):
+        raise ValueError("matrix entries live in a different ambient ring than the target")
+    columns = [_vec_to_dict([row[j] for row in matrix]) for j in range(r)]
+    kernel = _modulo(columns, [_vec_to_dict(v) for v in target.generators], m,
+                     nvars, field, budget)
+    return SubmoduleOfFree(r, [_dict_to_vec(g, r, nvars, field) for g in kernel],
+                           nvars, field)
 
 
 def koszul_relations(forms: Sequence[Polynomial]) -> SubmoduleOfFree:
@@ -241,11 +230,7 @@ class FreeResolution:
     @property
     def ranks(self) -> list[int]:
         """Ranks of F_1, ..., F_L."""
-        out = []
-        for k, mat in enumerate(self.matrices):
-            ncols = len(mat[0]) if mat else 0
-            out.append(ncols)
-        return out
+        return [len(mat[0]) if mat else 0 for mat in self.matrices]
 
     def verify(self) -> bool:
         """Consecutive matrices compose to the zero matrix.
@@ -363,15 +348,14 @@ def _schreyer_sort(gb: list[VecDict], keyf) -> list[VecDict]:
 
 
 def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
-                    budget: Budget | None = None,
-                    minimize: bool = True) -> FreeResolution:
+                    budget: Budget | None = None) -> FreeResolution:
     """Finite free resolution of a submodule by iterated Schreyer steps.
 
     Each step reduces its minimal S-pairs, each ticking a ``max_pairs``
-    counter of its own.  With ``minimize`` (default) unit entries are
-    pruned in one pass per matrix on the packed levels (see the module
-    docstring); for graded input the result is the minimal graded
-    resolution.  Either way the matrices are checked to compose to zero.
+    counter of its own.  Unit entries are then pruned in one pass per
+    matrix on the packed levels (see the module docstring); for graded
+    input the result is the minimal graded resolution.  The matrices are
+    checked to compose to zero.
     """
     budget = budget or DEFAULT_BUDGET
     nvars, field = sub.nvars, sub.field
@@ -392,7 +376,7 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
             break
         keyf = _schreyer_key([max(g, key=keyf) for g in gb], keyf)
         gb = _schreyer_sort(autoreduce(sigmas, keyf, field), keyf)
-    base_rank, matrices = _chain_matrices(levels, sub.rank, nvars, field, minimize)
+    base_rank, matrices = _chain_matrices(levels, sub.rank, nvars, field)
     resolution = FreeResolution(base_rank, matrices, nvars, field)
     if not resolution.verify():
         raise InternalError("resolution matrices do not compose to zero")
@@ -400,15 +384,14 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
 
 
 def _chain_matrices(levels: list[list[VecDict]], base_rank: int, nvars: int,
-                    field: CoefficientField, minimize: bool) -> tuple[int, list]:
+                    field: CoefficientField) -> tuple[int, list]:
     """The rank of F_0 and the ``Polynomial`` matrices of a chain given by
-    the columns of each map, with its units pruned when ``minimize``."""
+    the columns of each map, with its units pruned."""
     layout = _layout(nvars)
     pack = layout.pack
     levels = [[{pack(t): c for t, c in col.items()} for col in cols] for cols in levels]
     dropped = [set() for _ in range(len(levels) + 1)]
-    if minimize:
-        _prune(levels, dropped, layout, field)
+    _prune(levels, dropped, layout, field)
     unpack = layout.unpack
     zero = Polynomial.zero(nvars, field)
     matrices = []
@@ -522,4 +505,4 @@ def _first_unit(cols: list[dict], consts: list[set], shift: int):
 def projective_dimension(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
                          budget: Budget | None = None) -> int:
     """Length of the minimal resolution of R^rank / sub (graded input)."""
-    return free_resolution(sub, order, budget, minimize=True).length
+    return free_resolution(sub, order, budget).length

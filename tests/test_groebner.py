@@ -402,21 +402,91 @@ def test_exact_divide():
         exact_divide(pp("x1", F5, 2), pp("x2", F5, 2))
 
 
-# ----- colons and lifts against the routes they replaced -----
+# ----- intersections, colons and lifts against the routes they replaced -----
+
+
+def _intersection_by_elimination(I, J):
+    """The previous route to I cap J: eliminate a tag variable t from
+    t*I + (1 - t)*J in K[t, x] under ``elimination_order(1)``."""
+    nv, field = I.nvars + 1, I.field
+    if I.is_zero() or J.is_zero():
+        return Ideal([], I.nvars, field)
+    lifted = [Polynomial(nv, field, {(1,) + m: c for m, c in g.terms.items()})
+              for g in I.generators]
+    for h in J.generators:
+        terms = {(0,) + m: c for m, c in h.terms.items()}
+        terms.update(((1,) + m, -c) for m, c in h.terms.items())
+        lifted.append(Polynomial(nv, field, terms))
+    kept = [Polynomial(I.nvars, field, {m[1:]: c for m, c in g.terms.items()})
+            for g in groebner_basis(lifted, elimination_order(1))
+            if all(m[0] == 0 for m in g.terms)]
+    return Ideal(kept, I.nvars, field)
 
 
 def _colon_by_intersections(I, J):
-    """The previous route to I : J: per generator g of J, the
-    intersection of I with (g) divided by g, then the parts intersected."""
+    """The route to I : J before the one-basis colon: per generator g of
+    J, the intersection of I with (g) divided by g, then the parts
+    intersected, each intersection by tag-variable elimination."""
     if J.is_zero():
         one = Polynomial.constant(1, I.nvars, I.field)
         return Ideal([one], I.nvars, I.field)
     result = None
     for g in J.generators:
-        meet = I.intersection(Ideal([g], I.nvars, I.field))
+        meet = _intersection_by_elimination(I, Ideal([g], I.nvars, I.field))
         part = Ideal([exact_divide(h, g) for h in meet.generators], I.nvars, I.field)
-        result = part if result is None else result.intersection(part)
+        result = part if result is None else _intersection_by_elimination(result, part)
     return result
+
+
+@pytest.mark.parametrize("field", [F2, F5, GF(32003), QQ], ids=repr)
+def test_intersection_matches_the_elimination_route(field):
+    rng = random.Random(307 + (field.p or 0))
+    cases = []
+    for n in range(30):
+        nvars = rng.randint(2, 3)
+        homogeneous = n % 2 == 0
+        shared = random_poly(rng, nvars, 1, field, homogeneous)
+        I, J = ([rng.choice([shared, random_poly(rng, nvars, 1, field, homogeneous)])
+                 * random_poly(rng, nvars, rng.randint(1, 2), field, homogeneous)
+                 for _ in range(rng.randint(1, 3))] for _ in range(2))
+        cases.append((Ideal(I, nvars, field), Ideal(J, nvars, field)))
+    x1, x2, x3 = (Polynomial.variable(i, 3, field) for i in range(3))
+    one = Polynomial.constant(1, 3, field)
+    I = Ideal([x1 * x2, x1 * x3 + x2])
+    cases += [(I, Ideal([], 3, field)), (Ideal([], 3, field), I),
+              (I, Ideal([one])), (Ideal([x2 + one, x3]), I), (I, I),
+              (Ideal([one]), Ideal([one]))]
+    proper = 0
+    for I, J in cases:
+        ours = I.intersection(J)
+        assert ours.groebner_basis() == _intersection_by_elimination(I, J).groebner_basis(), (I, J)
+        assert ours.generators == tuple(ours.groebner_basis())
+        proper += not (ours.equals(I) or ours.equals(J))
+    assert proper >= 15
+
+
+def test_normal_forms_reject_a_polynomial_from_another_ring():
+    x1_in_one = pp("x1", F5, 1)
+    x2 = pp("x2", F5, 2)
+    I = Ideal([x2])
+    for f in (x1_in_one, pp("x2", F5, 3), pp("x2", F2, 2), pp("0", F5, 1)):
+        with pytest.raises(ValueError):
+            I.contains(f)
+        with pytest.raises(ValueError):
+            I.normal_form(f)
+        with pytest.raises(ValueError):
+            normal_form(f, [x2])
+        with pytest.raises(ValueError):
+            membership_cofactors(f, [x2])
+        with pytest.raises(ValueError):
+            exact_divide(f, x2)
+        with pytest.raises(ValueError):
+            exact_divide(x2, f if not f.is_zero() else pp("1", F5, 1))
+    with pytest.raises(ValueError):
+        membership_cofactors(x1_in_one, [pp("0", F5, 2)])
+    # the same ring still works, zero generators included
+    assert I.contains(x2 * pp("x1", F5, 2)) and not I.contains(pp("x1", F5, 2))
+    assert membership_cofactors(pp("0", F5, 2), [pp("0", F5, 2)]) == [pp("0", F5, 2)]
 
 
 @pytest.mark.parametrize("field", [F2, F5, GF(32003), QQ], ids=repr)

@@ -4,18 +4,20 @@ from operator import sub
 
 import pytest
 
+from smallsub import modules
 from smallsub.budget import Budget, BudgetExceededError, Counter, InternalError
 from smallsub.fields import GF, QQ, CoefficientField
 from smallsub.grammar import format_polynomial
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import (GREVLEX, autoreduce, buchberger, groebner_basis,
-                               normal_form_vec, pot_key, _Divisors, _prep, _s_pair)
+                               normal_form_vec, pot_key, _Divisors, _prep, _s_pair,
+                               _tagged)
 from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                               kernel_of_map, koszul_relations,
                               module_groebner_basis, projective_dimension,
                               submodule_contains, submodule_equals, syzygies,
                               _chain_matrices, _schreyer_key, _schreyer_sort,
-                              _schreyer_syzygies, _vec_to_dict)
+                              _schreyer_syzygies, _dict_to_vec, _vec_to_dict)
 from smallsub.poly import Polynomial, monomials
 
 F2 = GF(2)
@@ -46,6 +48,51 @@ def test_kernel_with_target():
     K = kernel_of_map([[pp("x1", F5, 1)]], M)
     expected = SubmoduleOfFree(1, [(pp("x1", F5, 1),)])
     assert submodule_equals(K, expected)
+
+
+def _kernel_by_projection(matrix, target):
+    """The route to a kernel before ``_modulo``: tag the columns and the
+    target's generators alike, keep the basis elements in the tag block,
+    and project away the target generators' cofactors."""
+    m, r = len(matrix), len(matrix[0])
+    nvars, field = target.nvars, target.field
+    stacked = [_vec_to_dict([row[j] for row in matrix]) for j in range(r)]
+    stacked += [_vec_to_dict(v) for v in target.generators]
+    gb = buchberger(_tagged(stacked, m, nvars, field.one), pot_key(GREVLEX), field)
+    heads = []
+    for g in gb:
+        if all(comp >= m for comp, _ in g):
+            head = {(comp - m, mono): c for (comp, mono), c in g.items() if comp < m + r}
+            heads.append(_dict_to_vec(head, r, nvars, field))
+    return SubmoduleOfFree(r, heads, nvars, field)
+
+
+@pytest.mark.parametrize("field", [F2, F5, F32003, QQ], ids=repr)
+def test_kernel_of_map_matches_the_projection_route(field):
+    rng = random.Random(59 + (field.p or 0))
+    pool = [mono for d in range(3) for mono in monomials(2, d)]
+
+    def entry():
+        picked = rng.sample(pool, rng.randint(0, 3))
+        return Polynomial(2, field, {mono: rng.randint(-4, 4) for mono in picked})
+
+    nonzero = 0
+    for _ in range(12):
+        m, r = rng.randint(1, 2), rng.randint(1, 3)
+        matrix = [[entry() for _ in range(r)] for _ in range(m)]
+        target = SubmoduleOfFree(m, [tuple(entry() for _ in range(m))
+                                     for _ in range(rng.randint(1, 3))], 2, field)
+        ours = kernel_of_map(matrix, target)
+        assert submodule_equals(ours, _kernel_by_projection(matrix, target))
+        nonzero += not ours.is_zero()
+    assert nonzero >= 6
+
+
+def test_kernel_of_map_rejects_entries_from_another_ring():
+    target = SubmoduleOfFree(1, [(pp("x1^2", F5, 2),)])
+    for stray in (pp("x1", F5, 1), pp("x1", F5, 3), pp("x1", F2, 2), pp("0", F5, 1)):
+        with pytest.raises(ValueError):
+            kernel_of_map([[pp("x2", F5, 2), stray]], target)
 
 
 def test_syzygies_of_koszul_sequence():
@@ -243,7 +290,9 @@ def _texts(matrices):
 
 def _assert_matches_oracle(sub):
     """The minimized resolution equals the oracle's pruning of the frame."""
-    frame = free_resolution(sub, minimize=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "_prune", lambda *args: None)
+        frame = free_resolution(sub)
     expected = _prune_units(frame.matrices, sub.nvars, sub.field)
     res = free_resolution(sub)
     assert _texts(res.matrices) == _texts(expected)
@@ -323,12 +372,12 @@ def test_minimization_checks_exactness():
     one, x1 = {(0, (0,)): 1}, {(0, (1,)): 1}
     # d0 = [1], d1 = [x1]: the row of d1 under the unit of d0 is not zero
     with pytest.raises(InternalError, match="pruned row of the next matrix"):
-        _chain_matrices([[one], [x1]], 1, 1, F5, True)
+        _chain_matrices([[one], [x1]], 1, 1, F5)
     # d0 = [x1], d1 = [1]: the column of d0 over the unit of d1 is not zero
     with pytest.raises(InternalError, match="pruned column of the previous matrix"):
-        _chain_matrices([[x1], [one]], 1, 1, F5, True)
+        _chain_matrices([[x1], [one]], 1, 1, F5)
     # an exact chain prunes to nothing
-    assert _chain_matrices([[one], [{}]], 1, 1, F5, True) == (1, [])
+    assert _chain_matrices([[one], [{}]], 1, 1, F5) == (1, [])
 
 
 def test_verify_rejects_a_nonzero_composite():
