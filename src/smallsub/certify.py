@@ -5,7 +5,11 @@ ideal it generates has height equal to its length.  For a regular
 sequence of c forms, the singular locus of the complete intersection is
 cut out by the forms together with the c x c minors of their Jacobian
 matrix; its codimension inside the quotient is the measured height
-minus c.  R_eta holds when that codimension is at least eta + 1.
+minus c.  R_eta holds when that codimension is at least eta + 1.  When
+the minors generate the unit ideal the singular locus is empty, which
+for forms of positive degree happens only when every form is linear:
+the quotient is then a polynomial ring, its codimension reads +infinity
+and R_eta holds for every eta.
 
 Heights are stable under field extension, so certificates computed over
 F_p are valid over the algebraic closure.  In small characteristic the
@@ -36,7 +40,7 @@ class RetaCertificate:
 
     forms: tuple[Form, ...]
     eta: int
-    codim_singular: int
+    codim_singular: int | float
     verdict: bool
     heights: dict
     smooth: bool = False
@@ -139,8 +143,11 @@ def check_reta(forms: Sequence[Polynomial], eta: int,
 
     Checks that the c forms are a regular sequence, then measures the
     height of the ideal of the forms plus the size-c Jacobian minors and
-    subtracts c.  A unit minors ideal means a smooth quotient; the
-    codimension is then capped at the quotient dimension N - c.
+    subtracts c.  A unit minors ideal means an empty singular locus, of
+    codimension ``inf``, so every eta passes; it happens only when every
+    form is linear, as a c x c minor has degree sum(d_i - 1).  When some
+    form has degree at least 2, its partials all vanish at the origin, so
+    the vertex is singular and the codimension is at most N - c.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
@@ -151,7 +158,7 @@ def check_reta(forms: Sequence[Polynomial], eta: int,
     minors = minors_ideal(jacobian(forms), c, budget)
     h = _ideal_of(forms, minors.generators).height(budget)
     smooth = h == inf
-    codim = (forms[0].nvars - c) if smooth else (h - c)
+    codim = inf if smooth else h - c
     p = forms[0].field.characteristic
     note = ("height certificates are extension-stable; in characteristic "
             f"{p} the Jacobian locus may overstate singularity, so PASS "
@@ -164,9 +171,9 @@ def check_reta(forms: Sequence[Polynomial], eta: int,
 
 
 def singular_locus_codim(forms: Sequence[Polynomial],
-                         budget: Budget | None = None) -> int:
+                         budget: Budget | None = None) -> int | float:
     """Codimension of the singular locus inside the complete intersection
-    of a regular sequence (see :func:`check_reta`)."""
+    of a regular sequence, ``inf`` when it is empty (see :func:`check_reta`)."""
     return check_reta(forms, 0, budget).codim_singular
 
 

@@ -233,7 +233,7 @@ def _cmd_certify(args, field, budget):
     payload = {
         "forms": [format_polynomial(f) for f in cert.forms],
         "eta": cert.eta,
-        "codim_singular": cert.codim_singular,
+        "codim_singular": _num(cert.codim_singular),
         "verdict": "pass" if cert.verdict else "fail",
         "heights": {k: _num(v) for k, v in cert.heights.items()},
         "smooth": cert.smooth,

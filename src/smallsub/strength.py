@@ -9,15 +9,18 @@ linear forms have strength +infinity.
 Exhaustive search runs over small prime fields only.  It enumerates
 candidate generator tuples up to scalar rescaling, in one pass of
 ascending size.  Tuples of same-degree generators with equal spans
-generate the same ideal, so it decides one tuple per span (a strength-2
-cubic in 4 variables over F3 decides 130 planes, not 780 pairs of
-lines), each by linear algebra in degree d = deg F: F lies in
+generate the same ideal, so it generates one tuple per span and never
+visits the others (a strength-2 cubic in 4 variables over F3 decides
+130 planes, one pair of lines each, and steps through none of the other
+650 pairs), each by linear algebra in degree d = deg F: F lies in
 (g_1..g_k) exactly when it lies in the span of the products m*g_i with
 m of degree d - deg g_i.  Generators have degree at most floor(d/2): a
 pair G*H is symmetric, so any collapse G_1*H_1 + ... + G_k*H_k can be
 written with the factor of degree at most d/2 of each pair as its
 generator.  Tuples sharing a prefix share that prefix's row echelon
-form and the reduced F.  A witness gets its cofactors from one more
+form and the reduced F; a linear generator enters by substitution, as
+its residual modulo the lines before it, whose product rows need no
+elimination.  A witness gets its cofactors from one more
 elimination in degree d on the same packed F_p kernel, of the product
 rows tagged by (i, m), which cross-checks the verdict, and is verified
 exactly on construction.  A "no collapse" answer is reported only when the
@@ -29,7 +32,7 @@ the Jacobian height bound is stable under field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import ceil, comb, inf
 
 from .budget import (Budget, BudgetExceededError, Counter, DEFAULT_BUDGET,
@@ -227,11 +230,120 @@ def _extend_span(span: tuple, vec: int, p: int, layout) -> tuple | None:
         least = norm(first + ((p - f) if f else 1) * new)
     if least != vec:
         return None
+    return _grow_span(span, lead, new, p, layout)
+
+
+def _grow_span(span: tuple, lead: int, new: int, p: int, layout) -> tuple:
+    """The reduced echelon form of S + <new>, for ``new`` zero at every
+    pivot of S and 1 at its lead slot ``lead``."""
+    width, norm = layout[0], layout[1]
+    slot = (1 << width) - 1
+    shift = lead * width
+    rows, mask = span
     grown = {lead: new}
     for piv, row in rows.items():
         f = row >> shift & slot
         grown[piv] = norm(row + (p - f) * new) if f else row
     return grown, mask | slot << shift
+
+
+def _canonical_classes(span: tuple, m: int, p: int, width: int, start: int, stop: int):
+    """The classes of [start, stop) that :func:`_extend_span` accepts, in
+    index order, each as (index, residual): residual is the support
+    [(lead, 1), (a, c), ...] of v', the class's residual modulo S, lead
+    first.
+
+    ``span`` is the reduced echelon form (rows, mask) of S in F_p^m with
+    pivots a_1 < ... < a_r, its rows packed in slots of ``width`` bits.
+    Each monic v' zero at every pivot, one per class of F_p^m / S, gives
+    exactly one accepted class v, by :func:`_extend_span`'s case split:
+    v = v' when lead(v') < a_1, else v = r_1 + c*v' with c = p - f for
+    f != 0 the slot of r_1 at lead(v'), and c = 1 for f = 0.  So the
+    accepted classes fall into one family per non-pivot lead L, free in
+    the non-pivot slots after L: v = v' for L < a_1; for L > a_1, v agrees
+    with r_1 before L, is 0 at L when f != 0 and 1 when f = 0, is zero at
+    every pivot after a_1 and free elsewhere after L.  A family's
+    indices fill no other family's range, and within one family the
+    index rises with its free slots read as base-p digits, so each
+    family is listed from its first member at or above ``start``, never
+    stepping through the indices below it.  An empty span is the
+    degenerate case: every class is accepted, as its own residual.
+    """
+    rows = span[0]
+    if not rows:
+        # the degenerate case: every class is accepted, as its own residual
+        for i in range(start, stop):
+            yield i, _class_support(i, m, p)
+        return
+    slot = (1 << width) - 1
+    first = min(rows)
+    top = p ** m
+    # (base, lead, r, c), v = r + c*v' for each v' led by ``lead``, base
+    # the family's least index; in index order: the families below a_1
+    # first, then, past a_1, those below r_1's own digit at their lead
+    # (f != 0) ascending, then those above it (f = 0) descending
+    families = [((top - p ** (m - lead)) // (p - 1), lead, 0, 1) for lead in range(first)]
+    r1 = rows[first]
+    base = (top - p ** (m - first)) // (p - 1)
+    below, above = [], []
+    for lead in range(first + 1, m):
+        if lead in rows:
+            continue
+        f = r1 >> lead * width & slot
+        if f:
+            below.append((base, lead, r1, p - f))
+        else:
+            above.append((base + p ** (m - 1 - lead), lead, r1, 1))
+        base += f * p ** (m - 1 - lead)
+    families += below + above[::-1]
+    for base, lead, r, c in families:
+        if base >= stop:
+            return
+        if base + p ** (m - 1 - lead) <= start:
+            continue  # every index of the family lies below start
+        free = [a for a in range(lead + 1, m) if a not in rows]
+        steps = [p ** (m - 1 - a) for a in free]
+        inv = pow(c, p - 2, p)
+        # least significant slot first, with r's digit there
+        digits = [(a, step, r >> a * width & slot) for a, step in zip(free, steps)][::-1]
+        for x in range(_least_rank(start - base, steps, p), _least_rank(stop - base, steps, p)):
+            index, support = base, [(lead, 1)]
+            for a, step, ra in digits:
+                x, d = divmod(x, p)
+                index += d * step
+                # the slot of v' where v = r + c*v' has d
+                if d != ra:
+                    support.append((a, (d - ra) * inv % p))
+            yield index, support
+
+
+def _least_rank(need: int, steps: list[int], p: int) -> int:
+    """The least r in [0, p^n] whose base-p digits d_1..d_n, most
+    significant first, give sum d_j*steps[j] >= need; every step exceeds
+    the most that the digits after it add."""
+    n = len(steps)
+    if need <= 0:
+        return 0
+    reach = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        reach[j] = reach[j + 1] + (p - 1) * steps[j]
+    if need > reach[0]:
+        return p ** n
+    r = 0
+    for j, step in enumerate(steps):
+        d = max(0, -((reach[j + 1] - need) // step))
+        r = r * p + d
+        need -= d * step
+        if need <= 0:
+            return r * p ** (n - 1 - j)
+    return r
+
+
+def _skipped_tuples(count: int, later: int, a: int, b: int) -> int:
+    """Tuples of one block under the classes a..b of a position with
+    ``later`` positions of the same degree after it, in a space of
+    ``count`` classes: the hockey-stick sum of C(count - i - 1, later)."""
+    return comb(count - a, later + 1) - comb(count - b - 1, later + 1)
 
 
 def _collapse_search(target: Form, max_size: int, budget: Budget):
@@ -263,15 +375,37 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     run of equal degrees in the profile: class i is decided at a position
     only when it is the least class of S + <g_i> outside S, for S the span
     of the classes its block has chosen so far (:func:`_extend_span`).
-    Otherwise i and every tuple below it are skipped.  A skipped tuple has
-    the same block spans, and so the same ideal, as a lexicographically
-    earlier tuple of the same profile, which the walk has already ruled
-    out; a tuple with a dependent block has the ideal of a smaller tuple,
-    which an earlier size has ruled out.  So the first hit of each size is
-    the one a walk over every increasing tuple finds.  The candidate
-    counter still counts that walk's tuples, one tick each: a skip ticks
-    all the tuples below it in one call, so every budget outcome is that
-    walk's too.
+    Those classes are generated, not tested (:func:`_canonical_classes`):
+    one per class of the quotient by S, in index order from ``start``.
+    Every other class i is skipped with every tuple below it.  A skipped
+    tuple has the same block spans, and so the same ideal, as a
+    lexicographically earlier tuple of the same profile, which the walk
+    has already ruled out; a tuple with a dependent block has the ideal of
+    a smaller tuple, which an earlier size has ruled out.  So the first
+    hit of each size is the one a walk over every increasing tuple finds.
+    The candidate counter still counts that walk's tuples: each run a..b
+    of skipped classes ticks in one call the sum over i of the tuples
+    below i, K*C(count - i - 1, later) with K the tuples of the later
+    degrees, which telescopes (hockey stick) to
+    K*(C(count - a, later + 1) - C(count - b - 1, later + 1))
+    (:func:`_skipped_tuples`).  K builds the later degrees' domains, so it
+    is computed at a position's first skip, where that walk would first
+    build them, and every budget outcome, the enumeration-domain cap
+    included, is that walk's too.
+
+    A class enters as its residual g' modulo S, which spans the same ideal
+    with the prefix.  Its rows are m*g' for the multipliers m free of the
+    pivot variables, the lead variables of the linear block's reduced rows
+    r_a (of S itself inside that block): if m = x_a*m'', then for any
+    generator g, g*x_a*m'' = g*m''*r_a - g*m''*(r_a - x_a), where the first
+    term lies in the prefix's rows and r_a - x_a holds no pivot variable,
+    so by induction on the pivot-variable factors the dropped rows add
+    nothing.  A linear residual l' is monic and free of pivot variables, so
+    its rows are 1 at m*x_b (b its lead), zero before it and at every
+    pivot so far, since those are the monomials with a pivot variable: the
+    residual of F, zero there too, reduces against them alone, each row
+    built when its pivot is live.  They enter the echelon, as they are,
+    only for the rows of a later degree to reduce against.
 
     Each row is one packed int, column j in slot j, reduced and made monic
     by the kernel of :func:`_slot_layout`: a row's pivot is its lowest set
@@ -283,28 +417,40 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     # ascending order the same eliminations cost more, and the slowest
     # searches of the benchmark's collapse pool take about 8% longer
     columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
-    width, _, reduce, monic = _slot_layout(p, len(columns))
+    width, norm, reduce, monic = _slot_layout(p, len(columns))
     slot = (1 << width) - 1
     rows: dict[int, int] = {}  # pivot column -> row, 1 at the pivot
     pivmask = 0  # the slots of the pivot columns
     domains: dict[int, tuple] = {}
+    kept: dict[tuple[int, int], list] = {}  # (degree, fixed) -> product rows
+    substitutions: dict[tuple[int, int], tuple] = {}  # (fixed, lead) -> lines
 
     def domain(e: int):
         if e not in domains:
             monos, count = _class_domain(nvars, e, p)
-            products = [[columns[mono_mul(u, m)] * width for m in monos]
-                        for u in sorted(monomials(nvars, d - e), reverse=True)]
-            domains[e] = (monos, count, products, _slot_layout(p, len(monos)))
+            multipliers = sorted(monomials(nvars, d - e), reverse=True)
+            products = [[columns[mono_mul(u, m)] * width for m in monos] for u in multipliers]
+            domains[e] = (monos, count, multipliers, products, _slot_layout(p, len(monos)))
         return domains[e]
 
-    def tuples_below(profile, pos, i, later):
-        """Last-position tuples the walk over every increasing tuple visits
-        under class i at position pos, with ``later`` positions of the same
-        degree after it; a later degree's domain is built only where that
-        walk would build it."""
-        e = profile[pos]
-        total = comb(domain(e)[1] - i - 1, later)
-        for f in sorted(set(profile[pos + 1:]) - {e}):
+    def products_free_of(e: int, fixed: int):
+        """The product rows of degree e whose multiplier is free of the
+        variables in the bitmask ``fixed``."""
+        _, _, multipliers, products, _ = domain(e)
+        if not fixed:
+            return products
+        if (e, fixed) not in kept:
+            pivot_vars = [v for v in range(nvars) if fixed >> v & 1]
+            kept[e, fixed] = [shifts for shifts, u in zip(products, multipliers)
+                              if not any(u[v] for v in pivot_vars)]
+        return kept[e, fixed]
+
+    def later_tuples(profile, pos):
+        """Tuples of the later blocks' degrees under one class at pos; their
+        domains are built only where the walk over every increasing tuple
+        would build them."""
+        total = 1
+        for f in sorted(set(profile[pos + 1:]) - {profile[pos]}):
             if not total:
                 break
             total *= comb(domain(f)[1], profile.count(f))
@@ -326,50 +472,94 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
                 pivots.append(lead)
         return pivots
 
-    def walk(profile, pos, start, residual, span):
+    def lines(fixed: int, b: int):
+        """The rows m*l' of a linear residual l' led by x_b, for m free of
+        the variables in ``fixed``: the mask of their pivot slots, and each
+        one's product row by pivot column.  l' is free of those variables
+        and 1 at x_b, so row m*l' is 1 at m*x_b, zero before it and at every
+        pivot of the linear rows before l'."""
+        if (fixed, b) not in substitutions:
+            pivots = {shifts[b] // width: shifts for shifts in products_free_of(1, fixed)}
+            substitutions[fixed, b] = (sum(slot << j * width for j in pivots), pivots)
+        return substitutions[fixed, b]
+
+    def substitute(vec, support, fixed):
+        """vec, zero at every pivot of the linear rows so far, reduced by
+        the rows m*l' of the residual l' with this support: none of those
+        rows is stored, each is built when its pivot is live."""
+        mask, pivots = lines(fixed, support[0][0])
+        live = vec & mask
+        while live:
+            j = ((live & -live).bit_length() - 1) // width
+            shifts = pivots[j]
+            row = 0
+            for a, c in support:
+                row |= c << shifts[a]
+            vec = norm(vec + (p - (vec >> j * width & slot)) * row)
+            live = vec & mask & -(1 << (j + 1) * width)
+        return vec
+
+    def walk(profile, pos, start, residual, span, fixed):
+        """Decide the tuples under the prefix whose rows are in the echelon;
+        ``span`` is the block span so far and ``fixed`` the pivot
+        variables of the linear block so far, one bit each."""
         nonlocal pivmask
         e = profile[pos]
-        monos, count, products, layout = domain(e)
+        monos, count, _, _, layout = domain(e)
         cwidth = layout[0]
         last = pos == len(profile) - 1
         later = profile[pos + 1:].count(e)
         # leave room for the later positions of the same degree
-        for i in range(start, count - later):
-            support = _class_support(i, len(monos), p)
-            # a block's first class is the least of its own span, and the
-            # only class of a one-class block needs no span
-            if span[1] or later:
-                grown = _extend_span(span, sum(c << a * cwidth for a, c in support),
-                                     p, layout)
-                if grown is None:
-                    # the tuples below share their block spans with an
-                    # earlier tuple, or have a dependent block: all ruled
-                    # out already
-                    counter.tick(tuples_below(profile, pos, i, later))
-                    continue
+        stop = count - later
+        # the rows of a later degree reduce against the lines' rows, so
+        # those are stored only then; a line's rows are already reduced
+        keep_lines = profile[-1] > 1
+        scale = None  # later_tuples, once a class is skipped
+        done = start  # the classes below it are decided or ticked
+        for i, support in chain(_canonical_classes(span, len(monos), p, cwidth, start, stop),
+                                [(stop, None)]):
+            if i > done:
+                # the classes done..i-1 share their block spans with an
+                # earlier tuple, or make a block dependent: every tuple
+                # below them is ruled out already
+                if scale is None:
+                    scale = later_tuples(profile, pos)
+                counter.tick(scale * _skipped_tuples(count, later, done, i - 1))
+            if support is None:
+                return None
+            done = i + 1
             if last:
                 counter.tick()
             mask = pivmask
-            pivots = add_rows(support, products)
-            reduced = reduce(residual, rows, pivmask)
+            if e == 1 and not keep_lines:
+                reduced = substitute(residual, support, fixed)
+                pivots = ()
+            else:
+                pivots = add_rows(support, products_free_of(e, fixed))
+                reduced = reduce(residual, rows, pivmask)
             if last:
                 found = None if reduced else []
-            elif later:
-                found = walk(profile, pos + 1, i + 1, reduced, grown)
             else:
-                found = walk(profile, pos + 1, 0, reduced, ({}, 0))
+                lead = support[0][0]
+                linear = fixed | 1 << lead if e == 1 else fixed
+                if later:
+                    grown = _grow_span(span, lead, sum(c << a * cwidth for a, c in support),
+                                       p, layout)
+                    found = walk(profile, pos + 1, i + 1, reduced, grown, linear)
+                else:
+                    found = walk(profile, pos + 1, 0, reduced, ({}, 0), linear)
             for j in pivots:
                 del rows[j]
             pivmask = mask
             if found is not None:
-                return [_class_form(monos, support, nvars, target.field)] + found
-        return None
+                return [_class_form(monos, _class_support(i, len(monos), p), nvars,
+                                    target.field)] + found
 
     residual = sum(c << columns[m] * width for m, c in target.terms.items())
     for size in range(1, max_size + 1):
         found = None
         for profile in _degree_profiles(size, d // 2):
-            found = walk(profile, 0, 0, residual, ({}, 0))
+            found = walk(profile, 0, 0, residual, ({}, 0), 0)
             if found is not None:
                 break
         yield found

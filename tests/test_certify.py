@@ -105,8 +105,8 @@ def test_singular_locus_codim_fixtures():
         F = forms("+".join(f"x{i}^2" for i in range(1, n + 1)), nvars=n)
         assert singular_locus_codim(F) == n - 1
     assert singular_locus_codim(forms("x1*x2", nvars=2)) == 1
-    # smooth complete intersection caps at the quotient dimension
-    assert singular_locus_codim(forms("x1", "x2", nvars=5)) == 3
+    # a linear complete intersection is smooth: its singular locus is empty
+    assert singular_locus_codim(forms("x1", "x2", nvars=5)) == inf
 
 
 def test_singular_locus_rejects_non_regular():
@@ -124,6 +124,33 @@ def test_check_reta_examples():
         cert = check_reta(forms("x1", "x2", nvars=5), eta)
         assert cert.verdict == (eta <= 5 - 2 - 1)
     assert check_reta(forms("x1*x2", nvars=2), 0).verdict
+
+
+@pytest.mark.parametrize("field", [GF(2), F5, QQ], ids=["F2", "F5", "Q"])
+def test_linear_sequences_pass_every_eta(field):
+    # x_i + x_(i+1) + ... + x_N for i = 1..c are independent, and the
+    # quotient by them is a polynomial ring: R_eta for every eta
+    for nvars in range(1, 5):
+        for c in range(1, nvars + 1):
+            seq = forms(*("+".join(f"x{j}" for j in range(i, nvars + 1))
+                          for i in range(1, c + 1)), nvars=nvars, field=field)
+            for eta in range(nvars + 2):
+                cert = check_reta(seq, eta)
+                assert cert.smooth and cert.codim_singular == inf, (nvars, c, eta)
+                assert cert.verdict, (nvars, c, eta)
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_a_quadric_keeps_the_vertex_singular(field):
+    # the partials of x2^2 + x3^2 vanish at the origin, so the singular
+    # locus of x1, x2^2 + x3^2 is the vertex, of codimension N - c = 1;
+    # that of x1, x2^2 is the whole double line
+    for texts, codim in ((("x1", "x2^2+x3^2"), 1), (("x1", "x2^2"), 0)):
+        seq = forms(*texts, nvars=3, field=field)
+        for eta in range(5):
+            cert = check_reta(seq, eta)
+            assert not cert.smooth and cert.codim_singular == codim, (texts, eta)
+            assert cert.verdict == (eta < codim), (texts, eta)
 
 
 def test_reta_certificate_invariant():

@@ -74,6 +74,18 @@ def test_certify_pass_and_fail_exit_codes(capsys):
     assert report["result"]["verdict"] == "fail"
 
 
+def test_certify_smooth_quotient_prints_inf(capsys):
+    # a linear complete intersection has an empty singular locus: its
+    # codimension prints as "inf", as JSON text, and R_eta passes
+    code = main(["certify", "--field", "p=5", "--nvars", "3", "--forms", "x1; x2",
+                 "--eta", "1"])
+    out = capsys.readouterr().out
+    assert code == 0 and "Infinity" not in out
+    report = json.loads(out)["result"]
+    assert (report["verdict"], report["smooth"], report["codim_singular"]) == \
+        ("pass", True, "inf")
+
+
 def test_certify_matrix_file(capsys, tmp_path):
     spec = {"field": "p=5", "nvars": 3,
             "rows": [["x1", "x2", "x3"], ["x1^2", "x2^2", "x3^2"]]}

@@ -1,7 +1,8 @@
 import random
+from bisect import bisect_left
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
-from math import inf
+from math import comb, inf
 
 import pytest
 
@@ -811,6 +812,152 @@ def test_skipped_subtrees_tick_every_tuple_they_hold(monkeypatch, text, p, profi
     assert counters[0].used == _ticks_of_full_walk(F, profiles, found) == ticks
 
 
+# ----- generated canonical classes, linear rows by substitution -----
+
+
+def _seeded_span(rng, m, p, rank):
+    """The packed reduced echelon form of the span of ``rank`` random
+    classes of F_p^m (of smaller rank when they are dependent)."""
+    count = strength.class_count(m, p)
+    width = strength._slot_layout(p, m)[0]
+    rows = _rref([_class_vector(rng.randrange(count), m, p) for _ in range(rank)], p)
+    return _span(_packed(rows, width), width)
+
+
+def _ticks_skipped_one_by_one(count, later, a, b):
+    """What tuples_below ticks over the skipped classes a..b, for a
+    position with no later degree."""
+    return sum(comb(count - i - 1, later) for i in range(a, b + 1))
+
+
+@pytest.mark.parametrize("p, slots", [(2, 10), (3, 7), (5, 5)])
+def test_canonical_classes_match_extend_span(p, slots):
+    # class spaces of up to about 1,100 classes, spans of rank 0-3, every
+    # start: the generated indices are those _extend_span accepts, each
+    # with the residual it grows the span by, and each skipped range ticks
+    # in one call what tuples_below ticks class by class
+    rng = random.Random(p)
+    for m in range(1, slots + 1):
+        layout = strength._slot_layout(p, m)
+        width = layout[0]
+        count = strength.class_count(m, p)
+        vecs = [sum(c << a * width for a, c in _class_support(i, m, p)) for i in range(count)]
+        for rank in range(min(m, 3) + 1):
+            span = _seeded_span(rng, m, p, rank)
+            grown = [strength._extend_span(span, vec, p, layout) for vec in vecs]
+            accepted = [i for i in range(count) if grown[i] is not None]
+            generated = list(strength._canonical_classes(span, m, p, width, 0, count))
+            assert [i for i, _ in generated] == accepted, (m, span)
+            for i, support in generated:
+                (lead, one), residual = support[0], sum(c << a * width for a, c in support)
+                assert one == 1 and grown[i] == strength._grow_span(span, lead, residual,
+                                                                    p, layout), (m, span, i)
+            for later in range(4):
+                edges = [-1] + [i for i in accepted if i < count - later] + [count - later]
+                for a, b in zip(edges, edges[1:]):
+                    if a + 1 < b:
+                        assert strength._skipped_tuples(count, later, a + 1, b - 1) == \
+                            _ticks_skipped_one_by_one(count, later, a + 1, b - 1)
+            for start in range(count + 1):
+                stop = rng.randint(start, count)
+                got = [i for i, _ in strength._canonical_classes(span, m, p, width, start, stop)]
+                assert got == accepted[bisect_left(accepted, start):bisect_left(accepted, stop)], \
+                    (m, span, start, stop)
+                # the run skipped from start itself
+                first = got[0] if got else stop
+                later = rng.randint(0, 3)
+                if start < first and first <= count - later:
+                    assert strength._skipped_tuples(count, later, start, first - 1) == \
+                        _ticks_skipped_one_by_one(count, later, start, first - 1)
+
+
+def _planted(rng, nvars, d, field):
+    """l_1*h_1 + l_2*h_2 for two of the first ten lines, so strength at most
+    1, found within the first pairs of lines."""
+    monos, _ = _class_domain(nvars, 1, field.p)
+    F = Polynomial.zero(nvars, field)
+    while F.is_zero():
+        F = Polynomial.zero(nvars, field)
+        for i in rng.sample(range(10), 2):
+            line = _class_form(monos, _class_support(i, nvars, field.p), nvars, field)
+            F = F + line * _random_poly(rng, nvars, d - 1, field)
+    return Form(F)
+
+
+def _linear_profile_cases():
+    """Quadrics and cubics in 5-6 variables over F2 and F3, so every
+    profile is all-linear: random forms under caps that bind, and forms
+    with a planted 2-collapse under a cap that does not."""
+    rng = random.Random(113)
+    for p, nvars in ((2, 5), (2, 6), (3, 5), (3, 6)):
+        field = GF(p)
+        for d in (2, 3):
+            yield _nonzero_form(rng, nvars, d, field, False), 60
+            yield _nonzero_form(rng, nvars, d, field, d == 3), 400
+            yield _planted(rng, nvars, d, field), 10**6
+
+
+def _compare_with_dense_kernel(monkeypatch, counters, F, budget):
+    """The outcomes of both kernels, and their candidate counts up to the
+    cap: a run that ended on a hit or ran out its tuples ticked each tuple
+    once; one cut by the cap may stop mid-skip."""
+    with monkeypatch.context() as m:
+        m.setattr(strength, "_collapse_search", _dense_collapse_search)
+        del counters[:]
+        want = _kernel_outcomes(F, budget)
+        want_used = [c.used for c in counters]
+    del counters[:]
+    assert _kernel_outcomes(F, budget) == want, (F, budget.max_candidates)
+    cap = budget.max_candidates
+    assert [c.used if c.used <= cap else None for c in counters] == \
+        [u if u <= cap else None for u in want_used], (F, cap)
+    return want
+
+
+def test_substituted_lines_match_dense_kernel(monkeypatch):
+    counters = _recording_counters(monkeypatch)
+    reports = [_compare_with_dense_kernel(monkeypatch, counters, F, Budget(max_candidates=cap))[2]
+               for F, cap in _linear_profile_cases()]
+    # searches the cap cuts, and exact strengths with their witnesses
+    assert sum(r.exhausted for r in reports) >= 8
+    assert sum(r.exact is not None for r in reports) >= 12
+
+
+def _line_then_quadric_cases():
+    """Quartics over F2, F3 and F5 in 3 variables, and over F2 in 4, each
+    searched over the profile (1, 2) alone or (1, 1, 2) alone: random
+    ones, and ones in the ideal of a line and a quadric of small index."""
+    rng = random.Random(127)
+    for p, nvars in ((2, 3), (3, 3), (5, 3), (2, 4)):
+        field = GF(p)
+        monos, _ = _class_domain(nvars, 2, p)
+        for profiles in ({2: [(1, 2)]}, {3: [(1, 1, 2)]}):
+            yield _nonzero_form(rng, nvars, 4, field, False), profiles
+            q = _class_form(monos, _class_support(rng.randrange(1, 40), len(monos), p),
+                            nvars, field)
+            F = Polynomial.zero(nvars, field)
+            while F.is_zero():
+                F = (pp("x2", field, nvars) * _random_poly(rng, nvars, 3, field)
+                     + q * _random_poly(rng, nvars, 2, field))
+            yield Form(F), profiles
+
+
+def test_lines_then_a_quadric_match_dense_kernel(monkeypatch):
+    counters = _recording_counters(monkeypatch)
+    witnesses = set()
+    for F, profiles in _line_then_quadric_cases():
+        def restricted(size, max_degree, profiles=profiles):
+            return profiles.get(size, [])
+        monkeypatch.setattr(strength, "_degree_profiles", restricted)
+        monkeypatch.setitem(globals(), "_degree_profiles", restricted)
+        for cap in (60, 3000):
+            report = _compare_with_dense_kernel(monkeypatch, counters, F,
+                                                Budget(max_candidates=cap))[2]
+            witnesses.add(report.witness.k if report.witness else report.exhausted)
+    # witnesses of a line and a quadric, of two lines and one, and budget cuts
+    assert witnesses >= {2, 3, True}
+
+
 # ----- witnesses from the degree-d solve -----
 
 
@@ -965,3 +1112,70 @@ def test_quadric_oracle_rejects_a_wrong_square_test():
         return not _is_square(a, p)
     assert any(_quadric_strength(F, wrong) != strength_exact(F).exact
                for F in enumerate_forms(2, 2, F3))
+
+
+# ----- quadric strength from rank and Arf invariant (p = 2) -----
+
+
+def _f2_quadric_invariants(F: Form) -> tuple[int, int | None]:
+    """(h, Arf) of a quadric F over F2: 2h is the rank of the polar form
+    B(x, y) = F(x + y) - F(x) - F(y), and Arf is None when F is nonzero on
+    rad(B).  Otherwise it is read off the zero count of F on F2^N,
+    2^(N - 2h) * (2^(2h - 1) + (-1)^Arf * 2^(h - 1))."""
+    n = F.nvars
+    polar = [0] * n  # row i of B, one bit per column
+    for m, c in F.terms.items():
+        i, j = [v for v, e in enumerate(m) for _ in range(e)]
+        if i != j and c % 2:
+            polar[i] ^= 1 << j
+            polar[j] ^= 1 << i
+    # rad(B): the kernel of the symmetric matrix B, by elimination on the
+    # augmented rows [B | I]
+    rows = [polar[i] | 1 << (n + i) for i in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r] >> col & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(n):
+            if r != rank and rows[r] >> col & 1:
+                rows[r] ^= rows[rank]
+        rank += 1
+    radical = [rows[r] >> n for r in range(rank, n)]
+
+    def value(point: int) -> int:
+        return sum(c for m, c in F.terms.items()
+                   if all(point >> v & 1 for v, e in enumerate(m) if e)) % 2
+
+    h = rank // 2
+    # F is additive on rad(B), so nonzero there when nonzero on a basis
+    if any(value(x) for x in radical):
+        return h, None
+    zeros = sum(1 for x in range(2 ** n) if not value(x))
+    sign = (zeros // 2 ** (n - 2 * h) - 2 ** (2 * h - 1)) // 2 ** (h - 1)
+    assert sign in (1, -1), F
+    return h, (1 - sign) // 2
+
+
+def _f2_quadric_strength(F: Form) -> int:
+    """r - w - 1 as for odd p: r = 2h + 1 and w = h when F is nonzero on
+    rad(B), else r = 2h and w = h - Arf."""
+    h, arf = _f2_quadric_invariants(F)
+    r, w = (2 * h + 1, h) if arf is None else (2 * h, h - arf)
+    return r - w - 1
+
+
+def test_f2_quadric_strength_matches_rank_and_arf_invariant():
+    cases = list(enumerate_forms(4, 2, F2))
+    assert len(cases) == 1023
+    rng = random.Random(131)
+    cases += [_nonzero_form(rng, nvars, 2, F2, False) for nvars in (5, 6) for _ in range(15)]
+    invariants = set()
+    for F in cases:
+        report = strength_exact(F, Budget(max_candidates=10**7))
+        assert report.exact == _f2_quadric_strength(F), F
+        invariants.add(_f2_quadric_invariants(F))
+    # odd and even rank, both Arf invariants, and ranks up to 6
+    assert {arf for _, arf in invariants} == {None, 0, 1}
+    assert max(h for h, _ in invariants) == 3
