@@ -40,7 +40,9 @@ class Budget:
         spans, still counts.
     max_steps: descent steps / recursion nodes / search nodes of one
         height (``Ideal.height``, ``height_at_least``, ``dimension``) /
-        determinants built by ``minors_ideal``.
+        determinants built by ``minors_ideal``.  Each coordinate section
+        ``height_at_least`` tries is a height of its own, with its own
+        node count and Groebner run under ``max_pairs``.
     """
 
     max_pairs: int = 200_000

@@ -186,6 +186,12 @@ def minors_height_check(matrix: Sequence[Sequence[Polynomial]],
     row ideal height reading +infinity); b is the minimum row-ideal
     height.  The inequality is a theorem, so this harness returns True
     on every valid input unless the implementation is wrong.
+
+    Row heights are taken by ascending degree, and the minors are
+    checked against b_j - h + 1 each time the least row height so far
+    b_j drops: since b <= b_j, a check that holds decides, and the rows
+    of higher degree are never measured.  Only when every check fails
+    is each row height computed, the last check being the one at b.
     """
     rows = len(matrix)
     if rows == 0:
@@ -203,13 +209,14 @@ def minors_height_check(matrix: Sequence[Sequence[Polynomial]],
         degrees.append(degs.pop() if degs else 0)
     if len(set(degrees)) != rows:
         raise ValueError("row degrees must be mutually distinct")
-    b: int | float = inf
-    for row in matrix:
-        gens = [e for e in row if not e.is_zero()]
-        if not gens:
-            b = min(b, 0)
+    minors = minors_ideal(matrix, min(rows, len(matrix[0])), budget)
+    b: int | float | None = None
+    for i in sorted(range(rows), key=degrees.__getitem__):
+        gens = [e for e in matrix[i] if not e.is_zero()]
+        height = Ideal(gens, sample.nvars, sample.field).height(budget) if gens else 0
+        if b is not None and height >= b:
             continue
-        row_ideal = Ideal(gens, sample.nvars, sample.field)
-        b = min(b, row_ideal.height(budget))
-    size = min(rows, len(matrix[0]))
-    return minors_ideal(matrix, size, budget).height_at_least(b - rows + 1, budget)
+        b = height
+        if minors.height_at_least(b - rows + 1, budget):
+            return True
+    return False

@@ -203,7 +203,9 @@ def _cmd_collapse(args, field, budget):
 
 
 def _load_matrix(path, field):
-    """The polynomial rows of a ``certify --matrix`` JSON file."""
+    """The polynomial rows of a ``certify --matrix`` JSON file, and the
+    spec of the field they are parsed in: the file's ``"field"``, else
+    ``field``."""
     spec = json.loads(Path(path).read_text())
     if not isinstance(spec, dict):
         raise CliError("the matrix file must hold a JSON object")
@@ -215,13 +217,14 @@ def _load_matrix(path, field):
     mfield = spec.get("field", field.spec())
     if not isinstance(mfield, str) or (nvars is not None and type(nvars) is not int):
         raise CliError("matrix field must be a string and nvars an integer")
-    mfield = parse_field_spec(mfield)
-    return [[parse_polynomial(text, mfield, nvars) for text in row] for row in rows]
+    parsed = parse_field_spec(mfield)
+    return [[parse_polynomial(text, parsed, nvars) for text in row] for row in rows], mfield
 
 
 def _cmd_certify(args, field, budget):
     if args.matrix:
-        rows = _load_matrix(args.matrix, field)
+        rows, spec = _load_matrix(args.matrix, field)
+        args.field = spec  # the report names the field the rows are parsed in
         if args.theorem != "max-minors":
             raise CliError(f"unknown matrix theorem {args.theorem!r}")
         ok = minors_height_check(rows, budget)
@@ -470,9 +473,8 @@ def run(argv=None) -> tuple[int, dict | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 3, None
     started = time.monotonic()
-    spec = getattr(args, "field", "Q")
     try:
-        field = parse_field_spec(spec)
+        field = parse_field_spec(getattr(args, "field", "Q"))
         budget = _budget(args)
         payload, code = _HANDLERS[args.command](args, field, budget)
     except (CliError, ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -492,7 +494,7 @@ def run(argv=None) -> tuple[int, dict | None]:
         "schema": SCHEMA,
         "command": args.command,
         "config": {
-            "field": spec,
+            "field": getattr(args, "field", "Q"),
             "order": getattr(args, "order", "grevlex"),
             "seed": getattr(args, "seed", 0),
             "budgets": {

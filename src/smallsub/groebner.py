@@ -75,8 +75,21 @@ hook).  For such generators it stops the run once the lower bound
 meets min(N, r), which is then the height; :meth:`Ideal.height_at_least`
 stops once it meets the asked bound.  A constant leading term stops the
 run with the unit ideal, and other runs complete.  The fewest meeting
-variables come from a branch and bound (:func:`_hitting_number`), whose
-nodes ``Budget.max_steps`` caps.
+variables come from a branch and bound (:func:`_hitting_set`), whose
+nodes ``Budget.max_steps`` caps; it runs only when a new support could
+lift them to the goal, and once more at the end of a run that did not
+stop (:class:`_LeadingSupports`).
+
+For such generators :meth:`Ideal.height_at_least` with 0 < k < N first
+tries a few coordinate sections, each setting N - k variables to 0.  A
+section whose restriction is m-primary in its k variables meets V(I) in
+the origin only, which proves height >= k (affine dimension theorem;
+Hartshorne, *Algebraic Geometry*, I.7.2) at the cost of one basis in k
+variables.  A failed section proves nothing: the argument is one-sided,
+and when every section fails the run on the whole ideal decides, so
+every verdict is that run's.  It needs homogeneous generators of
+positive degree: the section x1 = 0 of (x1 - 1), of height 1, is the
+unit ideal.
 
 Kernels use the tag-component embedding: the kernel of R^r -> R^m / T
 is the tag block of one position-over-term basis (:func:`_modulo`), and
@@ -92,6 +105,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations, islice
 from math import inf
 from operator import itemgetter, lshift, mul
 from struct import Struct
@@ -858,18 +872,18 @@ def _packing(supports: list[int]) -> int:
 
 
 def _greedy_hitting(supports: list[int]) -> int:
-    """The size of a set meeting every support: smallest first, the
+    """A set meeting every support, as a bitmask: smallest first, the
     lowest variable of each support not met yet."""
-    chosen = count = 0
+    chosen = 0
     for s in sorted(supports, key=int.bit_count):
         if not s & chosen:
             chosen |= s & -s
-            count += 1
-    return count
+    return chosen
 
 
-def _hitting_number(supports: list[int], goal: int, nodes: Counter) -> int:
-    """min(goal, the fewest variables meeting every support).
+def _hitting_set(supports: list[int], goal: int, nodes: Counter) -> int | None:
+    """A smallest set of variables meeting every support, as a bitmask,
+    when it has fewer than ``goal`` variables; else None.
 
     Branch and bound from the greedy set: a node branches on a smallest
     unmet support, its i-th branch taking the i-th variable of it and
@@ -878,15 +892,18 @@ def _hitting_number(supports: list[int], goal: int, nodes: Counter) -> int:
     supports reaches the best size so far is cut.  Each node ticks
     ``nodes``.
     """
-    best = min(goal, _greedy_hitting(supports))
-    stack = [(supports, 0)]
+    found = _greedy_hitting(supports)
+    best = found.bit_count()
+    if best >= goal:
+        found, best = None, goal
+    stack = [(supports, 0, 0)]
     while stack:
-        unmet, size = stack.pop()
+        unmet, chosen, size = stack.pop()
         nodes.tick()
         if size + _packing(unmet) >= best:
             continue
         if not unmet:
-            best = size
+            found, best = chosen, size
             continue
         pivot = min(unmet, key=int.bit_count)
         branches = []
@@ -902,25 +919,32 @@ def _hitting_number(supports: list[int], goal: int, nodes: Counter) -> int:
                         break
                     rest.append(t)
             else:
-                branches.append((rest, size + 1))
+                branches.append((rest, chosen | v, size + 1))
             banned |= v
         stack.extend(reversed(branches))
-    return best
+    return found
 
 
 class _LeadingSupports:
     """The minimal supports of leading monomials of elements of an
-    ideal, read as they arrive.  Each new minimal support decides
-    whether their hitting number reaches ``goal``: ``bound`` is
-    min(goal, hitting number)."""
+    ideal, read as they arrive, and a set of variables meeting them all
+    (``hitting``; None once none has fewer than ``goal`` variables).
 
-    __slots__ = ("goal", "nodes", "supports", "bound", "unit")
+    A new support that ``hitting`` misses raises the hitting number by
+    at most one: while ``hitting`` grown by one variable of it stays
+    below ``goal`` the answer cannot change, and only the grown set is
+    kept.  Otherwise a branch and bound decides, and leaves a smallest
+    set.  :meth:`bound` searches once more if the last set kept is not
+    known to be smallest."""
+
+    __slots__ = ("goal", "nodes", "supports", "hitting", "exact", "unit")
 
     def __init__(self, goal: int, nodes: Counter):
         self.goal = goal
         self.nodes = nodes
         self.supports: list[int] = []
-        self.bound = 0
+        self.hitting: int | None = 0
+        self.exact = True
         self.unit = False
 
     def add(self, mono: Monomial) -> bool:
@@ -935,11 +959,28 @@ class _LeadingSupports:
             return False
         supports[:] = [t for t in supports if s & ~t]
         supports.append(s)
-        self.bound = _hitting_number(supports, self.goal, self.nodes)
-        return self.bound >= self.goal
+        if self.hitting & s:
+            return False
+        grown = self.hitting | (s & -s)
+        if grown.bit_count() < self.goal:
+            self.hitting, self.exact = grown, False
+            return False
+        self.hitting, self.exact = _hitting_set(supports, self.goal, self.nodes), True
+        return self.hitting is None
+
+    def bound(self) -> int:
+        """min(goal, the hitting number of the supports read so far)."""
+        if not self.exact:
+            self.hitting, self.exact = _hitting_set(self.supports, self.goal,
+                                                    self.nodes), True
+        return self.goal if self.hitting is None else self.hitting.bit_count()
 
 
 # ----- the ideal calculus -----
+
+#: Coordinate sections :meth:`Ideal.height_at_least` tries before a run
+#: on the whole ideal.
+HEIGHT_SECTIONS = 3
 
 
 class Ideal:
@@ -1026,14 +1067,52 @@ class Ideal:
         return self._height(self.nvars + 1 if cap is None else cap, budget)
 
     def height_at_least(self, k: int | float, budget: Budget | None = None) -> bool:
-        """Whether height(I) >= k; the run stops once its leading terms
-        show it."""
+        """Whether height(I) >= k.
+
+        When every generator is homogeneous of positive degree and
+        0 < k < N, coordinate sections of dimension k are tried first
+        (:meth:`_on_sections`), and one that is m-primary decides True.
+        A failed section proves nothing, so when every one fails, and
+        for other generators or k, a run on the whole ideal decides; it
+        stops once its leading terms show the answer.
+        """
         if k <= 0:
             return True
         cap = self._cap()
-        if cap is not None and k > cap:
-            return False
+        if cap is not None:
+            if k > cap:
+                return False
+            if k < self.nvars and self._on_sections(k, budget):
+                return True
         return self._height(min(k, self.nvars + 1), budget) >= k
+
+    def _on_sections(self, k: int, budget: Budget | None) -> bool:
+        """Whether one of the first ``HEIGHT_SECTIONS`` coordinate
+        sections of dimension k shows height(I) >= k.
+
+        Section i sets the i-th set of N - k variables, in lexicographic
+        order, to 0 (the first keeps x_{N-k+1}..x_N), which drops every
+        term that has one of them.  For homogeneous I, a restriction of
+        height k in its k variables is m-primary: V(I) meets the section
+        in the origin only, so height(I) >= k (affine dimension theorem;
+        Hartshorne, *Algebraic Geometry*, I.7.2).  Each attempt is one
+        :meth:`height_at_least` in k variables.
+        """
+        n = self.nvars
+        for zeroed in islice(combinations(range(n), n - k), HEIGHT_SECTIONS):
+            # the kept exponents first, then the zeroed; N >= 2 makes a tuple
+            order = itemgetter(*(j for j in range(n) if j not in zeroed), *zeroed)
+            gens = []
+            for g in self.generators:
+                terms = {}
+                for m, c in g.terms.items():
+                    m = order(m)
+                    if not any(m[k:]):
+                        terms[m[:k]] = c
+                gens.append(Polynomial(k, self.field, terms))
+            if Ideal(gens, k, self.field).height_at_least(k, budget):
+                return True
+        return False
 
     def _cap(self) -> int | None:
         """min(N, number of generators) when every generator is
@@ -1061,7 +1140,7 @@ class Ideal:
         else:
             buchberger([_to_vec(g) for g in self.generators], pot_key(GREVLEX),
                        self.field, budget=budget, until=watch.add)
-        return inf if watch.unit else watch.bound
+        return inf if watch.unit else watch.bound()
 
     # --- kernels and elimination ---
 

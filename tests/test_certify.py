@@ -189,13 +189,14 @@ def test_minors_are_budgeted():
     assert minors_height_check(row, Budget(max_steps=5))
     with pytest.raises(BudgetExceededError, match="minors limit 4"):
         minors_height_check(row, Budget(max_steps=4))
-    # 6 minors x_i*x_j*(x_j - x_i): their leading supports are every pair
-    # of 4 variables, and proving height >= 3 takes the search 24 nodes
+    # 6 minors x_i*x_j*(x_j - x_i): every coordinate section fails, their
+    # leading supports are every pair of 4 variables, and proving
+    # height >= 3 takes the whole ideal's search 15 nodes
     row1 = [pp(f"x{i}", F5, 4) for i in range(1, 5)]
     row2 = [pp(f"x{i}^2", F5, 4) for i in range(1, 5)]
-    assert minors_height_check([row1, row2], Budget(max_steps=24))
-    with pytest.raises(BudgetExceededError, match="height search nodes limit 23"):
-        minors_height_check([row1, row2], Budget(max_steps=23))
+    assert minors_height_check([row1, row2], Budget(max_steps=15))
+    with pytest.raises(BudgetExceededError, match="height search nodes limit 14"):
+        minors_height_check([row1, row2], Budget(max_steps=14))
 
 
 def test_minors_height_check_power_rows():

@@ -93,7 +93,15 @@ def test_certify_matrix_file(capsys, tmp_path):
     path.write_text(json.dumps(spec))
     code = main(["certify", "--matrix", str(path), "--theorem", "max-minors"])
     assert code == 0
-    assert _json_out(capsys)["result"]["holds"] is True
+    report = _json_out(capsys)
+    assert report["result"]["holds"] is True
+    # the rows are parsed in the file's field, not in the default --field Q
+    assert report["config"]["field"] == "p=5"
+    del spec["field"]
+    path.write_text(json.dumps(spec))
+    assert main(["certify", "--field", "p=7", "--matrix", str(path),
+                 "--theorem", "max-minors"]) == 0
+    assert _json_out(capsys)["config"]["field"] == "p=7"
 
 
 def test_descend_subcommand(capsys):

@@ -103,19 +103,19 @@ def _pairs(n):
 
 
 def test_height_search_is_budgeted():
-    # (x1*x2, ..., x39*x40): each new support's decision is settled at
-    # its root, where the packing bound meets the greedy set, and the
-    # 20th reaches the cap min(N, 20)
-    assert _pairs(20).height(Budget(max_steps=20)) == 20
-    with pytest.raises(BudgetExceededError, match="height search nodes limit 19"):
-        _pairs(20).height(Budget(max_steps=19))
-    # every x_i*x_j in 7 variables: height 6 below the cap 7, where the
-    # packing bound of 3 leaves the search to prove it
+    # (x1*x2, ..., x39*x40): the hitting set grows by one variable per
+    # support without a search until the 20th, whose one search is
+    # settled at its root, where the packing bound meets the cap
+    # min(N, 20); a budget of 0 steps is not a budget
+    assert _pairs(20).height(Budget(max_steps=1)) == 20
+    # every x_i*x_j in 7 variables: the grown set stays below the cap 7,
+    # so no support searches and the run ends with one search over the
+    # final supports, where the packing bound of 3 leaves it to prove 6
     edges = Ideal([Polynomial(7, F5, {tuple(int(k in e) for k in range(7)): 1})
                    for e in combinations(range(7), 2)])
-    assert edges.height(Budget(max_steps=201)) == 6
-    with pytest.raises(BudgetExceededError, match="height search nodes limit 200"):
-        edges.height(Budget(max_steps=200))
+    assert edges.height(Budget(max_steps=11)) == 6
+    with pytest.raises(BudgetExceededError, match="height search nodes limit 10"):
+        edges.height(Budget(max_steps=10))
 
 
 def test_height_examples():
@@ -162,7 +162,12 @@ def test_hitting_number_against_brute_force():
         tau = _min_hitting_set_size(supports, nvars)
         for goal in range(nvars + 2):
             nodes = Counter("nodes", 10 ** 6)
-            assert groebner._hitting_number(masks, goal, nodes) == min(goal, tau)
+            found = groebner._hitting_set(masks, goal, nodes)
+            if tau >= goal:
+                assert found is None
+            else:
+                assert found.bit_count() == tau
+                assert all(found & m for m in masks)
 
 
 def _scan_height(gens, nvars):
@@ -217,6 +222,71 @@ def test_height_matches_scan_route(field, homogeneous):
     assert len(seen) >= 3
     if not homogeneous:
         assert inf in seen
+
+
+def _section_case(rng, field):
+    """Homogeneous forms of degree 1-3, each dense (every monomial) or
+    with 1-4 terms, at most N + 1 of them."""
+    nvars = rng.randint(2, 5)
+    coeffs = range(field.p) if field.p else range(-3, 4)
+    gens = []
+    for _ in range(rng.randint(1, nvars + 1)):
+        degree = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            f = Polynomial(nvars, field, {m: rng.choice(coeffs)
+                                          for m in product(range(degree + 1), repeat=nvars)
+                                          if sum(m) == degree})
+        else:
+            f = random_poly(rng, nvars, degree, field, homogeneous=True)
+        if not f.is_zero():
+            gens.append(f)
+    return gens, nvars
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_sections_match_scan_route(field):
+    # a section that decides proves height >= k, one that fails proves
+    # nothing, and every verdict is the scan route's
+    rng = random.Random(59 + (field.p or 0))
+    decided = fell_back = 0
+    for _ in range(30):
+        gens, nvars = _section_case(rng, field)
+        if not gens:
+            continue
+        expected = _scan_height(gens, nvars)
+        for k in range(nvars + 2):
+            assert Ideal(gens).height_at_least(k) == (expected >= k)
+            if 0 < k < nvars and k <= len(gens):
+                on = Ideal(gens)._on_sections(k, None)
+                assert expected >= k or not on
+                decided += on
+                fell_back += expected >= k and not on
+    assert decided >= 40 and fell_back >= 3
+
+
+def test_sections_fail_and_the_whole_ideal_decides():
+    # x1, x1*x2 is not regular: every section of dimension 2 leaves at
+    # most one of x1, x1*x2, so none is m-primary
+    seq = [pp("x1", F5, 3), pp("x1*x2", F5, 3)]
+    assert not Ideal(seq)._on_sections(2, None)
+    assert not Ideal(seq).height_at_least(2)
+    # the minors x_i*x_j*(x_j - x_i) vanish on the line x1 = .. = x4, and
+    # each coordinate 3-space keeps x_i = x_j = x_k of it; height 3
+    row1 = [pp(f"x{i}", F5, 4) for i in range(1, 5)]
+    row2 = [pp(f"x{i}^2", F5, 4) for i in range(1, 5)]
+    minors = Ideal([row1[i] * row2[j] - row1[j] * row2[i]
+                    for i, j in combinations(range(4), 2)])
+    assert not minors._on_sections(3, None)
+    assert minors.height_at_least(3) and not minors.height_at_least(4)
+    assert minors.height() == 3
+
+
+def test_sections_skip_inhomogeneous_generators():
+    # (x1 - 1) has height 1, but its section x1 = 0 is the unit ideal
+    shifted = Ideal([pp("x1-1", F5, 3)])
+    assert shifted.height_at_least(1)
+    assert not shifted.height_at_least(2)
+    assert shifted.height() == 1
 
 
 def test_unit_ideal_of_inhomogeneous_generators():
