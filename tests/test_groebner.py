@@ -265,13 +265,13 @@ def test_sections_match_scan_route(field):
 
 
 def test_sections_fail_and_the_whole_ideal_decides():
-    # x1, x1*x2 is not regular: every section of dimension 2 leaves at
-    # most one of x1, x1*x2, so none is m-primary
+    # x1, x1*x2 is not regular: every section of dimension 2 restricts
+    # them into (x1), of height at most 1, so none is m-primary
     seq = [pp("x1", F5, 3), pp("x1*x2", F5, 3)]
     assert not Ideal(seq)._on_sections(2, None)
     assert not Ideal(seq).height_at_least(2)
-    # the minors x_i*x_j*(x_j - x_i) vanish on the line x1 = .. = x4, and
-    # each coordinate 3-space keeps x_i = x_j = x_k of it; height 3
+    # the minors x_i*x_j*(x_j - x_i) vanish where the nonzero coordinates
+    # are equal, so V meets each coordinate 3-space in a line; height 3
     row1 = [pp(f"x{i}", F5, 4) for i in range(1, 5)]
     row2 = [pp(f"x{i}^2", F5, 4) for i in range(1, 5)]
     minors = Ideal([row1[i] * row2[j] - row1[j] * row2[i]
