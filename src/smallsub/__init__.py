@@ -13,7 +13,7 @@ from .fields import GF, QQ, CoefficientField, parse_field_spec
 from .grammar import (ParseError, format_polynomial, parse_forms_file,
                       parse_generators, parse_polynomial)
 from .groebner import (GREVLEX, LEX, Ideal, TermOrder, elimination_order,
-                       exact_divide, groebner_basis, leading_form_ideal,
+                       groebner_basis, leading_form_ideal,
                        membership_cofactors, normal_form)
 from .modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                       kernel_of_map, koszul_relations, module_groebner_basis,

@@ -40,9 +40,12 @@ class Budget:
         spans, still counts.
     max_steps: descent steps / recursion nodes / search nodes of one
         height (``Ideal.height``, ``height_at_least``, ``dimension``) /
-        determinants built by ``minors_ideal``.  Each coordinate section
-        ``height_at_least`` tries is a height of its own, with its own
-        node count and Groebner run under ``max_pairs``.
+        minors of one minors table: each minor of size >= 2 that
+        ``minors_ideal`` or ``determinant`` builds, the smaller ones it
+        expands over included, and each 1 x 1 minor ``minors_ideal``
+        returns.  Each coordinate section ``height_at_least`` tries is
+        a height of its own, with its own node count and Groebner run
+        under ``max_pairs``.
     """
 
     max_pairs: int = 200_000

@@ -16,6 +16,11 @@ F_p are valid over the algebraic closure.  In small characteristic the
 Jacobian criterion may overstate the singular locus (inseparability),
 making a PASS verdict the reliable side; reports carry that caveat.
 
+Minors, determinants included, come from one table per call, which
+shares each smaller minor among the larger ones, divides no polynomial
+and charges every minor it builds to ``Budget.max_steps`` (see
+:func:`minors_ideal`).
+
 The distinct-degree minors check is the randomized harness for the
 height inequality on matrices whose rows are forms of mutually distinct
 degrees: with h rows, each spanning a row ideal of height at least b,
@@ -30,7 +35,7 @@ from math import inf
 from typing import Sequence
 
 from .budget import Budget, Counter, DEFAULT_BUDGET
-from .groebner import Ideal, exact_divide
+from .groebner import Ideal
 from .poly import Form, Polynomial, as_form, jacobian
 
 
@@ -66,74 +71,72 @@ def is_regular_sequence(forms: Sequence[Polynomial],
 
 
 def determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant: expansion along the first row up to 3 x 3, and
-    fraction-free (Bareiss) elimination above.
-
-    Bareiss step k replaces each entry below and right of the pivot by
-    (a_kk * a_ij - a_ik * a_kj) / a_{k-1,k-1}, a division that is exact
-    (Bareiss, "Sylvester's identity and multistep integer-preserving
-    Gaussian elimination", Math. Comp. 1968), so the work is cubic in n.
-    A zero pivot swaps in a later row with a nonzero entry, or the
-    determinant is zero.  On small matrices of forms the expansion is
-    cheaper: it multiplies each entry once and divides nothing.
+    """Exact determinant of a square matrix: the n x n entry of the
+    minors table (see :func:`minors_ideal`), about n * 2^(n-1) products
+    and no division.  Each table entry of size >= 2 costs one step of
+    the default budget's ``max_steps``.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         raise ValueError("empty matrix")
-    if n <= 3:
-        return _expand(matrix)
-    rows = [list(row) for row in matrix]
-    negate = False
-    previous = None  # the previous pivot; 1 before the first step
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not rows[r][k].is_zero()), None)
-            if swap is None:
-                return Polynomial.zero(rows[0][0].nvars, rows[0][0].field)
-            rows[k], rows[swap] = rows[swap], rows[k]
-            negate = not negate
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            row, head = rows[i], rows[i][k]
-            for j in range(k + 1, n):
-                entry = pivot * row[j] - head * rows[k][j]
-                row[j] = entry if previous is None else exact_divide(entry, previous)
-        previous = pivot
-    det = rows[n - 1][n - 1]
-    return -det if negate else det
+    every = tuple(range(n))
+    return _minor(matrix, every, every, {}, Counter("minors", DEFAULT_BUDGET.max_steps))
 
 
-def _expand(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant by expansion along the first row."""
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = None
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        term = (-entry if j % 2 else entry) * _expand([row[:j] + row[j + 1:]
-                                                      for row in matrix[1:]])
-        total = term if total is None else total + term
-    return matrix[0][0] if total is None else total  # None: a zero first row
+def _minor(matrix: Sequence[Sequence[Polynomial]], rows: tuple, cols: tuple,
+           table: dict, steps: Counter) -> Polynomial:
+    """The minor on ascending row and column tuples of one length, from
+    the ``table`` :func:`minors_ideal` describes; ``steps`` ticks as each
+    entry is built.  A 1 x 1 minor is the matrix entry and takes no
+    slot, and a zero entry of the expanded row builds no cofactor."""
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    det = table.get((rows, cols))
+    if det is None:
+        steps.tick()
+        above, last, k = rows[:-1], matrix[rows[-1]], len(rows)
+        for j, c in enumerate(cols):
+            entry = last[c]
+            if entry.is_zero():
+                continue
+            cofactor = _minor(matrix, above, cols[:j] + cols[j + 1:], table, steps)
+            # position (k - 1, j) has the sign (-1)^(k - 1 + j)
+            term = (-entry if (k - 1 + j) % 2 else entry) * cofactor
+            det = term if det is None else det + term
+        if det is None:  # the expanded row is zero on cols
+            det = last[cols[0]]
+        table[rows, cols] = det
+    return det
 
 
 def minors_ideal(matrix: Sequence[Sequence[Polynomial]], size: int,
                  budget: Budget | None = None) -> Ideal:
-    """Ideal generated by all size x size minors; each determinant costs
-    one step of ``budget.max_steps``."""
+    """Ideal generated by all size x size minors, listed by row tuple,
+    then column tuple, each in lexicographic order.
+
+    The minors come from one table built for this call: a k x k minor is
+    the expansion along its last row, over the (k-1) x (k-1) minors on
+    its other rows, which every minor sharing those rows reuses (one
+    n x n determinant takes about n * 2^(n-1) products), and no
+    polynomial is divided.  Each table entry of size >= 2 costs one step
+    of ``budget.max_steps`` when it is built, and so does each 1 x 1
+    minor returned: the sizes 1 and 2 cost one step a minor.
+    """
     rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    if any(len(row) != cols for row in matrix):
+        raise ValueError("matrix rows must be of one length")
     if not 1 <= size <= min(rows, cols):
         raise ValueError(f"minor size {size} out of range for {rows}x{cols}")
     sample = matrix[0][0]
-    determinants = Counter("minors", (budget or DEFAULT_BUDGET).max_steps)
-    gens = []
-    for rsel in combinations(range(rows), size):
-        for csel in combinations(range(cols), size):
-            determinants.tick()
-            sub = [[matrix[r][c] for c in csel] for r in rsel]
-            gens.append(determinant(sub))
+    steps = Counter("minors", (budget or DEFAULT_BUDGET).max_steps)
+    if size == 1:
+        steps.tick(rows * cols)
+    table: dict = {}
+    gens = [_minor(matrix, rsel, csel, table, steps)
+            for rsel in combinations(range(rows), size)
+            for csel in combinations(range(cols), size)]
     return Ideal(gens, sample.nvars, sample.field)
 
 

@@ -95,7 +95,11 @@ Kernels use the tag-component embedding: the kernel of R^r -> R^m / T
 is the tag block of one position-over-term basis (:func:`_modulo`), and
 syzygies, kernels of module maps, I : J and I cap J are each one call
 of it.  Cofactors of a membership are the tag components of one
-remainder against such a basis (:func:`membership_cofactors`).  Only
+remainder against such a basis (:func:`membership_cofactors`), and an
+exact division f / g is the one cofactor of ``membership_cofactors(f,
+[g])``.  The records a tracked reduction keeps
+(``normal_form_vec(track=True)``) serve only Schreyer's syzygies in
+:mod:`smallsub.modules`.  Only
 saturation eliminates a tag variable, the t of Rabinowitsch's 1 - t*f;
 the ideal of top-degree forms is read off one grevlex basis.
 """
@@ -825,30 +829,6 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
     for (comp, mono), c in rem.items():
         terms[nonzero[comp - 1]][mono] = field.neg(c)
     return [Polynomial(nvars, field, t) for t in terms]
-
-
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f / g for an exact single-divisor division."""
-    f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    field = f.field
-    keyf = pot_key(GREVLEX)
-    _, inv, prepared = _prep_monic(_to_vec(g), keyf, field)
-    prepped = [prepared]
-    rem, records = normal_form_vec(_to_vec(f), prepped, keyf, field.p, track=True)
-    if rem:
-        raise ValueError("division is not exact")
-    terms: dict[Monomial, object] = {}
-    p = field.p
-    for _, umono, factor in records:
-        c = factor * inv if inv != field.one else factor
-        if p:
-            c %= p
-        terms[umono] = terms.get(umono, 0) + c
-    return Polynomial(f.nvars, field, terms)
 
 
 # ----- heights -----

@@ -123,9 +123,6 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def is_constant(self) -> bool:
-        return self.total_degree() <= 0
-
     def homogeneous_component(self, d: int) -> "Polynomial":
         return Polynomial(self.nvars, self.field,
                           {m: c for m, c in self.terms.items() if sum(m) == d})

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 from math import inf
 
 import pytest
 
+from smallsub import certify
 from smallsub.budget import Budget, BudgetExceededError
 from smallsub.certify import (RetaCertificate, check_reta, determinant,
                               is_regular_sequence, minors_height_check,
@@ -55,10 +57,16 @@ def test_determinant_and_minors():
     assert len(minors.generators) == 3
     expected = pp("x1*x2^2", F5, 3) - pp("x2*x1^2", F5, 3)
     assert minors.contains(expected)
+    # ragged rows, the first the shortest or a later one
+    x1, x2, x3 = (pp(f"x{i}", F5, 3) for i in (1, 2, 3))
+    for ragged in ([[x1], [x2, x3]], [[x1, x2], [x3]]):
+        with pytest.raises(ValueError, match="one length"):
+            minors_ideal(ragged, 1)
 
 
 def _laplace_determinant(matrix):
-    """Expansion along the first row, n! products: the oracle of both routes."""
+    """Expansion along the first row, n! products: the oracle of the
+    minors table."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -72,22 +80,41 @@ def _laplace_determinant(matrix):
 
 
 @pytest.mark.parametrize("field", [F5, QQ], ids=repr)
-def test_bareiss_determinant_matches_laplace(field):
+def test_minor_table_matches_laplace(field):
     rng = random.Random(89 + (field.p or 0))
-    swaps = zeros = 0
-    for n in range(1, 6):
-        for _ in range(6):
-            # sparse entries of degree <= 2 in 3 variables, a third of them zero
+    shapes = [(1, 4), (2, 5), (3, 6), (2, 7), (3, 3), (4, 4), (5, 5), (6, 6),
+              (7, 7), (4, 2), (5, 3), (6, 4), (7, 3)]
+    zero = Polynomial.zero(3, field)
+    zeros = big = 0
+    blanked = {"row": 0, "column": 0}
+    for m, n in shapes:
+        for trial in range(2):
+            # sparse multilinear entries in 3 variables, a third of them zero
             matrix = [[Polynomial(3, field, {tuple(rng.randint(0, 1) for _ in range(3)):
                                              rng.randint(-3, 3) for _ in range(rng.randint(0, 2))})
-                       if rng.random() > 0.35 else Polynomial.zero(3, field)
-                       for _ in range(n)] for _ in range(n)]
-            det = determinant(matrix)
-            assert det == _laplace_determinant(matrix)
-            # Bareiss runs above 3 x 3, the expansion up to it
-            swaps += n > 3 and any(matrix[k][k].is_zero() for k in range(n - 1))
-            zeros += det.is_zero()
-    assert swaps >= 5 and zeros >= 3
+                       if rng.random() > 0.35 else zero
+                       for _ in range(n)] for _ in range(m)]
+            if trial:  # a zero row or a zero column
+                line = rng.choice(["row", "column"])
+                if line == "row":
+                    matrix[rng.randrange(m)] = [zero] * n
+                else:
+                    c = rng.randrange(n)
+                    for row in matrix:
+                        row[c] = zero
+                blanked[line] += 1
+            for size in range(1, min(m, n) + 1):
+                expected = [_laplace_determinant([[matrix[r][c] for c in csel] for r in rsel])
+                            for rsel in combinations(range(m), size)
+                            for csel in combinations(range(n), size)]
+                # the ideal drops the zero minors and keeps the order of the rest
+                nonzero = [det for det in expected if not det.is_zero()]
+                assert list(minors_ideal(matrix, size).generators) == nonzero, (m, n, size)
+                zeros += len(expected) - len(nonzero)
+                big += len(nonzero) if size >= 4 else 0
+            if m == n:
+                assert determinant(matrix) == expected[0]
+    assert zeros >= 1000 and big >= 500 and min(blanked.values()) >= 3
 
 
 def test_reta_heights_do_not_grow_with_the_variables():
@@ -197,6 +224,22 @@ def test_minors_are_budgeted():
     assert minors_height_check([row1, row2], Budget(max_steps=15))
     with pytest.raises(BudgetExceededError, match="height search nodes limit 14"):
         minors_height_check([row1, row2], Budget(max_steps=14))
+
+
+def test_minor_table_ticks_each_built_minor(monkeypatch):
+    # the 4 minors 3 x 3 of rows x_i, x_i^2, x_i^3 expand along their
+    # last row over the C(4, 2) = 6 minors 2 x 2 of the first two rows
+    rows = [[pp(f"x{i}^{d}", F5, 4) for i in range(1, 5)] for d in (1, 2, 3)]
+    assert len(minors_ideal(rows, 3, Budget(max_steps=10)).generators) == 4
+    with pytest.raises(BudgetExceededError, match="minors limit 9"):
+        minors_ideal(rows, 3, Budget(max_steps=9))
+    # a determinant ticks under the default budget: 4 x 4 builds 6 + 4 + 1
+    square = rows + [[pp(f"x{i}^4", F5, 4) for i in range(1, 5)]]
+    monkeypatch.setattr(certify, "DEFAULT_BUDGET", Budget(max_steps=11))
+    assert not determinant(square).is_zero()
+    monkeypatch.setattr(certify, "DEFAULT_BUDGET", Budget(max_steps=10))
+    with pytest.raises(BudgetExceededError, match="minors limit 10"):
+        determinant(square)
 
 
 def test_minors_height_check_power_rows():

@@ -12,8 +12,7 @@ from smallsub import groebner
 from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
                                Ideal, _Divisors, _DIGIT_SUM, _FIELD, _KEY_LIMIT,
                                _exponent_overflow, _prep,
-                               elimination_order, exact_divide,
-                               groebner_basis, leading_form_ideal,
+                               elimination_order, groebner_basis, leading_form_ideal,
                                membership_cofactors, normal_form,
                                normal_form_vec, pot_key)
 from smallsub.modules import _schreyer_key
@@ -174,7 +173,7 @@ def _scan_height(gens, nvars):
     """The replaced route: the full reduced basis, then variable subsets
     from size N down, the largest holding no leading-term support."""
     basis = groebner_basis(gens)
-    if any(g.is_constant() for g in basis):
+    if any(g.total_degree() <= 0 for g in basis):
         return inf
     supports = [{i for i, e in enumerate(max(g.terms, key=GREVLEX.key)) if e}
                 for g in basis]
@@ -407,7 +406,7 @@ def test_leading_form_ideal_principal():
     rng = random.Random(53)
     for _ in range(10):
         f = random_poly(rng, 3, 3, F5)
-        if f.is_constant():
+        if f.total_degree() <= 0:
             continue
         L = leading_form_ideal([f])
         assert L.equals(Ideal([leading_form(f)]))
@@ -463,13 +462,17 @@ def test_membership_cofactors_exact():
         total = total + c * g
     assert total == f
     assert membership_cofactors(pp("x1", F5, 2), gens) is None
-
-
-def test_exact_divide():
-    f = pp("x1^2*x2+x1*x2^2", F5, 2)
-    assert exact_divide(f, pp("x1*x2", F5, 2)) == pp("x1+x2", F5, 2)
-    with pytest.raises(ValueError):
-        exact_divide(pp("x1", F5, 2), pp("x2", F5, 2))
+    # one generator: the cofactor is the quotient of an exact division,
+    # by monic, non-monic and constant divisors
+    for field in (F5, QQ):
+        f = pp("x1^2*x2+x1*x2^2", field, 2)
+        assert membership_cofactors(f, [pp("x1*x2", field, 2)]) == [pp("x1+x2", field, 2)]
+        q = pp("x1+2*x2", field, 2)
+        for g in ("3*x1*x2+x2^2", "2", "2*x1-1"):
+            g = pp(g, field, 2)
+            assert membership_cofactors(q * g, [g]) == [q], (field, g)
+        assert membership_cofactors(pp("x1", field, 2), [pp("x2", field, 2)]) is None
+        assert membership_cofactors(pp("x1^2+1", field, 2), [pp("3*x1", field, 2)]) is None
 
 
 # ----- intersections, colons and lifts against the routes they replaced -----
@@ -503,7 +506,8 @@ def _colon_by_intersections(I, J):
     result = None
     for g in J.generators:
         meet = _intersection_by_elimination(I, Ideal([g], I.nvars, I.field))
-        part = Ideal([exact_divide(h, g) for h in meet.generators], I.nvars, I.field)
+        part = Ideal([membership_cofactors(h, [g])[0] for h in meet.generators],
+                     I.nvars, I.field)
         result = part if result is None else _intersection_by_elimination(result, part)
     return result
 
@@ -548,10 +552,6 @@ def test_normal_forms_reject_a_polynomial_from_another_ring():
             normal_form(f, [x2])
         with pytest.raises(ValueError):
             membership_cofactors(f, [x2])
-        with pytest.raises(ValueError):
-            exact_divide(f, x2)
-        with pytest.raises(ValueError):
-            exact_divide(x2, f if not f.is_zero() else pp("1", F5, 1))
     with pytest.raises(ValueError):
         membership_cofactors(x1_in_one, [pp("0", F5, 2)])
     # the same ring still works, zero generators included

@@ -139,15 +139,10 @@ def test_easy_direction_height_bound():
 
 def _divisor_oracle_reducible(F: Form) -> bool:
     # brute force: does any lower-degree form divide F?
-    from smallsub.groebner import exact_divide
-    for d in range(1, F.degree):
-        for g in enumerate_forms(F.nvars, d, F.field):
-            try:
-                exact_divide(F, g)
-                return True
-            except ValueError:
-                continue
-    return False
+    from smallsub.groebner import membership_cofactors
+    return any(membership_cofactors(F, [g]) is not None
+               for d in range(1, F.degree)
+               for g in enumerate_forms(F.nvars, d, F.field))
 
 
 def test_irreducibility_matches_divisor_oracle():
