@@ -462,8 +462,11 @@ def test_membership_cofactors_exact():
         total = total + c * g
     assert total == f
     assert membership_cofactors(pp("x1", F5, 2), gens) is None
+
+
+def test_exact_divide():
     # one generator: the cofactor is the quotient of an exact division,
-    # by monic, non-monic and constant divisors
+    # by monic, non-monic and constant divisors, and None when g does not divide f
     for field in (F5, QQ):
         f = pp("x1^2*x2+x1*x2^2", field, 2)
         assert membership_cofactors(f, [pp("x1*x2", field, 2)]) == [pp("x1+x2", field, 2)]
