@@ -15,8 +15,7 @@ Run from the repository root:
 import random
 
 from smallsub import (GF, Form, Polynomial, check_reta, is_regular_sequence,
-                      minors_height_check, minors_ideal, parse_polynomial,
-                      singular_locus_codim)
+                      minors_height_check, minors_ideal, parse_polynomial)
 
 F5 = GF(5)
 
@@ -48,7 +47,7 @@ def main() -> None:
     print("=== singular locus of a quadric cone ===")
     for n in (3, 4, 5):
         cone = forms("+".join(f"x{i}^2" for i in range(1, n + 1)), nvars=n)
-        codim = singular_locus_codim(cone)
+        codim = check_reta(cone, 0).codim_singular
         print(f"sum of {n} squares: singular locus codimension {codim} "
               f"in the hypersurface")
 

@@ -5,8 +5,7 @@ from .bounds import (BoundTable, B_recursion, cubic_eta_A, default_cubic_B3,
                      eta_A_i, phi, quadric_B, quadric_thresholds, stillman_C)
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
 from .certify import (RetaCertificate, check_reta, determinant,
-                      is_regular_sequence, minors_height_check, minors_ideal,
-                      singular_locus_codim)
+                      is_regular_sequence, minors_height_check, minors_ideal)
 from .descent import (DescentStep, DescentTrace, ThresholdPolicy,
                       descend_step, small_subalgebra, subalgebra_membership)
 from .fields import GF, QQ, CoefficientField, parse_field_spec
@@ -16,15 +15,12 @@ from .groebner import (GREVLEX, LEX, Ideal, TermOrder, elimination_order,
                        groebner_basis, leading_form_ideal,
                        membership_cofactors, normal_form)
 from .modules import (FreeResolution, SubmoduleOfFree, free_resolution,
-                      kernel_of_map, koszul_relations, module_groebner_basis,
-                      projective_dimension, submodule_contains,
+                      kernel_of_map, koszul_relations, submodule_contains,
                       submodule_equals, syzygies)
 from .poly import (DimensionSequence, Form, GradedSpace, Monomial, Polynomial,
-                   derivative_space, dehomogenize, echelon_basis, gradient,
-                   homogenize, jacobian, leading_form, partial_derivative)
-from .strength import (CollapseWitness, StrengthReport, enumerate_forms,
-                       find_collapse, full_report, strength_exact,
-                       strength_lower_bound)
+                   echelon_basis, gradient, jacobian, partial_derivative)
+from .strength import (CollapseWitness, StrengthReport, find_collapse,
+                       full_report, strength_exact, strength_lower_bound)
 
 __version__ = "0.1.0"
 

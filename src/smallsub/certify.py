@@ -173,13 +173,6 @@ def check_reta(forms: Sequence[Polynomial], eta: int,
         smooth=smooth, note=note)
 
 
-def singular_locus_codim(forms: Sequence[Polynomial],
-                         budget: Budget | None = None) -> int | float:
-    """Codimension of the singular locus inside the complete intersection
-    of a regular sequence, ``inf`` when it is empty (see :func:`check_reta`)."""
-    return check_reta(forms, 0, budget).codim_singular
-
-
 def minors_height_check(matrix: Sequence[Sequence[Polynomial]],
                         budget: Budget | None = None) -> bool:
     """Check height(maximal minors) >= b - h + 1 for distinct-degree rows.

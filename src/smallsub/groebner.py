@@ -977,6 +977,8 @@ class Ideal:
             ambient = _ambient(gens)
             if nvars is not None and nvars != ambient[0]:
                 raise ValueError("explicit nvars disagrees with the generators")
+            if field is not None and field != ambient[1]:
+                raise ValueError("explicit field disagrees with the generators")
             nvars, field = ambient
         elif nvars is None or field is None:
             raise ValueError("the zero ideal needs an explicit ambient ring")
@@ -1019,12 +1021,6 @@ class Ideal:
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         return self.normal_form(f, budget=budget).is_zero()
-
-    def contains_ideal(self, other: "Ideal", budget: Budget | None = None) -> bool:
-        return all(self.contains(g, budget) for g in other.generators)
-
-    def equals(self, other: "Ideal", budget: Budget | None = None) -> bool:
-        return self.contains_ideal(other, budget) and other.contains_ideal(self, budget)
 
     def is_zero(self) -> bool:
         return not self.generators

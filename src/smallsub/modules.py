@@ -106,18 +106,6 @@ def _dict_to_vec(d: VecDict, rank: int, nvars: int, field: CoefficientField) -> 
     return tuple(Polynomial(nvars, field, t) for t in per)
 
 
-def module_groebner_basis(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
-                          budget: Budget | None = None) -> list[Vector]:
-    """Reduced Groebner basis of a submodule under position-over-term."""
-    if sub.is_zero():
-        return []
-    keyf = pot_key(order)
-    basis = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
-                       sub.field, budget=budget)
-    reduced = autoreduce(basis, keyf, sub.field)
-    return [_dict_to_vec(v, sub.rank, sub.nvars, sub.field) for v in reduced]
-
-
 def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
                   budget: Budget | None) -> bool:
     """Whether every vector lies in ``sub``: one basis of ``sub``, prepared
@@ -500,9 +488,3 @@ def _first_unit(cols: list[dict], consts: list[set], shift: int):
         if sum(1 for e in cols[j] if lo <= e < hi) == 1:
             return i, j
     return None
-
-
-def projective_dimension(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
-                         budget: Budget | None = None) -> int:
-    """Length of the minimal resolution of R^rank / sub (graded input)."""
-    return free_resolution(sub, order, budget).length

@@ -127,9 +127,6 @@ class Polynomial:
         return Polynomial(self.nvars, self.field,
                           {m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(tuple(mono), self.field.zero)
-
     # ----- arithmetic -----
 
     def _check_compatible(self, other: "Polynomial"):
@@ -277,55 +274,11 @@ def gradient(f: Polynomial) -> list[Polynomial]:
     return [partial_derivative(f, i) for i in range(f.nvars)]
 
 
-def derivative_space(f: Polynomial) -> list[Polynomial]:
-    """A linearly independent spanning set for the space of partial derivatives of f."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no derivative space")
-    return echelon_basis(gradient(f))
-
-
 def jacobian(forms: Sequence[Polynomial]) -> list[list[Polynomial]]:
     """Jacobian matrix: row i is the gradient of forms[i]."""
     if not forms:
         raise ValueError("need at least one form")
     return [gradient(f) for f in forms]
-
-
-def homogenize(f: Polynomial) -> Form:
-    """Homogenize to total degree deg(f) with a new last variable."""
-    if f.is_zero():
-        raise ValueError("cannot homogenize zero")
-    d = f.total_degree()
-    if d == 0:
-        # a nonzero constant homogenizes to c * x^0 ... degree-0 "form" is not
-        # allowed, so lift to degree 1 in the new variable
-        terms = {m + (1,): c for m, c in f.terms.items()}
-        return Form(Polynomial(f.nvars + 1, f.field, terms))
-    terms = {m + (d - sum(m),): c for m, c in f.terms.items()}
-    return Form(Polynomial(f.nvars + 1, f.field, terms))
-
-
-def dehomogenize(f: Polynomial) -> Polynomial:
-    """Set the last variable to 1 and drop it."""
-    if f.nvars == 0:
-        raise ValueError("no variable to dehomogenize")
-    terms: dict[Monomial, object] = {}
-    for m, c in f.terms.items():
-        mono = m[:-1]
-        terms[mono] = terms.get(mono, 0) + c
-    return Polynomial(f.nvars - 1, f.field, terms)
-
-
-def leading_form(f: Polynomial) -> Form:
-    """The top-degree homogeneous component of a nonzero polynomial."""
-    if isinstance(f, Form):
-        return f
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no leading form")
-    d = f.total_degree()
-    if d == 0:
-        raise ValueError("a nonzero constant has no leading form of positive degree")
-    return Form(f.homogeneous_component(d))
 
 
 # ----- exact linear algebra over the coefficient field -----

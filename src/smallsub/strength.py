@@ -134,15 +134,6 @@ def _class_form(monos: list[Monomial], support: list[tuple[int, int]],
     return Form(Polynomial(nvars, field, {monos[a]: c for a, c in support}))
 
 
-def enumerate_forms(nvars: int, degree: int, field: CoefficientField):
-    """Iterate the projective classes of degree-d forms over a prime field."""
-    if field.p is None:
-        raise ValueError("exhaustive enumeration needs a finite prime field")
-    monos, count = _class_domain(nvars, degree, field.p)
-    return (_class_form(monos, _class_support(i, len(monos), field.p), nvars, field)
-            for i in range(count))
-
-
 def _degree_profiles(size: int, max_degree: int):
     """Nondecreasing tuples in [1, max_degree]^size, lexicographically."""
     return combinations_with_replacement(range(1, max_degree + 1), size)

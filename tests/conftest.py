@@ -11,3 +11,9 @@ def default_int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(old)
+
+
+def same_ideal(I, J):
+    """Whether two ideals of one ring are equal.  The reduced grevlex basis
+    of an ideal is unique, so equal ideals have equal bases."""
+    return (I.nvars, I.field) == (J.nvars, J.field) and I.groebner_basis() == J.groebner_basis()

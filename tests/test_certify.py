@@ -8,11 +8,13 @@ from smallsub import certify
 from smallsub.budget import Budget, BudgetExceededError
 from smallsub.certify import (RetaCertificate, check_reta, determinant,
                               is_regular_sequence, minors_height_check,
-                              minors_ideal, singular_locus_codim)
+                              minors_ideal)
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import Ideal
-from smallsub.poly import Form, Polynomial, derivative_space, monomials
+from smallsub.poly import Form, Polynomial, echelon_basis, gradient, monomials
+
+from conftest import same_ideal
 
 F5 = GF(5)
 
@@ -50,7 +52,7 @@ def test_determinant_and_minors():
     assert determinant(eye) == one
     assert minors_ideal(eye, 2).height() == inf
     row = [[pp("x2", F5, 2), pp("x1", F5, 2)]]
-    assert minors_ideal(row, 1).equals(Ideal([pp("x1", F5, 2), pp("x2", F5, 2)]))
+    assert same_ideal(minors_ideal(row, 1), Ideal([pp("x1", F5, 2), pp("x2", F5, 2)]))
     mat = [[pp("x1", F5, 3), pp("x2", F5, 3), pp("x3", F5, 3)],
            [pp("x1^2", F5, 3), pp("x2^2", F5, 3), pp("x3^2", F5, 3)]]
     minors = minors_ideal(mat, 2)
@@ -130,15 +132,15 @@ def test_reta_heights_do_not_grow_with_the_variables():
 def test_singular_locus_codim_fixtures():
     for n in (3, 4, 5):
         F = forms("+".join(f"x{i}^2" for i in range(1, n + 1)), nvars=n)
-        assert singular_locus_codim(F) == n - 1
-    assert singular_locus_codim(forms("x1*x2", nvars=2)) == 1
+        assert check_reta(F, 0).codim_singular == n - 1
+    assert check_reta(forms("x1*x2", nvars=2), 0).codim_singular == 1
     # a linear complete intersection is smooth: its singular locus is empty
-    assert singular_locus_codim(forms("x1", "x2", nvars=5)) == inf
+    assert check_reta(forms("x1", "x2", nvars=5), 0).codim_singular == inf
 
 
 def test_singular_locus_rejects_non_regular():
     with pytest.raises(ValueError):
-        singular_locus_codim(forms("x1", "x1*x2", nvars=2))
+        check_reta(forms("x1", "x1*x2", nvars=2), 0)
 
 
 def test_check_reta_examples():
@@ -271,7 +273,7 @@ def test_collapse_witness_caps_singular_codim():
         F = Form(pp(text, F2))
         w = find_collapse(F, 2)
         assert w is not None
-        codim = singular_locus_codim([F])
+        codim = check_reta([F], 0).codim_singular
         assert codim <= 2 * w.k - 1
 
 
@@ -303,7 +305,7 @@ def test_jacobian_row_height_hypothesis_implies_reta():
             cert = check_reta([F], eta)
         except ValueError:
             continue
-        ds = derivative_space(F)
+        ds = echelon_basis(gradient(F))
         h_df = Ideal(ds, 4, F5).height() if ds else 0
         if h_df >= eta + 1 + 2 * n - 1:
             assert cert.verdict

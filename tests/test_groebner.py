@@ -16,7 +16,9 @@ from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
                                membership_cofactors, normal_form,
                                normal_form_vec, pot_key)
 from smallsub.modules import _schreyer_key
-from smallsub.poly import Polynomial, homogenize, leading_form
+from smallsub.poly import Polynomial
+
+from conftest import same_ideal
 
 F2 = GF(2)
 F5 = GF(5)
@@ -348,24 +350,24 @@ def test_killing_variables_never_raises_height():
 def test_colon_examples_two_sided():
     I = Ideal([pp("x1*x2", F5, 2)])
     C = I.colon(Ideal([pp("x1", F5, 2)]))
-    assert C.equals(Ideal([pp("x2", F5, 2)]))
+    assert same_ideal(C, Ideal([pp("x2", F5, 2)]))
     J = Ideal([pp("x1^2", F5, 2), pp("x1*x2", F5, 2)])
     one = Ideal([pp("1", F5, 2)])
-    assert J.colon(one).equals(J)
+    assert same_ideal(J.colon(one), J)
     C2 = J.colon(Ideal([pp("x1", F5, 2)]))
     expected = Ideal([pp("x1", F5, 2), pp("x2", F5, 2)])
-    assert C2.equals(expected)
+    assert same_ideal(C2, expected)
 
 
 def test_intersection_examples():
     A = Ideal([pp("x1", F5, 2)])
     B = Ideal([pp("x2", F5, 2)])
-    assert A.intersection(B).equals(Ideal([pp("x1*x2", F5, 2)]))
+    assert same_ideal(A.intersection(B), Ideal([pp("x1*x2", F5, 2)]))
     I = Ideal([pp("x1", F5, 3), pp("x2", F5, 3)])
-    assert I.intersection(I).equals(I)
+    assert same_ideal(I.intersection(I), I)
     J = Ideal([pp("x2", F5, 3), pp("x3", F5, 3)])
     M = I.intersection(J)
-    assert M.equals(Ideal([pp("x2", F5, 3), pp("x1*x3", F5, 3)]))
+    assert same_ideal(M, Ideal([pp("x2", F5, 3), pp("x1*x3", F5, 3)]))
 
 
 def test_intersection_colon_containments_random():
@@ -374,32 +376,31 @@ def test_intersection_colon_containments_random():
         I = Ideal([random_poly(rng, 3, 2, F5) for _ in range(2)])
         J = Ideal([random_poly(rng, 3, 2, F5) for _ in range(2)])
         M = I.intersection(J)
-        assert I.contains_ideal(M) and J.contains_ideal(M)
-        product = Ideal([f * g for f in I.generators for g in J.generators], 3, F5)
-        assert M.contains_ideal(product)
+        assert all(I.contains(g) and J.contains(g) for g in M.generators)
+        assert all(M.contains(f * g) for f in I.generators for g in J.generators)
 
 
 def test_saturation_examples_and_idempotence():
     I = Ideal([pp("x1*x2", F5, 3), pp("x1*x3", F5, 3)])
     x1 = pp("x1", F5, 3)
     S = I.saturation(x1)
-    assert S.equals(Ideal([pp("x2", F5, 3), pp("x3", F5, 3)]))
-    assert S.saturation(x1).equals(S)
+    assert same_ideal(S, Ideal([pp("x2", F5, 3), pp("x3", F5, 3)]))
+    assert same_ideal(S.saturation(x1), S)
     # saturating by a unit leaves the ideal unchanged
     J = Ideal([pp("x1^2", F5, 2)])
-    assert J.saturation(pp("3", F5, 2)).equals(J)
+    assert same_ideal(J.saturation(pp("3", F5, 2)), J)
     K = Ideal([pp("x1^2*x2", F5, 2)])
-    assert K.saturation(pp("x1", F5, 2)).equals(Ideal([pp("x2", F5, 2)]))
+    assert same_ideal(K.saturation(pp("x1", F5, 2)), Ideal([pp("x2", F5, 2)]))
 
 
 def test_leading_form_ideal_examples():
     # already homogeneous generators: the ideal of the generators themselves
     gens = [pp("x1^2", F5, 2), pp("x1*x2", F5, 2)]
     L = leading_form_ideal(gens)
-    assert L.equals(Ideal(gens))
-    assert leading_form_ideal([pp("x1+1", F5, 1)]).equals(Ideal([pp("x1", F5, 1)]))
+    assert same_ideal(L, Ideal(gens))
+    assert same_ideal(leading_form_ideal([pp("x1+1", F5, 1)]), Ideal([pp("x1", F5, 1)]))
     L2 = leading_form_ideal([pp("x1", F5, 2), pp("x1*x2+x2^2", F5, 2)])
-    assert L2.equals(Ideal([pp("x1", F5, 2), pp("x2^2", F5, 2)]))
+    assert same_ideal(L2, Ideal([pp("x1", F5, 2), pp("x2^2", F5, 2)]))
 
 
 def test_leading_form_ideal_principal():
@@ -409,14 +410,16 @@ def test_leading_form_ideal_principal():
         if f.total_degree() <= 0:
             continue
         L = leading_form_ideal([f])
-        assert L.equals(Ideal([leading_form(f)]))
+        assert same_ideal(L, Ideal([f.homogeneous_component(f.total_degree())]))
 
 
 def _leading_forms_by_homogenizing(gens):
     """Top-degree forms by homogenizing, saturating by the new variable
     and setting it to zero."""
     nvars, field = gens[0].nvars, gens[0].field
-    lifted = [homogenize(g) for g in gens]
+    lifted = [Polynomial(nvars + 1, field,
+                         {m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()})
+              for g in gens]
     tag = Polynomial.variable(nvars, nvars + 1, field)
     saturated = Ideal(lifted, nvars + 1, field).saturation(tag)
     dropped = [Polynomial(nvars, field,
@@ -538,8 +541,18 @@ def test_intersection_matches_the_elimination_route(field):
         ours = I.intersection(J)
         assert ours.groebner_basis() == _intersection_by_elimination(I, J).groebner_basis(), (I, J)
         assert ours.generators == tuple(ours.groebner_basis())
-        proper += not (ours.equals(I) or ours.equals(J))
+        proper += not (same_ideal(ours, I) or same_ideal(ours, J))
     assert proper >= 15
+
+
+def test_ideal_rejects_an_explicit_ring_that_disagrees():
+    gens = [pp("x1+x2", F5, 2)]
+    with pytest.raises(ValueError, match="field"):
+        Ideal(gens, 2, GF(7))
+    with pytest.raises(ValueError, match="nvars"):
+        Ideal(gens, 3, F5)
+    assert Ideal(gens, 2, F5).field == F5
+    assert Ideal([pp("0", F5, 2)], 2, GF(7)).field == GF(7)
 
 
 def test_normal_forms_reject_a_polynomial_from_another_ring():
@@ -578,7 +591,7 @@ def test_colon_matches_the_intersection_route(field):
         I, J = Ideal(I, nvars, field), Ideal(J, nvars, field)
         ours = I.colon(J)
         assert ours.groebner_basis() == _colon_by_intersections(I, J).groebner_basis(), (I, J)
-        grown += not I.contains_ideal(ours)
+        grown += not all(I.contains(g) for g in ours.generators)
     assert grown >= 10
 
 
@@ -593,7 +606,7 @@ def test_colon_edge_cases():
     for A, B in cases:
         assert A.colon(B).groebner_basis() == _colon_by_intersections(A, B).groebner_basis()
     assert Ideal([], 3, F5).colon(Ideal([x1 + x2])).is_zero()
-    assert I.colon(Ideal([x2 + 1, pp("2", F5, 3)])).equals(I)
+    assert same_ideal(I.colon(Ideal([x2 + 1, pp("2", F5, 3)])), I)
     assert I.colon(Ideal([], 3, F5)).height() == inf
     # J as a bare Polynomial
     assert I.colon(x1).groebner_basis() == [x2, x3]

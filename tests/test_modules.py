@@ -14,7 +14,6 @@ from smallsub.groebner import (GREVLEX, autoreduce, buchberger, groebner_basis,
                                _tagged)
 from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                               kernel_of_map, koszul_relations,
-                              module_groebner_basis, projective_dimension,
                               submodule_contains, submodule_equals, syzygies,
                               _chain_matrices, _schreyer_key, _schreyer_sort,
                               _schreyer_syzygies, _dict_to_vec, _vec_to_dict)
@@ -109,7 +108,6 @@ def test_koszul_resolution_ranks():
         assert res.length == c
         assert res.ranks == [comb(c, i) for i in range(1, c + 1)]
         assert res.verify()
-        assert projective_dimension(sub) == c
 
 
 def test_principal_ideal_resolution():
@@ -117,7 +115,6 @@ def test_principal_ideal_resolution():
     res = free_resolution(sub)
     assert res.length == 1
     assert res.ranks == [1]
-    assert projective_dimension(sub) == 1
 
 
 def test_x2_xy_resolution():
@@ -125,7 +122,6 @@ def test_x2_xy_resolution():
     res = free_resolution(sub)
     assert res.length == 2
     assert res.ranks == [2, 1]
-    assert projective_dimension(sub) == 2
 
 
 def test_resolution_invariants_random():
@@ -152,8 +148,6 @@ def test_module_groebner_and_membership():
     gens = [(pp("x1", F5, 2), pp("x2", F5, 2)),
             (pp("x2", F5, 2), pp("x1", F5, 2))]
     sub = SubmoduleOfFree(2, gens, 2, F5)
-    gb = module_groebner_basis(sub)
-    assert gb
     combo = (pp("x1+x2", F5, 2), pp("x1+x2", F5, 2))
     assert submodule_contains(sub, combo)
     assert not submodule_contains(sub, (pp("1", F5, 2), pp("0", F5, 2)))
@@ -163,7 +157,6 @@ def test_zero_module_resolution():
     sub = SubmoduleOfFree(3, [], 2, F5)
     res = free_resolution(sub)
     assert res.length == 0
-    assert projective_dimension(sub) == 0
 
 
 def test_module_with_unit_component_prunes():
@@ -173,7 +166,7 @@ def test_module_with_unit_component_prunes():
     sub = SubmoduleOfFree(2, gens, 1, F5)
     res = free_resolution(sub)
     assert res.verify()
-    assert projective_dimension(sub) == 1
+    assert res.length == 1
 
 
 def test_submodule_validation():

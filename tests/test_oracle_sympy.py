@@ -99,7 +99,7 @@ def _saturation_by_iterated_colon(ideal, f, rounds=50):
     current = ideal
     for _ in range(rounds):
         nxt = current.colon(f)
-        if current.contains_ideal(nxt):
+        if all(current.contains(g) for g in nxt.generators):
             return current
         current = nxt
     raise AssertionError("colon chain did not stabilise")

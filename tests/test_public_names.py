@@ -1,0 +1,53 @@
+"""Every name the package exports has a reader outside the tests.
+
+A public name that only its own tests read is surface to maintain with
+no user: it either gets a caller in the library, a demo, a script, the
+benchmark or the README, or it leaves ``__init__``."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import smallsub
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "smallsub"
+
+
+def _definitions(path: Path) -> dict[str, set[int]]:
+    """The lines of each top-level definition in a source file."""
+    spans: dict[str, set[int]] = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            spans.setdefault(name, set()).update(range(node.lineno, node.end_lineno + 1))
+    return spans
+
+
+def _readers() -> list[Path]:
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py"))
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    files += sorted((ROOT / "bench").rglob("*.py"))
+    return files + [ROOT / "bench" / "README.md", ROOT / "README.md"]
+
+
+def test_every_exported_name_has_a_reader():
+    names = [n for n in smallsub.__all__
+             if not isinstance(getattr(smallsub, n), types.ModuleType)]
+    texts = [(p.read_text().splitlines(), _definitions(p) if p.suffix == ".py" else {})
+             for p in _readers()]
+    unread = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(line) and i not in spans.get(name, ())
+                   for lines, spans in texts
+                   for i, line in enumerate(lines, start=1)):
+            unread.append(name)
+    assert names and not unread, f"exported but read only by tests: {unread}"

@@ -15,12 +15,20 @@ from smallsub.poly import (Form, Polynomial, gradient, grevlex_key, mono_mul,
                            monomials)
 from smallsub.strength import (CollapseWitness, StrengthReport, _class_domain,
                                _class_form, _class_support, _degree_profiles,
-                               enumerate_forms, find_collapse, full_report,
-                               strength_exact, strength_lower_bound)
+                               find_collapse, full_report, strength_exact,
+                               strength_lower_bound)
 
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+
+
+def enumerate_forms(nvars, degree, field):
+    """The projective classes of degree-d forms over a prime field, in the
+    order the collapse walk visits them."""
+    monos, count = _class_domain(nvars, degree, field.p)
+    return (_class_form(monos, _class_support(i, len(monos), field.p), nvars, field)
+            for i in range(count))
 
 
 def test_enumerate_forms_counts():
@@ -28,8 +36,8 @@ def test_enumerate_forms_counts():
     assert len(list(enumerate_forms(2, 1, F2))) == 3
     assert len(list(enumerate_forms(3, 1, F2))) == 7
     assert len(list(enumerate_forms(2, 2, F3))) == (3 ** 3 - 1) // 2
-    with pytest.raises(ValueError):
-        enumerate_forms(2, 1, QQ)
+    # the class indexing lists the brute-force table, in its order
+    assert list(enumerate_forms(3, 2, F3)) == _old_classes(3, 2, 3)
 
 
 def test_find_collapse_square():
