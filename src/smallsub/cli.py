@@ -10,7 +10,9 @@ on ``gb`` and ``pdim``, ``--verbose`` on ``gb``, ``--seed`` on
 ``descend``, ``--field`` and ``--nvars`` on all but ``bounds`` and
 ``selftest``; any other flag is malformed input.  A report's ``config``
 echoes the field, order and seed, with ``Q``, ``grevlex`` and ``0``
-where the subcommand has no such flag.  Reports are byte-identical
+where the subcommand has no such flag; budget-exceeded and
+internal-error reports carry the same block, and a budget-exceeded
+report names the cap that was hit (``cap``).  Reports are byte-identical
 across runs for fixed inputs, seed and budgets; wall-clock timing is
 added only on request.
 """
@@ -466,6 +468,27 @@ def _print_payload(report: dict, output: str):
     emit("", report)
 
 
+def _report(args, budget: Budget, **fields) -> dict:
+    """A report of schema 1: the command, the ``config`` block and
+    ``fields`` (the result, or the error of an exit-2 or exit-4 run)."""
+    return {
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": {
+            "field": getattr(args, "field", "Q"),
+            "order": getattr(args, "order", "grevlex"),
+            "seed": getattr(args, "seed", 0),
+            "budgets": {
+                "max_pairs": budget.max_pairs,
+                "max_degree": budget.max_degree,
+                "max_candidates": budget.max_candidates,
+                "max_steps": budget.max_steps,
+            },
+        },
+        **fields,
+    }
+
+
 def run(argv=None) -> tuple[int, dict | None]:
     try:
         args = _parser().parse_args(argv)
@@ -481,31 +504,15 @@ def run(argv=None) -> tuple[int, dict | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 3, None
     except BudgetExceededError as exc:
-        report = {"schema": SCHEMA, "command": args.command,
-                  "error": str(exc), "budget_exceeded": True}
+        report = _report(args, budget, error=str(exc), budget_exceeded=True,
+                         cap={"what": exc.what, "limit": exc.limit})
         print(json.dumps(report, sort_keys=True, indent=2))
         return 2, report
     except InternalError as exc:
-        report = {"schema": SCHEMA, "command": args.command,
-                  "error": str(exc), "internal_error": True}
+        report = _report(args, budget, error=str(exc), internal_error=True)
         print(json.dumps(report, sort_keys=True, indent=2))
         return 4, report
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "config": {
-            "field": getattr(args, "field", "Q"),
-            "order": getattr(args, "order", "grevlex"),
-            "seed": getattr(args, "seed", 0),
-            "budgets": {
-                "max_pairs": budget.max_pairs,
-                "max_degree": budget.max_degree,
-                "max_candidates": budget.max_candidates,
-                "max_steps": budget.max_steps,
-            },
-        },
-        "result": payload,
-    }
+    report = _report(args, budget, result=payload)
     if args.timing:
         report["timing_ms"] = round(1000 * (time.monotonic() - started), 3)
     _print_payload(report, args.output)

@@ -23,7 +23,12 @@ its residual modulo the lines before it, whose product rows need no
 elimination.  A witness gets its cofactors from one more
 elimination in degree d on the same packed F_p kernel, of the product
 rows tagged by (i, m), which cross-checks the verdict, and is verified
-exactly on construction.  A "no collapse" answer is reported only when the
+exactly on construction.  The tables behind both eliminations (degree-d
+columns, product rows, slot layouts) depend only on the shape
+(nvars, d, e, p), so each is built once per shape and shared by the
+search, the witness and every later call, descent's included; each
+cache keeps at most SHAPE_CACHE_BOUND = 64 shapes, the least recently
+used dropped first.  A "no collapse" answer is reported only when the
 enumeration finished; running out of budget is a distinguished outcome.
 Exhaustive results are tagged as specific to the ground field, while
 the Jacobian height bound is stable under field extension.
@@ -32,6 +37,7 @@ the Jacobian height bound is stable under field extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import ceil, comb, inf
 
@@ -44,6 +50,12 @@ from .poly import (Form, Monomial, Polynomial, as_form, gradient, grevlex_key,
 
 #: Hard cap on a single enumeration class (forms of one degree, up to scalar).
 ENUMERATION_DOMAIN_CAP = 200_000
+
+#: Shapes kept by each of the collapse search's table caches, the least
+#: recently used dropped first: slot layouts by (p, slots), column maps by
+#: (nvars, d, p) and product tables by (nvars, d, e, p).  An entry is the
+#: size of the tables one search of its shape builds.
+SHAPE_CACHE_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -97,14 +109,21 @@ def class_count(m: int, p: int) -> int:
     return (p ** m - 1) // (p - 1)
 
 
+def _class_count(nvars: int, degree: int, p: int) -> int:
+    """The number of projective classes of nonzero degree-d forms over
+    F_p; past ENUMERATION_DOMAIN_CAP it raises instead, before any table
+    of the domain is built."""
+    count = class_count(comb(nvars + degree - 1, degree), p)
+    if count > ENUMERATION_DOMAIN_CAP:
+        raise BudgetExceededError("collapse enumeration domain", ENUMERATION_DOMAIN_CAP)
+    return count
+
+
 def _class_domain(nvars: int, degree: int, p: int) -> tuple[list[Monomial], int]:
     """Degree-d monomials (grevlex, largest first) and the number of
     projective classes of nonzero degree-d forms over F_p."""
-    monos = sorted(monomials(nvars, degree), key=grevlex_key, reverse=True)
-    count = class_count(len(monos), p)
-    if count > ENUMERATION_DOMAIN_CAP:
-        raise BudgetExceededError("collapse enumeration domain", ENUMERATION_DOMAIN_CAP)
-    return monos, count
+    count = _class_count(nvars, degree, p)
+    return sorted(monomials(nvars, degree), key=grevlex_key, reverse=True), count
 
 
 def _class_support(index: int, m: int, p: int) -> list[tuple[int, int]]:
@@ -139,6 +158,7 @@ def _degree_profiles(size: int, max_degree: int):
     return combinations_with_replacement(range(1, max_degree + 1), size)
 
 
+@lru_cache(maxsize=SHAPE_CACHE_BOUND)
 def _slot_layout(p: int, nslots: int):
     """Packed vectors over F_p: the slot width W and the kernel around it.
 
@@ -188,6 +208,79 @@ def _slot_layout(p: int, nslots: int):
         return lead, vec if c == 1 else norm(vec * pow(c, p - 2, p))
 
     return width, norm, reduce, monic
+
+
+@lru_cache(maxsize=SHAPE_CACHE_BOUND)
+def _columns(nvars: int, d: int, p: int) -> tuple[dict[Monomial, int], tuple]:
+    """The degree-d columns, monomial -> index, and their slot layout.
+
+    Columns and product rows run in lex-descending monomial order: under
+    the ascending order the same eliminations cost more, and the slowest
+    searches of the benchmark's collapse pool take about 8% longer.
+    """
+    columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
+    return columns, _slot_layout(p, len(columns))
+
+
+class _Products:
+    """The products of the degree-e monomials with the degree-(d - e)
+    multipliers over F_p, each row the slot shifts of its degree-d
+    columns, and two memos over them that the searches of this shape
+    share: the rows free of a set of lead variables, and the lines.
+
+    A slot's width depends on p alone, so the shifts hold in every layout
+    over F_p with the degree-d columns first, the witness solve's too.
+    """
+
+    __slots__ = ("monos", "index", "multipliers", "rows", "tags", "layout", "_free",
+                 "_lines")
+
+    def __init__(self, nvars: int, d: int, e: int, p: int):
+        columns, (width, *_) = _columns(nvars, d, p)
+        # degree e, in the class order (grevlex, largest first)
+        self.monos = tuple(sorted(monomials(nvars, e), key=grevlex_key, reverse=True))
+        self.index = {m: a for a, m in enumerate(self.monos)}
+        # degree d - e, lex-descending, and per multiplier u the shift of
+        # each u*monos[a]
+        self.multipliers = tuple(sorted(monomials(nvars, d - e), reverse=True))
+        self.rows = tuple(tuple(columns[mono_mul(u, m)] * width for m in self.monos)
+                          for u in self.multipliers)
+        # (u, row) with the multipliers grevlex-descending: the witness's tags
+        self.tags = tuple(sorted(zip(self.multipliers, self.rows),
+                                 key=lambda t: grevlex_key(t[0]), reverse=True))
+        self.layout = _slot_layout(p, len(self.monos))  # vectors over monos
+        self._free: dict[int, tuple] = {}
+        self._lines: dict[tuple[int, int], tuple] = {}
+
+    def free_of(self, fixed: int) -> tuple:
+        """The rows whose multiplier is free of the variables in the
+        bitmask ``fixed``."""
+        if not fixed:
+            return self.rows
+        if fixed not in self._free:
+            pivot_vars = [v for v in range(fixed.bit_length()) if fixed >> v & 1]
+            self._free[fixed] = tuple(row for row, u in zip(self.rows, self.multipliers)
+                                      if not any(u[v] for v in pivot_vars))
+        return self._free[fixed]
+
+    def lines(self, fixed: int, b: int) -> tuple[int, dict[int, tuple]]:
+        """For e = 1, the rows m*l' of a linear residual l' led by x_b, for
+        m free of the variables in ``fixed``: the mask of their pivot
+        slots, and each one's product row by pivot column.  l' is free of
+        those variables and 1 at x_b, so row m*l' is 1 at m*x_b, zero
+        before it and at every pivot of the linear rows before l'."""
+        if (fixed, b) not in self._lines:
+            width = self.layout[0]
+            slot = (1 << width) - 1
+            pivots = {row[b] // width: row for row in self.free_of(fixed)}
+            self._lines[fixed, b] = (sum(slot << j * width for j in pivots), pivots)
+        return self._lines[fixed, b]
+
+
+@lru_cache(maxsize=SHAPE_CACHE_BOUND)
+def _products(nvars: int, d: int, e: int, p: int) -> _Products:
+    """The product table of degree e into degree d over F_p."""
+    return _Products(nvars, d, e, p)
 
 
 def _extend_span(span: tuple, vec: int, p: int, layout) -> tuple | None:
@@ -400,41 +493,28 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
 
     Each row is one packed int, column j in slot j, reduced and made monic
     by the kernel of :func:`_slot_layout`: a row's pivot is its lowest set
-    slot, and F is in the span when its reduced residual is 0.
+    slot, and F is in the span when its reduced residual is 0.  The tables
+    behind the rows depend on the shape alone, not on F: the column map
+    (:func:`_columns`), each degree's product rows (:func:`_products`),
+    those free of the lead variables so far and the substitution lines.
+    Each is built once per shape and kept in a cache of at most
+    SHAPE_CACHE_BOUND entries, which :func:`_lift_witness` and every later
+    search of the same shape read.  The enumeration-domain cap is checked
+    by each search before it reads a degree's table, so an oversized
+    domain raises every time and is never built.
     """
     p, nvars, d = target.field.p, target.nvars, target.degree
     counter = Counter("collapse candidates", budget.max_candidates)
-    # columns and product rows in lex-descending monomial order: under the
-    # ascending order the same eliminations cost more, and the slowest
-    # searches of the benchmark's collapse pool take about 8% longer
-    columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
-    width, norm, reduce, monic = _slot_layout(p, len(columns))
+    columns, (width, norm, reduce, monic) = _columns(nvars, d, p)
     slot = (1 << width) - 1
     rows: dict[int, int] = {}  # pivot column -> row, 1 at the pivot
     pivmask = 0  # the slots of the pivot columns
-    domains: dict[int, tuple] = {}
-    kept: dict[tuple[int, int], list] = {}  # (degree, fixed) -> product rows
-    substitutions: dict[tuple[int, int], tuple] = {}  # (fixed, lead) -> lines
+    domains: dict[int, tuple[int, _Products]] = {}
 
     def domain(e: int):
         if e not in domains:
-            monos, count = _class_domain(nvars, e, p)
-            multipliers = sorted(monomials(nvars, d - e), reverse=True)
-            products = [[columns[mono_mul(u, m)] * width for m in monos] for u in multipliers]
-            domains[e] = (monos, count, multipliers, products, _slot_layout(p, len(monos)))
+            domains[e] = _class_count(nvars, e, p), _products(nvars, d, e, p)
         return domains[e]
-
-    def products_free_of(e: int, fixed: int):
-        """The product rows of degree e whose multiplier is free of the
-        variables in the bitmask ``fixed``."""
-        _, _, multipliers, products, _ = domain(e)
-        if not fixed:
-            return products
-        if (e, fixed) not in kept:
-            pivot_vars = [v for v in range(nvars) if fixed >> v & 1]
-            kept[e, fixed] = [shifts for shifts, u in zip(products, multipliers)
-                              if not any(u[v] for v in pivot_vars)]
-        return kept[e, fixed]
 
     def later_tuples(profile, pos):
         """Tuples of the later blocks' degrees under one class at pos; their
@@ -444,7 +524,7 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
         for f in sorted(set(profile[pos + 1:]) - {profile[pos]}):
             if not total:
                 break
-            total *= comb(domain(f)[1], profile.count(f))
+            total *= comb(domain(f)[0], profile.count(f))
         return total
 
     def add_rows(support, products):
@@ -463,22 +543,12 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
                 pivots.append(lead)
         return pivots
 
-    def lines(fixed: int, b: int):
-        """The rows m*l' of a linear residual l' led by x_b, for m free of
-        the variables in ``fixed``: the mask of their pivot slots, and each
-        one's product row by pivot column.  l' is free of those variables
-        and 1 at x_b, so row m*l' is 1 at m*x_b, zero before it and at every
-        pivot of the linear rows before l'."""
-        if (fixed, b) not in substitutions:
-            pivots = {shifts[b] // width: shifts for shifts in products_free_of(1, fixed)}
-            substitutions[fixed, b] = (sum(slot << j * width for j in pivots), pivots)
-        return substitutions[fixed, b]
-
-    def substitute(vec, support, fixed):
+    def substitute(vec, support, lines):
         """vec, zero at every pivot of the linear rows so far, reduced by
-        the rows m*l' of the residual l' with this support: none of those
-        rows is stored, each is built when its pivot is live."""
-        mask, pivots = lines(fixed, support[0][0])
+        the rows m*l' of the residual l' with this support, ``lines`` their
+        mask and pivots (:meth:`_Products.lines`): none of those rows is
+        stored, each is built when its pivot is live."""
+        mask, pivots = lines
         live = vec & mask
         while live:
             j = ((live & -live).bit_length() - 1) // width
@@ -496,7 +566,8 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
         variables of the linear block so far, one bit each."""
         nonlocal pivmask
         e = profile[pos]
-        monos, count, _, _, layout = domain(e)
+        count, table = domain(e)
+        monos, layout = table.monos, table.layout
         cwidth = layout[0]
         last = pos == len(profile) - 1
         later = profile[pos + 1:].count(e)
@@ -523,10 +594,10 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
                 counter.tick()
             mask = pivmask
             if e == 1 and not keep_lines:
-                reduced = substitute(residual, support, fixed)
+                reduced = substitute(residual, support, table.lines(fixed, support[0][0]))
                 pivots = ()
             else:
-                pivots = add_rows(support, products_free_of(e, fixed))
+                pivots = add_rows(support, table.free_of(fixed))
                 reduced = reduce(residual, rows, pivmask)
             if last:
                 found = None if reduced else []
@@ -568,32 +639,42 @@ def _lift_witness(target: Form, gens: list[Form]) -> CollapseWitness:
     In degree d those are the pivots of the syzygy rows below, as tag slots
     run in that order.  Row u*g_i holds its degree-d columns and a 1 in the
     tag slot of (i, u); a row whose columns eliminate away is a syzygy, and
-    -F reduced against every row holds c in its tag slots.
+    -F reduced against every row holds c in its tag slots.  The rows come
+    from the search's cached tables: the degree-d columns, and per
+    generator degree the product rows with their multipliers in grevlex
+    order, so nothing is enumerated or sorted again.
     """
     field, nvars, d = target.field, target.nvars, target.degree
-    columns = {m: j for j, m in enumerate(sorted(monomials(nvars, d), reverse=True))}
-    tags = [(i, u) for i, g in enumerate(gens)
-            for u in sorted(monomials(nvars, d - g.degree), key=grevlex_key, reverse=True)]
-    width, _, reduce, monic = _slot_layout(field.p, len(columns) + len(tags))
+    p = field.p
+    columns = _columns(nvars, d, p)[0]
+    tables = [_products(nvars, d, g.degree, p) for g in gens]
+    width, _, reduce, monic = _slot_layout(p, len(columns) + sum(len(t.tags) for t in tables))
     slot, top = (1 << width) - 1, len(columns) * width  # top: the first tag bit
-    rows, mask = {}, 0
-    for t, (i, u) in enumerate(tags):
-        vec = sum(c << columns[mono_mul(u, m)] * width for m, c in gens[i].terms.items())
-        vec = reduce(vec | 1 << top + t * width, rows, mask)
-        if vec:
-            lead, vec = monic(vec)
-            rows[lead] = vec
-            mask |= slot << lead * width
-    rest = reduce(sum((field.p - c) << columns[m] * width for m, c in target.terms.items()),
+    rows, mask, tag = {}, 0, 1 << top
+    for g, table in zip(gens, tables):
+        support = [(table.index[m], c) for m, c in g.terms.items()]
+        for _, shifts in table.tags:
+            vec = reduce(sum(c << shifts[a] for a, c in support) | tag, rows, mask)
+            tag <<= width
+            if vec:
+                lead, vec = monic(vec)
+                rows[lead] = vec
+                mask |= slot << lead * width
+    rest = reduce(sum((p - c) << columns[m] * width for m, c in target.terms.items()),
                   rows, mask)
     if rest & (1 << top) - 1:
         raise InternalError("the degree-d solve rejected a collapse that the search accepted")
-    terms: list[dict] = [{} for _ in gens]
-    for t, (i, u) in enumerate(tags):
-        if c := rest >> top + t * width & slot:
-            terms[i][u] = c
-    return CollapseWitness(target, tuple((g, Form(Polynomial(nvars, field, h)))
-                                         for g, h in zip(gens, terms) if h))
+    pairs = []
+    rest >>= top
+    for g, table in zip(gens, tables):
+        h = {}
+        for u, _ in table.tags:
+            if c := rest & slot:
+                h[u] = c
+            rest >>= width
+        if h:
+            pairs.append((g, Form(Polynomial(nvars, field, h))))
+    return CollapseWitness(target, tuple(pairs))
 
 
 def find_collapse(target: Polynomial, k: int,

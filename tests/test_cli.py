@@ -186,13 +186,26 @@ def test_budget_exceeded_exit_code(capsys):
     assert code == 2
     report = _json_out(capsys)
     assert report["budget_exceeded"] is True
+    # the same config block as every other report, and the cap that was hit
+    assert report["config"] == {
+        "field": "p=5", "order": "grevlex", "seed": 0,
+        "budgets": {"max_pairs": 1, "max_degree": None,
+                    "max_candidates": Budget().max_candidates,
+                    "max_steps": Budget().max_steps}}
+    assert report["cap"] == {"what": "groebner pairs", "limit": 1}
+    assert report["error"] == "budget exceeded: groebner pairs limit 1"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     # a degree-d solve disagreeing with the collapse verdict is a bug, not a
     # verdict: here the lift's layout, the only one with more slots than
     # the 3 quadratic monomials, reduces nothing, so F's residual stays
-    # nonzero while the search still finds x1
+    # nonzero while the search still finds x1.  The command runs once
+    # first, so every table of its shape is cached before the patch: the
+    # lift still takes its layout from _slot_layout on every call
+    argv = ["collapse", "--field", "p=2", "--form", "x1*x2", "--k", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
     layout = strength._slot_layout
 
     def no_reduction(p, nslots):
@@ -202,11 +215,14 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         return width, norm, reduce, monic
 
     monkeypatch.setattr(strength, "_slot_layout", no_reduction)
-    code = main(["collapse", "--field", "p=2", "--form", "x1*x2", "--k", "1"])
+    code = main(argv)
     assert code == 4
     report = _json_out(capsys)
     assert report["internal_error"] is True
     assert report["command"] == "collapse"
+    assert report["config"]["field"] == "p=2"
+    assert report["config"]["budgets"]["max_candidates"] == Budget().max_candidates
+    assert "cap" not in report and "result" not in report
 
 
 def test_default_budgets_come_from_budget(monkeypatch):

@@ -3,6 +3,7 @@ from bisect import bisect_left
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, inf
+from pathlib import Path
 
 import pytest
 
@@ -326,10 +327,16 @@ def test_cubic_budget_boundary():
 def test_enumeration_domain_cap():
     # 2^18 - 1 = 262,143 linear classes exceed the cap; 2^17 - 1 do not
     F = Form(pp("x1*x2", F2, 18))
-    with pytest.raises(BudgetExceededError) as err:
-        find_collapse(F, 1)
-    assert err.value.what == "collapse enumeration domain"
-    assert err.value.limit == strength.ENUMERATION_DOMAIN_CAP == 200_000
+    # an oversized domain is never built, so never cached: a repeated call
+    # raises again and adds no product table
+    for _ in range(2):
+        tables = strength._products.cache_info()
+        with pytest.raises(BudgetExceededError) as err:
+            find_collapse(F, 1)
+        assert err.value.what == "collapse enumeration domain"
+        assert err.value.limit == strength.ENUMERATION_DOMAIN_CAP == 200_000
+        after = strength._products.cache_info()
+        assert (after.misses, after.currsize) == (tables.misses, tables.currsize)
     w = find_collapse(Form(pp("x1*x2", F2, 17)), 1)
     assert [g for g, _ in w.pairs] == [pp("x1", F2, 17)]
     # the 2^28 - 1 quadric classes in 7 variables are never a cubic's
@@ -1028,6 +1035,81 @@ def test_collapse_path_runs_no_groebner_lift(monkeypatch):
     assert (report.exact, report.witness) == (1, witness)
     cubic = Form(pp("x1^3+x2^3+x3^3", F3, 3))
     assert strength_exact(cubic).witness.target == cubic
+
+
+# ----- shape tables: built once per shape, the same cold and warm -----
+
+
+_SHAPE_CACHES = (strength._slot_layout, strength._columns, strength._products)
+
+
+def _clear_shape_caches():
+    for cache in _SHAPE_CACHES:
+        cache.cache_clear()
+
+
+def _recorded_outcomes(F, budget, monkeypatch):
+    """Both find_collapse witnesses, the strength report and the candidate
+    ticks of every search behind them."""
+    counters = []
+
+    class Recording(Counter):
+        def __init__(self, what, limit):
+            super().__init__(what, limit)
+            counters.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(strength, "Counter", Recording)
+        outcome = [_outcome(lambda k=k: find_collapse(F, k, budget)) for k in (1, 2)]
+        outcome.append(strength_exact(F, budget))
+    return outcome, [c.used for c in counters]
+
+
+def test_cold_and_warm_tables_give_the_same_outcomes(monkeypatch):
+    cases = list(_kernel_cases())[::2]
+    cold = []
+    for F, budget in cases:
+        _clear_shape_caches()
+        cold.append(_recorded_outcomes(F, budget, monkeypatch))
+    warm = [_recorded_outcomes(F, budget, monkeypatch) for F, budget in cases]
+    assert warm == cold
+    outcomes = [o for (o, _) in cold]
+    # witnesses, budget cuts and exhausted searches all occur
+    assert any(isinstance(w, CollapseWitness) and w.k == 2 for o in outcomes for w in o[:2])
+    assert any("budget exceeded" in o[:2] for o in outcomes)
+    assert any(o[2].exhausted for o in outcomes)
+
+
+def test_collapse_reports_warm_pass_is_byte_identical(monkeypatch):
+    # the argv list of scripts/collapse_reports.py, twice in one process;
+    # the second pass builds no table at all
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import collapse_reports
+    import smallsub
+    run_cli = collapse_reports.workloads.run_cli
+    argvs = list(collapse_reports.argvs())
+    _clear_shape_caches()
+    first = [run_cli(smallsub, argv) for argv in argvs]
+    misses = [cache.cache_info().misses for cache in _SHAPE_CACHES]
+    second = [run_cli(smallsub, argv) for argv in argvs]
+    assert second == first
+    assert [cache.cache_info().misses for cache in _SHAPE_CACHES] == misses
+    assert {code for code, _, _ in first} == {0}
+
+
+def test_shape_caches_stay_within_their_bound():
+    bound = strength.SHAPE_CACHE_BOUND
+    primes = [q for q in range(2, 50) if _is_prime(q)]
+    shapes = [(nvars, d, q) for nvars in (2, 3) for d in (2, 3, 4) for q in primes]
+    assert len(shapes) > bound
+    for nvars, d, q in shapes:
+        field = GF(q)
+        F = Form(Polynomial(nvars, field, {(1, d - 1) + (0,) * (nvars - 2): 1}))
+        w = find_collapse(F, 1)
+        assert [g for g, _ in w.pairs] == [Polynomial.variable(0, nvars, field)]
+    for cache in _SHAPE_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize == bound, cache
 
 
 # ----- quadric strength from rank and discriminant (odd p) -----
