@@ -143,19 +143,13 @@ def _cmd_sat(args, field, budget):
             "by": format_polynomial(by)}, 0
 
 
-def _cmd_colon(args, field, budget):
+def _cmd_colon_or_intersect(args, field, budget):
     gens = _load_polys(args, field)
     with_gens = parse_generators(args.with_gens, field, args.nvars)
     (gens, with_gens), nv = _shared_ambient(gens, with_gens)
-    result = Ideal(gens, nv, field).colon(Ideal(with_gens, nv, field), budget)
-    return {"basis": [format_polynomial(g) for g in result.groebner_basis(budget=budget)]}, 0
-
-
-def _cmd_intersect(args, field, budget):
-    gens = _load_polys(args, field)
-    with_gens = parse_generators(args.with_gens, field, args.nvars)
-    (gens, with_gens), nv = _shared_ambient(gens, with_gens)
-    result = Ideal(gens, nv, field).intersection(Ideal(with_gens, nv, field), budget)
+    ideal, other = Ideal(gens, nv, field), Ideal(with_gens, nv, field)
+    result = (ideal.colon(other, budget) if args.command == "colon"
+              else ideal.intersection(other, budget))
     return {"basis": [format_polynomial(g) for g in result.groebner_basis(budget=budget)]}, 0
 
 
@@ -355,8 +349,8 @@ def _cmd_selftest(args, field, budget):
 _HANDLERS = {
     "gb": _cmd_gb,
     "sat": _cmd_sat,
-    "colon": _cmd_colon,
-    "intersect": _cmd_intersect,
+    "colon": _cmd_colon_or_intersect,
+    "intersect": _cmd_colon_or_intersect,
     "leading-ideal": _cmd_leading_ideal,
     "pdim": _cmd_pdim,
     "strength": _cmd_strength,
@@ -453,16 +447,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _print_json(report: dict):
+    print(json.dumps(report, sort_keys=True, indent=2))
+
+
 def _print_payload(report: dict, output: str):
     if output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _print_json(report)
         return
     def emit(prefix, value):
         if isinstance(value, dict):
             for k in sorted(value):
                 emit(f"{prefix}{k}.", value[k])
-        elif isinstance(value, list):
-            print(f"{prefix[:-1]}: {value}")
         else:
             print(f"{prefix[:-1]}: {value}")
     emit("", report)
@@ -506,11 +502,11 @@ def run(argv=None) -> tuple[int, dict | None]:
     except BudgetExceededError as exc:
         report = _report(args, budget, error=str(exc), budget_exceeded=True,
                          cap={"what": exc.what, "limit": exc.limit})
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _print_json(report)
         return 2, report
     except InternalError as exc:
         report = _report(args, budget, error=str(exc), internal_error=True)
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _print_json(report)
         return 4, report
     report = _report(args, budget, result=payload)
     if args.timing:

@@ -28,11 +28,21 @@ joins the remainder or a reduction record.  An exponent above
 MAX_EXPONENT, in the input or in a product, raises
 :class:`BudgetExceededError`; a field never wraps into its neighbour.
 
+Each element is prepared once, by the run that makes it: its terms
+keyed, packed and scaled to monic as a divisor (:func:`_prep_codes`).
+:func:`buchberger` and :func:`autoreduce` return their elements as the
+:class:`_Divisors` they reduce by, and their callers read leading terms
+and tail codes off those.  :func:`_prep` keys a vector only when it
+comes from a ``Polynomial`` or changes components, and :func:`_from_vec`
+is the one place where codes turn back into terms.
+
 The first divisor of a leading term is memoized per term code
 (:class:`_Divisors`): its index, or "none among the first k", which a
 later lookup resumes from k.  That is exact because a basis only grows
-by appending.  The memo lives for one :func:`buchberger` run; beside
-``Ideal``'s cached divisors it is cleared past ``_IDEAL_MEMO_CAP``.
+by appending.  A signature run records the first divisor before its
+regularity check, so the memo that :func:`buchberger` returns serves
+plain reductions against its basis too.  Beside ``Ideal``'s cached
+divisors the memo is cleared past ``_IDEAL_MEMO_CAP``.
 
 The pair loop is signature-based, in the rewrite-based form ("RB" in
 Eder and Faugere, "A survey on signature-based algorithms for computing
@@ -92,12 +102,13 @@ positive degree: the section x1 = 0 of (x1 - 1), of height 1, is the
 unit ideal.
 
 Kernels use the tag-component embedding: the kernel of R^r -> R^m / T
-is the tag block of one position-over-term basis (:func:`_modulo`), and
-syzygies, kernels of module maps, I : J and I cap J are each one call
-of it.  Cofactors of a membership are the tag components of one
-remainder against such a basis (:func:`membership_cofactors`), and an
-exact division f / g is the one cofactor of ``membership_cofactors(f,
-[g])``.  The records a tracked reduction keeps
+is the tag block of one position-over-term basis (:func:`_modulo`), its
+elements whose leading term lies in a tag component, and so wholly in
+the tag block; syzygies, kernels of module maps, I : J and I cap J are
+each one call of it.  Cofactors of a membership are the tag components
+of one remainder against such a basis, reduced by its run's own
+divisors (:func:`membership_cofactors`), and an exact division f / g is
+the one cofactor of ``membership_cofactors(f, [g])``.  The records a tracked reduction keeps
 (``normal_form_vec(track=True)``) serve only Schreyer's syzygies in
 :mod:`smallsub.modules`.  Only
 saturation eliminates a tag variable, the t of Rabinowitsch's 1 - t*f;
@@ -367,24 +378,24 @@ def _sub_scaled_packed(work: dict, src: dict, u: int, factor, p, guard: int):
             del work[t]
 
 
-def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
+def normal_form_vec(vec: VecDict, basis: _Divisors, keyf, p,
                     track: bool = False, sig: int | None = None):
     """Full normal form against monic divisors prepared by :func:`_prep`.
 
     The first divisor in ``basis`` that divides the leading term reduces
-    it; a :class:`_Divisors` basis remembers it per term.  ``vec`` is a
-    VecDict, or a :class:`_Codes` vector, which the reduction consumes.
-    Live codes sit in a dict and a min-heap, so the largest term comes
-    off first, and a term that cancels while queued is skipped when it
-    comes off.  Returns the remainder, plus ``(index, mono, coeff)``
-    reduction records when tracking.
+    it, and the basis remembers it per term.  ``vec`` is a VecDict, or a
+    :class:`_Codes` vector, which the reduction consumes.  Live codes sit
+    in a dict and a min-heap, so the largest term comes off first, and a
+    term that cancels while queued is skipped when it comes off.  Returns
+    the remainder keyed by term codes, largest term first
+    (:func:`_from_vec` reads it), plus ``(index, mono, coeff)`` reduction
+    records when tracking.
 
     With a signature key ``sig`` and a :class:`_Signed` basis the
     reduction is regular: x^u g_k reduces the term h only when its
     signature key offs[k] + weight(h) is below ``sig``, so the bound on
     offs is computed once per reduced term, and a first divisor that is
-    not regular resumes the scan past it.  The remainder is then keyed
-    by term codes, for :func:`_prep_codes`; without ``sig``, by terms.
+    not regular resumes the scan past it.
     """
     rem: dict = {}
     records = [] if track else None
@@ -398,10 +409,7 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
         heap = list(work)
         heapify(heap)
         guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
-        if isinstance(basis, _Divisors):
-            negs, memo = basis.negs, basis.memo
-        else:
-            negs, memo = [d[0] for d in basis], {}
+        negs, memo = basis.negs, basis.memo
         if sig is not None:
             even, odd, shift = layout.even, layout.odd, layout.code_shift
             offs, scale, radix = basis.offs, basis.scale, basis.radix
@@ -446,58 +454,36 @@ def normal_form_vec(vec: VecDict, basis: Sequence[tuple], keyf, p,
                     v = 0
                 v -= c * tc
                 work[s] = v % p if p else v
-        if sig is None:
-            rem = {unpack(h & low): c for h, c in rem.items()}
     return (rem, records) if track else rem
 
 
-def _prep(vec: VecDict, keyf):
-    """A monic divisor as ``(bias - packed lt, code of lt, lt, tail)``,
-    each tail term as ``(code, coeff)``."""
-    return _prep_keyed([(keyf(t), t, c) for t, c in vec.items()])
-
-
-def _prep_keyed(keyed: list) -> tuple:
-    """:func:`_prep` of a vector given as ``(key, term, coeff)`` triples."""
-    klt, lt, _ = max(keyed, key=itemgetter(0))
-    layout = _layout(len(lt[1]))
+def _prep(vec: VecDict, keyf, field: CoefficientField) -> tuple:
+    """``vec`` scaled to be monic, as a prepared divisor ``(bias - packed
+    lt, code of lt, lt, tail)``, each tail term as ``(code, coeff)``, with
+    each term's key computed once.  Only for vectors that come from a
+    ``Polynomial`` or change components: an element of a run is prepared
+    by the run (:func:`_prep_codes`)."""
+    layout = _layout(len(next(iter(vec))[1]))
     code = layout.code
-    tail = [(code(t, k), c) for k, t, c in keyed if k != klt]
-    return (layout.bias - layout.pack(lt), code(lt, klt), lt, tail)
+    return _prep_codes({code(t, keyf(t)): c for t, c in vec.items()}, layout, field)
 
 
-def _prep_monic(vec: VecDict, keyf, field: CoefficientField):
-    """``vec`` scaled to be monic, the inverse of its leading coefficient,
-    and its prepared divisor, with each term's key computed once."""
-    keyed = [(keyf(t), t, c) for t, c in vec.items()]
-    lc = max(keyed, key=itemgetter(0))[2]
-    if lc == field.one:
-        return vec, lc, _prep_keyed(keyed)
-    inv, p = field.inv(lc), field.p
-    keyed = [(k, t, c * inv % p if p else c * inv) for k, t, c in keyed]
-    return {t: c for _, t, c in keyed}, inv, _prep_keyed(keyed)
-
-
-def _prep_codes(rem: dict, layout: _Layout, field: CoefficientField, seen: dict):
-    """:func:`_prep_monic` of a remainder keyed by term codes, without the
-    inverse.  ``seen`` maps each code met so far to one ``(code, term)``
-    pair, so that the elements of a run share their codes and term tuples."""
+def _prep_codes(rem: dict, layout: _Layout, field: CoefficientField) -> tuple:
+    """:func:`_prep` of a vector keyed by term codes, such as a remainder."""
     lt_code = min(rem)  # the largest term
-    inv = field.inv(rem[lt_code])
-    p = field.p
-    low, unpack = layout.low, layout.unpack
-    scaled = inv != field.one
-    vec, tail = {}, []
-    for h, c in rem.items():
-        if scaled:
-            c = c * inv % p if p else c * inv
-        shared = seen.get(h)
-        if shared is None:
-            shared = seen[h] = (h, unpack(h & low))
-        vec[shared[1]] = c
-        if h != lt_code:
-            tail.append((shared[0], c))
-    return vec, (layout.bias - (lt_code & low), lt_code, seen[lt_code][1], tail)
+    lc, p = rem[lt_code], field.p
+    if lc == field.one:
+        tail = [(h, c) for h, c in rem.items() if h != lt_code]
+    else:
+        inv = field.inv(lc)
+        tail = [(h, c * inv % p if p else c * inv) for h, c in rem.items() if h != lt_code]
+    lt = lt_code & layout.low
+    return (layout.bias - lt, lt_code, layout.unpack(lt), tail)
+
+
+def _terms(d: tuple, one) -> list:
+    """The ``(code, coeff)`` pairs of a prepared divisor, largest first."""
+    return [(d[1], one), *d[3]]
 
 
 def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
@@ -528,8 +514,9 @@ def _s_pair(di: tuple, dj: tuple, lcm: Term, key: int, p) -> _Codes:
 def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
                budget: Budget | None = None, *,
                stats: dict | None = None,
-               until: Callable[[Monomial], bool] | None = None) -> list[VecDict]:
-    """Compute a (non-reduced) monic Groebner basis of the span.
+               until: Callable[[Monomial], bool] | None = None) -> _Divisors:
+    """Compute a (non-reduced) monic Groebner basis of the span, as the
+    prepared divisors the run reduces by, with their first-divisor memo.
 
     One signature-based loop (see the module docstring).  A run whose
     every input term lies in one component is an ideal run, whose Koszul
@@ -544,7 +531,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     p = field.p
     pair_counter = Counter("groebner pairs", budget.max_pairs)
     zero_reductions = syzygy_skips = rewrite_skips = 0
-    basis: list[VecDict] = []
+    prepped = _Divisors()
     elems: list[tuple] = []  # (offset, comp, lt mono, packed lt, i, t), signature t * e_i
     heads: list[tuple] = []  # (sig key - weight(hd), i, t, packed hd), per element of an ideal run
     syzygies = [[] for _ in vectors]  # per i, bias - packed t of the minimal known t * e_i
@@ -553,7 +540,6 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     inputs = [i for i, vec in enumerate(vectors) if vec]
     layout: _Layout | None = None
     coded = {}  # per input, its terms as a _Codes vector, which its reduction consumes
-    seen: dict[int, tuple] = {}  # (code, term) per term code of an element
     if inputs:
         nvars = len(next(iter(vectors[inputs[0]]))[1])
         layout = _layout(nvars)
@@ -594,24 +580,23 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         known[:] = [n for n in known if (bias - n + neg) & mask]
         insort(known, neg, key=lambda n: degree(bias - n))  # the likelier divisors first
 
-    def add(vec: VecDict, sig: int, i: int, t: int) -> bool:
+    def add(rem: dict, sig: int, i: int, t: int) -> bool:
         """Add the regular remainder of signature t * e_i and queue its
         pairs; True when ``until`` ends the run."""
         nonlocal rewrite_skips, syzygy_skips
-        vec, prepared = _prep_codes(vec, layout, field, seen)
+        prepared = _prep_codes(rem, layout, field)
         neg, lt_code, (comp, ltm), tail = prepared
         lt = bias - neg
         lt_degree = sum(ltm)
         off = sig - scale * lt_degree + radix * (lt_code >> shift)
-        new = len(basis)
-        basis.append(vec)
+        new = len(prepped)
         prepped.append(prepared, off)
         neg_t = bias - t
         rewriters[i].append((new, neg_t))
         if ideal:
             # the Koszul syzygy of g_k and g_new has the larger signature of
             # hd(g_new) * sig(g_k) and hd(g_k) * sig(g_new): compare sig - weight(hd)
-            top_degree = max(map(sum, map(itemgetter(1), vec)))
+            top_degree = max(map(degree, rem))
             top = lt_code if top_degree == lt_degree else min(
                 h for h, _ in tail if degree(h) == top_degree)
             c_new = sig - scale * top_degree + radix * (top >> shift) + origin_weight
@@ -701,28 +686,32 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         stats["zero_reductions"] = zero_reductions
         stats["syzygy_skips"] = syzygy_skips
         stats["rewrite_skips"] = rewrite_skips
-        stats["basis_size"] = len(basis)
-    return basis
+        stats["basis_size"] = len(prepped)
+    return prepped
 
 
-def autoreduce(basis: Sequence[VecDict], keyf, field: CoefficientField) -> list[VecDict]:
-    """Interreduce a monic Groebner basis into the unique reduced monic
-    basis, sorted with the largest leading term first."""
-    # ascending leading terms, each prepared once: a larger code is a smaller term
-    elems = sorted((_prep(v, keyf) for v in basis if v), key=itemgetter(1), reverse=True)
-    minimal: list[tuple] = []
-    for d in elems:
+def autoreduce(basis: Sequence[tuple], keyf, field: CoefficientField) -> _Divisors:
+    """Interreduce the prepared divisors of a monic Groebner basis into
+    the unique reduced monic basis, sorted with the largest leading term
+    first.
+
+    The elements whose leading term no other one divides are kept, and
+    only their tails are reduced, all against the kept elements and one
+    memo: a tail term is smaller than its own leading term, which
+    therefore never divides it."""
+    # ascending leading terms: a larger code is a smaller term
+    minimal = _Divisors()
+    for d in sorted(basis, key=itemgetter(1), reverse=True):
         layout = _layout(len(d[2][1]))
         t = layout.bias - d[0]
-        if not any(not (t + m[0]) & layout.mask for m in minimal):
+        if not any(not (t + n) & layout.mask for n in minimal.negs):
             minimal.append(d)
-    reduced = []
-    for i, d in enumerate(minimal):
-        vec = _Codes(_layout(len(d[2][1])))
-        vec[d[1]] = field.one
-        vec.update(d[3])
-        reduced.append(normal_form_vec(vec, minimal[:i] + minimal[i + 1:], keyf, field.p))
-    reduced.reverse()
+    reduced = _Divisors()
+    for neg, lt_code, lt, tail in reversed(minimal):
+        vec = _Codes(_layout(len(lt[1])))
+        vec.update(tail)
+        rem = normal_form_vec(vec, minimal, keyf, field.p)
+        reduced.append((neg, lt_code, lt, list(rem.items())))
     return reduced
 
 
@@ -734,29 +723,40 @@ def _tagged(vectors: Sequence[VecDict], rank: int, nvars: int, one) -> list[VecD
 
 def _modulo(columns: Sequence[VecDict], target: Sequence[VecDict], rank: int,
             nvars: int, field: CoefficientField,
-            budget: Budget | None = None) -> list[VecDict]:
+            budget: Budget | None = None) -> list[tuple]:
     """Generators of the kernel of R^r -> R^rank / T, e_j -> columns[j],
     T spanned by ``target`` (Singular's ``modulo``; Greuel and Pfister,
-    Sec. 2.8): the elements of one position-over-term basis of the
-    columns[j] + e_{rank+j} and the target vectors that lie wholly in the
-    tag block, shifted down to e_0..e_{r-1}.  x is in the tag block of
-    that span exactly when sum x_j columns[j] lies in T, and POT
-    eliminates e_0..e_{rank-1}."""
+    Sec. 2.8): the prepared elements of one position-over-term basis of
+    the columns[j] + e_{rank+j} and the target vectors that lie wholly in
+    the tag block, with e_{rank+j} standing for e_j.  x is in the tag
+    block of that span exactly when sum x_j columns[j] lies in T, and POT
+    eliminates e_0..e_{rank-1}: an element lies wholly in the tag block
+    exactly when its leading term does."""
     gb = buchberger(_tagged(columns, rank, nvars, field.one) + list(target),
                     pot_key(GREVLEX), field, budget=budget)
-    return [{(comp - rank, m): c for (comp, m), c in g.items()}
-            for g in gb if all(comp >= rank for comp, _ in g)]
+    return [d for d in gb if d[2][0] >= rank]
 
 
 # ----- Polynomial-level wrappers -----
 
 
-def _to_vec(f: Polynomial) -> VecDict:
-    return {(0, m): c for m, c in f.terms.items()}
+def _to_vec(entries: Sequence[Polynomial]) -> VecDict:
+    """The VecDict of a vector of R^r, entries[c] in component c."""
+    return {(comp, m): c for comp, f in enumerate(entries) for m, c in f.terms.items()}
 
 
-def _from_vec(vec: VecDict, nvars: int, field: CoefficientField) -> Polynomial:
-    return Polynomial(nvars, field, {m: c for (_, m), c in vec.items()})
+def _from_vec(terms: Iterable[tuple[int, object]], rank: int, nvars: int,
+              field: CoefficientField) -> tuple[Polynomial, ...]:
+    """The entries of a vector of R^rank given as ``(code, coeff)`` pairs,
+    such as a remainder's items; packed terms serve as well.  The one
+    place where codes turn back into terms."""
+    layout = _layout(nvars)
+    low, unpack = layout.low, layout.unpack
+    per: list[dict] = [{} for _ in range(rank)]
+    for h, c in terms:
+        comp, mono = unpack(h & low)
+        per[comp][mono] = c
+    return tuple(Polynomial(nvars, field, t) for t in per)
 
 
 def _ambient(gens: Sequence[Polynomial]):
@@ -778,28 +778,26 @@ def groebner_basis(gens: Sequence[Polynomial], order: TermOrder = GREVLEX,
         return []
     nvars, field = _ambient(gens)
     keyf = pot_key(order)
-    basis = buchberger([_to_vec(g) for g in gens], keyf, field,
+    basis = buchberger([_to_vec((g,)) for g in gens], keyf, field,
                        budget=budget, stats=stats)
     reduced = autoreduce(basis, keyf, field)
     if stats is not None:
         stats["reduced_basis_size"] = len(reduced)
-    return [_from_vec(v, nvars, field) for v in reduced]
-
-
-def _prep_basis(basis: Sequence[Polynomial], keyf) -> list[tuple]:
-    """Prepared monic divisors of a polynomial basis."""
-    return [_prep_monic(_to_vec(g), keyf, g.field)[2] for g in basis]
+    return [_from_vec(_terms(d, field.one), 1, nvars, field)[0] for d in reduced]
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
                 order: TermOrder = GREVLEX) -> Polynomial:
-    """Remainder of f on full division by a (Groebner) basis."""
+    """Remainder of f on full division by a (Groebner) basis; zero
+    polynomials in it divide nothing."""
     _ambient([f, *basis])
     if f.is_zero() or not basis:
         return f
     keyf = pot_key(order)
-    rem = normal_form_vec(_to_vec(f), _prep_basis(basis, keyf), keyf, f.field.p)
-    return _from_vec(rem, f.nvars, f.field)
+    divisors = _Divisors(_prep(_to_vec((g,)), keyf, f.field)
+                         for g in basis if not g.is_zero())
+    rem = normal_form_vec(_to_vec((f,)), divisors, keyf, f.field.p)
+    return _from_vec(rem.items(), 1, f.nvars, f.field)[0]
 
 
 def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
@@ -820,15 +818,16 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
         # the zero ideal contains only zero
         return [f] * len(gens) if f.is_zero() else None
     keyf = pot_key(order)
-    basis = buchberger(_tagged([_to_vec(gens[i]) for i in nonzero], 1, nvars, field.one),
+    basis = buchberger(_tagged([_to_vec((gens[i],)) for i in nonzero], 1, nvars, field.one),
                        keyf, field, budget=budget)
-    rem = normal_form_vec(_to_vec(f), [_prep(v, keyf) for v in basis], keyf, field.p)
-    if any(comp == 0 for comp, _ in rem):
+    rem = normal_form_vec(_to_vec((f,)), basis, keyf, field.p)
+    entries = _from_vec(rem.items(), 1 + len(nonzero), nvars, field)
+    if not entries[0].is_zero():
         return None
-    terms = [{} for _ in gens]
-    for (comp, mono), c in rem.items():
-        terms[nonzero[comp - 1]][mono] = field.neg(c)
-    return [Polynomial(nvars, field, t) for t in terms]
+    cofactors = [Polynomial.zero(nvars, field)] * len(gens)
+    for k, i in enumerate(nonzero):
+        cofactors[i] = -entries[1 + k]
+    return cofactors
 
 
 # ----- heights -----
@@ -1011,13 +1010,14 @@ class Ideal:
         cached = self._divisors.get(sig)
         if cached is None:
             keyf = pot_key(order)
-            cached = (keyf, _Divisors(_prep_basis(basis, keyf)))
+            cached = (keyf, _Divisors(_prep(_to_vec((g,)), keyf, self.field)
+                                      for g in basis))
             self._divisors[sig] = cached  # idempotent write-once memo
         keyf, divisors = cached
-        rem = normal_form_vec(_to_vec(f), divisors, keyf, f.field.p)
+        rem = normal_form_vec(_to_vec((f,)), divisors, keyf, f.field.p)
         if len(divisors.memo) > _IDEAL_MEMO_CAP:
             divisors.memo.clear()
-        return _from_vec(rem, f.nvars, f.field)
+        return _from_vec(rem.items(), 1, f.nvars, f.field)[0]
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
         return self.normal_form(f, budget=budget).is_zero()
@@ -1114,7 +1114,7 @@ class Ideal:
                 if watch.add(max(g.terms, key=GREVLEX.key)):
                     break
         else:
-            buchberger([_to_vec(g) for g in self.generators], pot_key(GREVLEX),
+            buchberger([_to_vec((g,)) for g in self.generators], pot_key(GREVLEX),
                        self.field, budget=budget, until=watch.add)
         return inf if watch.unit else watch.bound()
 
@@ -1127,7 +1127,8 @@ class Ideal:
         nvars, field = self.nvars, self.field
         kept = autoreduce(_modulo([column], target, rank, nvars, field, budget),
                           pot_key(GREVLEX), field)
-        return Ideal([_from_vec(g, nvars, field) for g in kept], nvars, field)
+        return Ideal([_from_vec(_terms(d, field.one), rank + 1, nvars, field)[rank]
+                      for d in kept], nvars, field)
 
     def intersection(self, other: "Ideal", budget: Budget | None = None) -> "Ideal":
         """I cap J: the h with h (e_0 + e_1) in I e_0 + J e_1, one
@@ -1136,11 +1137,11 @@ class Ideal:
             raise ValueError("ideals live in different ambient rings")
         if self.is_zero() or other.is_zero():
             return Ideal([], self.nvars, self.field)
-        tag = (0,) * self.nvars
-        target = [{(j, mono): c for mono, c in g.terms.items()}
-                  for j, ideal in enumerate((self, other)) for g in ideal.generators]
-        return self._kernel({(0, tag): self.field.one, (1, tag): self.field.one},
-                            target, 2, budget)
+        one = Polynomial.constant(1, self.nvars, self.field)
+        zero = Polynomial.zero(self.nvars, self.field)
+        target = ([_to_vec((g, zero)) for g in self.generators]
+                  + [_to_vec((zero, g)) for g in other.generators])
+        return self._kernel(_to_vec((one, one)), target, 2, budget)
 
     def colon(self, other, budget: Budget | None = None) -> "Ideal":
         """I : J, one position-over-term basis.
@@ -1156,11 +1157,9 @@ class Ideal:
             one = Polynomial.constant(1, self.nvars, self.field)
             return Ideal([one], self.nvars, self.field)
         m = len(other.generators)
-        column = {(j, mono): c for j, g in enumerate(other.generators)
-                  for mono, c in g.terms.items()}
-        target = [{(j, mono): c for mono, c in f.terms.items()}
-                  for f in self.generators for j in range(m)]
-        return self._kernel(column, target, m, budget)
+        zero = Polynomial.zero(self.nvars, self.field)
+        target = [_to_vec((zero,) * j + (f,)) for f in self.generators for j in range(m)]
+        return self._kernel(_to_vec(other.generators), target, m, budget)
 
     def saturation(self, f: Polynomial, budget: Budget | None = None) -> "Ideal":
         """I : f^infinity: eliminate t from I + (1 - t*f) (Rabinowitsch).

@@ -14,9 +14,12 @@ Groebner basis for the order induced by the leading terms of G, so
 each further step is a plain S-pair reduction pass.  Only the pairs
 whose quotient lcm/lt_i is minimal among those of i's partners are
 reduced: their syzygies have the same leading terms as all of them.
-Each level is kept as the engine's columns, packed with the layout of
-:mod:`smallsub.groebner`, and the public ``Polynomial`` matrices are
-built once at the end.
+Each basis is used as the prepared divisors that its run returns: its
+leading terms order the next level (Schreyer's sort and key) and its
+S-pairs reduce against it, so only the syzygies, which live in a new
+free module, are prepared again.  Each level is kept as the engine's
+columns, packed with the layout of :mod:`smallsub.groebner`, and the
+public ``Polynomial`` matrices are built once at the end.
 
 Graded input yields a minimal graded resolution after unit entries are
 pruned, in one pass per matrix, first to last (after La Scala and
@@ -37,7 +40,8 @@ from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, Intern
 from .fields import CoefficientField
 from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
                        buchberger, normal_form_vec, pot_key, _Divisors, _Layout,
-                       _layout, _modulo, _prep, _s_pair, _sub_scaled_packed)
+                       _from_vec, _layout, _modulo, _prep, _s_pair,
+                       _sub_scaled_packed, _terms, _to_vec)
 from .poly import Monomial, Polynomial
 
 Vector = tuple[Polynomial, ...]
@@ -88,39 +92,19 @@ class SubmoduleOfFree:
         return f"SubmoduleOfFree(rank={self.rank}, ngens={len(self.generators)})"
 
 
-# ----- conversions -----
-
-
-def _vec_to_dict(vec: Sequence[Polynomial]) -> VecDict:
-    out: VecDict = {}
-    for comp, poly in enumerate(vec):
-        for m, c in poly.terms.items():
-            out[(comp, m)] = c
-    return out
-
-
-def _dict_to_vec(d: VecDict, rank: int, nvars: int, field: CoefficientField) -> Vector:
-    per: list[dict] = [{} for _ in range(rank)]
-    for (comp, m), c in d.items():
-        per[comp][m] = c
-    return tuple(Polynomial(nvars, field, t) for t in per)
-
-
 def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
                   budget: Budget | None) -> bool:
-    """Whether every vector lies in ``sub``: one basis of ``sub``, prepared
-    once and only when a nonzero vector needs it, reduces them in turn
-    until one leaves a remainder."""
-    vecs = [d for d in (_vec_to_dict(v) for v in vectors) if d]
+    """Whether every vector lies in ``sub``: one basis of ``sub``, computed
+    only when a nonzero vector needs it, reduces them in turn until one
+    leaves a remainder."""
+    vecs = [d for d in map(_to_vec, vectors) if d]
     if not vecs:
         return True
     if sub.is_zero():
         return False
     keyf = pot_key(GREVLEX)
-    gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
-                    sub.field, budget=budget)
-    prepped = _Divisors(_prep(g, keyf) for g in gb)
-    return not any(normal_form_vec(v, prepped, keyf, sub.field.p) for v in vecs)
+    gb = buchberger([_to_vec(v) for v in sub.generators], keyf, sub.field, budget=budget)
+    return not any(normal_form_vec(v, gb, keyf, sub.field.p) for v in vecs)
 
 
 def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
@@ -144,8 +128,9 @@ def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
              nvars: int, field: CoefficientField,
              budget: Budget | None = None) -> list[Vector]:
     """Generators of the syzygy module of the given vectors in R^rank."""
-    kernel = _modulo([_vec_to_dict(v) for v in vectors], [], rank, nvars, field, budget)
-    return [_dict_to_vec(g, len(vectors), nvars, field) for g in kernel]
+    kernel = _modulo([_to_vec(v) for v in vectors], [], rank, nvars, field, budget)
+    return [_from_vec(_terms(d, field.one), rank + len(vectors), nvars, field)[rank:]
+            for d in kernel]
 
 
 def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
@@ -165,11 +150,11 @@ def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
     nvars, field = target.nvars, target.field
     if any(e.nvars != nvars or e.field != field for row in matrix for e in row):
         raise ValueError("matrix entries live in a different ambient ring than the target")
-    columns = [_vec_to_dict([row[j] for row in matrix]) for j in range(r)]
-    kernel = _modulo(columns, [_vec_to_dict(v) for v in target.generators], m,
+    columns = [_to_vec([row[j] for row in matrix]) for j in range(r)]
+    kernel = _modulo(columns, [_to_vec(v) for v in target.generators], m,
                      nvars, field, budget)
-    return SubmoduleOfFree(r, [_dict_to_vec(g, r, nvars, field) for g in kernel],
-                           nvars, field)
+    return SubmoduleOfFree(r, [_from_vec(_terms(d, field.one), m + r, nvars, field)[m:]
+                               for d in kernel], nvars, field)
 
 
 def koszul_relations(forms: Sequence[Polynomial]) -> SubmoduleOfFree:
@@ -279,9 +264,10 @@ def _schreyer_key(lead_terms: Sequence[tuple[int, Monomial]],
     return key
 
 
-def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField,
+def _schreyer_syzygies(gb: _Divisors, keyf, field: CoefficientField,
                        pairs: Counter) -> list[VecDict]:
-    """Syzygies of a monic Groebner basis from its S-pair reductions.
+    """Syzygies of a monic Groebner basis, given as its prepared divisors,
+    from its S-pair reductions.
 
     Only the minimal pairs are reduced: (i, j), j > i in the component
     of i, whose quotient lcm/lt_i no other partner's quotient properly
@@ -290,14 +276,13 @@ def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField,
     span the same leading-term module.  Each reduction ticks ``pairs``.
     """
     p = field.p
-    prepped = _Divisors(_prep(g, keyf) for g in gb)
     sigmas: list[VecDict] = []
     one = field.one
     for i in range(len(gb)):
-        ic, im = prepped[i][2]
+        ic, im = gb[i][2]
         quotients: dict = {}
         for j in range(i + 1, len(gb)):
-            jc, jm = prepped[j][2]
+            jc, jm = gb[j][2]
             if ic == jc:
                 quotients.setdefault(tuple(max(b - a, 0) for a, b in zip(im, jm)), j)
         minimal: list = []
@@ -305,11 +290,11 @@ def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField,
             if not any(all(map(le, r, q)) for r in minimal):
                 minimal.append(q)
         for j in sorted(quotients[q] for q in minimal):
-            jm = prepped[j][2][1]
+            jm = gb[j][2][1]
             pairs.tick()
             lcm = (ic, tuple(map(max, im, jm)))
-            spair = _s_pair(prepped[i], prepped[j], lcm, keyf(lcm), p)
-            rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
+            spair = _s_pair(gb[i], gb[j], lcm, keyf(lcm), p)
+            rem, records = normal_form_vec(spair, gb, keyf, p, track=True)
             if rem:
                 raise InternalError("S-pair of a Groebner basis did not reduce to zero")
             sigma: VecDict = {(i, tuple(map(sub, lcm[1], im))): one}
@@ -326,13 +311,11 @@ def _schreyer_syzygies(gb: list[VecDict], keyf, field: CoefficientField,
     return sigmas
 
 
-def _schreyer_sort(gb: list[VecDict], keyf) -> list[VecDict]:
-    """Order a basis by descending lex leading monomial (Schreyer's sort,
-    which bounds the iterated construction by the variable count)."""
-    def lead(g):
-        comp, mono = max(g, key=keyf)
-        return mono, -comp
-    return sorted(gb, key=lead, reverse=True)
+def _schreyer_sort(gb: Sequence[tuple]) -> _Divisors:
+    """Order prepared divisors by descending lex leading monomial
+    (Schreyer's sort, which bounds the iterated construction by the
+    variable count)."""
+    return _Divisors(sorted(gb, key=lambda d: (d[2][1], -d[2][0]), reverse=True))
 
 
 def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
@@ -350,20 +333,20 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
     if sub.is_zero():
         return FreeResolution(sub.rank, [], nvars, field)
     keyf = pot_key(order)
-    gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf,
-                    sub.field, budget=budget)
-    gb = _schreyer_sort(autoreduce(gb, keyf, field), keyf)
-    levels: list[list[VecDict]] = []
+    gb = buchberger([_to_vec(v) for v in sub.generators], keyf, field, budget=budget)
+    gb = _schreyer_sort(autoreduce(gb, keyf, field))
+    low, one = _layout(nvars).low, field.one
+    levels: list[list[dict]] = []  # per map, its columns as packed terms
     while gb:
-        levels.append(gb)
+        levels.append([{h & low: c for h, c in _terms(d, one)} for d in gb])
         if len(levels) > nvars + 2:
             raise BudgetExceededError("resolution length", nvars + 2)
         sigmas = _schreyer_syzygies(gb, keyf, field,
                                     Counter("schreyer pairs", budget.max_pairs))
         if not sigmas:
             break
-        keyf = _schreyer_key([max(g, key=keyf) for g in gb], keyf)
-        gb = _schreyer_sort(autoreduce(sigmas, keyf, field), keyf)
+        keyf = _schreyer_key([d[2] for d in gb], keyf)
+        gb = _schreyer_sort(autoreduce([_prep(s, keyf, field) for s in sigmas], keyf, field))
     base_rank, matrices = _chain_matrices(levels, sub.rank, nvars, field)
     resolution = FreeResolution(base_rank, matrices, nvars, field)
     if not resolution.verify():
@@ -371,34 +354,20 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
     return resolution
 
 
-def _chain_matrices(levels: list[list[VecDict]], base_rank: int, nvars: int,
+def _chain_matrices(levels: list[list[dict]], base_rank: int, nvars: int,
                     field: CoefficientField) -> tuple[int, list]:
     """The rank of F_0 and the ``Polynomial`` matrices of a chain given by
-    the columns of each map, with its units pruned."""
+    the packed columns of each map, with its units pruned."""
     layout = _layout(nvars)
-    pack = layout.pack
-    levels = [[{pack(t): c for t, c in col.items()} for col in cols] for cols in levels]
     dropped = [set() for _ in range(len(levels) + 1)]
     _prune(levels, dropped, layout, field)
-    unpack = layout.unpack
-    zero = Polynomial.zero(nvars, field)
     matrices = []
     nrows = base_rank
     for k, cols in enumerate(levels):
-        place = {}
-        for r in range(nrows):
-            if r not in dropped[k]:
-                place[r] = len(place)
-        built = []
-        for j, col in enumerate(cols):
-            if j in dropped[k + 1]:
-                continue
-            per: list[dict] = [{} for _ in place]
-            for e, c in col.items():
-                comp, mono = unpack(e)
-                per[place[comp]][mono] = c
-            built.append([Polynomial(nvars, field, t) if t else zero for t in per])
-        matrices.append([[col[r] for col in built] for r in range(len(place))])
+        kept = [r for r in range(nrows) if r not in dropped[k]]
+        built = [_from_vec(col.items(), nrows, nvars, field)
+                 for j, col in enumerate(cols) if j not in dropped[k + 1]]
+        matrices.append([[col[r] for col in built] for r in kept])
         nrows = len(cols)
     while matrices and (not matrices[-1] or not matrices[-1][0]):
         matrices.pop()

@@ -119,13 +119,6 @@ def _class_count(nvars: int, degree: int, p: int) -> int:
     return count
 
 
-def _class_domain(nvars: int, degree: int, p: int) -> tuple[list[Monomial], int]:
-    """Degree-d monomials (grevlex, largest first) and the number of
-    projective classes of nonzero degree-d forms over F_p."""
-    count = _class_count(nvars, degree, p)
-    return sorted(monomials(nvars, degree), key=grevlex_key, reverse=True), count
-
-
 def _class_support(index: int, m: int, p: int) -> list[tuple[int, int]]:
     """(position, coefficient) pairs of the index-th class in F_p^m.
 

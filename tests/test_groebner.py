@@ -11,7 +11,7 @@ from smallsub.grammar import parse_polynomial as pp
 from smallsub import groebner
 from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
                                Ideal, _Divisors, _DIGIT_SUM, _FIELD, _KEY_LIMIT,
-                               _exponent_overflow, _prep,
+                               _exponent_overflow, _prep, _prep_codes,
                                elimination_order, groebner_basis, leading_form_ideal,
                                membership_cofactors, normal_form,
                                normal_form_vec, pot_key)
@@ -575,6 +575,15 @@ def test_normal_forms_reject_a_polynomial_from_another_ring():
     assert membership_cofactors(pp("0", F5, 2), [pp("0", F5, 2)]) == [pp("0", F5, 2)]
 
 
+def test_normal_form_skips_zero_divisors():
+    zero, x1, x2 = pp("0", F5, 2), pp("x1", F5, 2), pp("x2", F5, 2)
+    assert normal_form(x1 * x2, [zero, x1]).is_zero()
+    assert normal_form(x1 * x2 + x2, [x1, zero]) == x2
+    assert normal_form(x1 * x2, [zero]) == x1 * x2
+    # membership_cofactors gives the zero generator a zero cofactor
+    assert membership_cofactors(x1 * x2, [zero, x1]) == [zero, x2]
+
+
 @pytest.mark.parametrize("field", [F2, F5, GF(32003), QQ], ids=repr)
 def test_colon_matches_the_intersection_route(field):
     rng = random.Random(211 + (field.p or 0))
@@ -733,6 +742,12 @@ def _tuple_normal_form_vec(vec, basis, keyf, p, track=False):
     return (rem, records) if track else rem
 
 
+def _decoded(terms, nvars):
+    """The VecDict of ``(code, coeff)`` pairs over ``nvars`` variables."""
+    layout = groebner._layout(nvars)
+    return {layout.unpack(h & layout.low): c for h, c in terms}
+
+
 def _random_vec(rng, field, rank, nvars, nterms, maxexp):
     vec = {}
     while len(vec) < nterms:
@@ -767,14 +782,15 @@ def test_packed_normal_form_matches_tuple_route(field, rank):
             divisors = [_monic(_random_vec(rng, field, rank, nvars, rng.randint(1, 4), 2),
                                keyf, field) for _ in range(rng.randint(0, 5))]
             vec = _random_vec(rng, field, rank, nvars, rng.randint(1, 8), 4)
-            new = normal_form_vec(vec, [_prep(d, keyf) for d in divisors],
-                                  keyf, field.p, track=True)
+            prepped = [_prep(d, keyf, field) for d in divisors]
+            rem, records = normal_form_vec(vec, _Divisors(prepped), keyf, field.p, track=True)
+            new = _decoded(rem.items(), nvars), records
             old = _tuple_normal_form_vec(vec, [_tuple_prep(d, keyf) for d in divisors],
                                          keyf, field.p, track=True)
             assert new[1] == old[1]
             assert list(new[0].items()) == list(old[0].items())
-            assert normal_form_vec(vec, [_prep(d, keyf) for d in divisors],
-                                   keyf, field.p) == old[0]
+            rem = normal_form_vec(vec, _Divisors(prepped), keyf, field.p)
+            assert _decoded(rem.items(), nvars) == old[0]
 
 
 # ----- exponent cap -----
@@ -901,18 +917,16 @@ def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
     coprime pairs of ideal runs and those with a treated chain skipped
     when they come off the heap.  Returns the basis and the pairs reduced."""
     p = field.p
-    basis, treated, heap = [], [], []
+    treated, heap = [], []
     pairs = Counter("groebner pairs", 1000)  # a runaway case fails, not hangs
     prepped = _Divisors()
     negs = prepped.negs
     layout = None
 
-    def add(vec):
-        vec, _, prepared = groebner._prep_monic(vec, keyf, field)
-        basis.append(vec)
-        prepped.append(prepared)
+    def add(rem):
+        prepped.append(_prep_codes(rem, layout, field))
         treated.append(0)
-        new = len(basis) - 1
+        new = len(prepped) - 1
         ltc, ltm = prepped[new][2]
         for j in range(new):
             jc, jm = prepped[j][2]
@@ -948,7 +962,7 @@ def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
                               prepped, keyf, p)
         if rem:
             add(rem)
-    return basis, pairs.used
+    return prepped, pairs.used
 
 
 def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
@@ -959,7 +973,6 @@ def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
     reduced."""
     p = field.p
     pairs = Counter("groebner pairs", 1000)  # a runaway case fails, not hangs
-    basis = []
     prepped = _Divisors()
     negs = prepped.negs
     excess = []  # per element, its sugar minus its leading degree
@@ -1011,14 +1024,13 @@ def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
         live[:] = [i for i in live if (bias - negs[i] + neg_t) & mask]
         live.append(t)
 
-    def add(vec, sugar):
-        vec, _, prepared = groebner._prep_monic(vec, keyf, field)
-        basis.append(vec)
+    def add(rem, sugar):
+        prepared = _prep_codes(rem, layout, field)
         prepped.append(prepared)
-        if not homogeneous:  # else vec is homogeneous of degree sugar
-            sugar = max(sugar, max(map(sum, (m for _, m in vec))))
+        if not homogeneous:  # else rem is homogeneous of degree sugar
+            sugar = max(sugar, max(map(layout.degree, rem)))
         excess.append(sugar - sum(prepared[2][1]))
-        update(len(basis) - 1)
+        update(len(prepped) - 1)
 
     for vec in vectors:
         if not vec:
@@ -1040,7 +1052,7 @@ def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
                               prepped, keyf, p)
         if rem:
             add(rem, sugar)
-    return basis, pairs.used
+    return prepped, pairs.used
 
 
 def _times(vec, mono, factor, p):
@@ -1136,7 +1148,8 @@ def test_pair_queue_matches_normal_selection(field, rank, monkeypatch):
         assert reduced == groebner.autoreduce(gm, keyf, field)
         assert reduced == groebner.autoreduce(old, keyf, field)
         # the unreduced output is a Groebner basis on its own ...
-        divisors = [_prep(g, keyf) for g in basis]
+        basis = [_decoded(groebner._terms(d, field.one), len(d[2][1])) for d in basis]
+        divisors = _Divisors(_prep(g, keyf, field) for g in basis)
         for f, g in combinations(basis, 2):
             if max(f, key=keyf)[0] == max(g, key=keyf)[0]:
                 assert not normal_form_vec(_s_poly_vec(f, g, keyf, p), divisors, keyf, p)
@@ -1242,7 +1255,8 @@ def test_ideal_runs_are_read_off_the_input():
         stats = {}
         basis = groebner.buchberger([{(comp, m): c for m, c in g.terms.items()}
                                      for g in gens], keyf, field, stats=stats)
-        assert groebner.autoreduce(basis, keyf, field) == [
+        assert [_decoded(groebner._terms(d, field.one), 5)
+                for d in groebner.autoreduce(basis, keyf, field)] == [
             {(comp, m): c for m, c in g.terms.items()} for g in reduced]
         assert stats["pairs_processed"] == 44
 
@@ -1344,10 +1358,10 @@ def test_first_divisor_memo_resumes_after_appends():
                 divisor = _monic(_random_vec(rng, field, 2, 3, rng.randint(1, 4), 2),
                                  keyf, field)
                 stale = {h: v for h, v in memoized.memo.items() if v < 0}
-                memoized.append(_prep(divisor, keyf))
+                memoized.append(_prep(divisor, keyf, field))
                 for vec in vecs:
                     with_memo = normal_form_vec(vec, memoized, keyf, field.p, track=True)
-                    without = normal_form_vec(vec, list(memoized), keyf, field.p,
+                    without = normal_form_vec(vec, _Divisors(memoized), keyf, field.p,
                                               track=True)
                     assert with_memo[1] == without[1]
                     assert list(with_memo[0].items()) == list(without[0].items())

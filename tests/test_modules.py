@@ -10,13 +10,13 @@ from smallsub.fields import GF, QQ, CoefficientField
 from smallsub.grammar import format_polynomial
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import (GREVLEX, autoreduce, buchberger, groebner_basis,
-                               normal_form_vec, pot_key, _Divisors, _prep, _s_pair,
-                               _tagged)
+                               normal_form_vec, pot_key, _from_vec, _layout, _prep,
+                               _s_pair, _tagged, _terms, _to_vec)
 from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                               kernel_of_map, koszul_relations,
                               submodule_contains, submodule_equals, syzygies,
                               _chain_matrices, _schreyer_key, _schreyer_sort,
-                              _schreyer_syzygies, _dict_to_vec, _vec_to_dict)
+                              _schreyer_syzygies)
 from smallsub.poly import Polynomial, monomials
 
 F2 = GF(2)
@@ -55,14 +55,14 @@ def _kernel_by_projection(matrix, target):
     and project away the target generators' cofactors."""
     m, r = len(matrix), len(matrix[0])
     nvars, field = target.nvars, target.field
-    stacked = [_vec_to_dict([row[j] for row in matrix]) for j in range(r)]
-    stacked += [_vec_to_dict(v) for v in target.generators]
+    stacked = [_to_vec([row[j] for row in matrix]) for j in range(r)]
+    stacked += [_to_vec(v) for v in target.generators]
     gb = buchberger(_tagged(stacked, m, nvars, field.one), pot_key(GREVLEX), field)
     heads = []
     for g in gb:
-        if all(comp >= m for comp, _ in g):
-            head = {(comp - m, mono): c for (comp, mono), c in g.items() if comp < m + r}
-            heads.append(_dict_to_vec(head, r, nvars, field))
+        g = _from_vec(_terms(g, field.one), m + len(stacked), nvars, field)
+        if all(e.is_zero() for e in g[:m]):
+            heads.append(g[m:m + r])
     return SubmoduleOfFree(r, heads, nvars, field)
 
 
@@ -248,20 +248,20 @@ def _prune_units(matrices, nvars: int, field: CoefficientField):
 
 
 def _all_pairs_syzygies(gb, keyf, field):
-    """Syzygies of a monic Groebner basis from every S-pair's reduction."""
+    """Syzygies of a monic Groebner basis, given as its prepared divisors,
+    from every S-pair's reduction."""
     p = field.p
-    prepped = _Divisors(_prep(g, keyf) for g in gb)
     sigmas = []
     one = field.one
     for i in range(len(gb)):
-        ic, im = prepped[i][2]
+        ic, im = gb[i][2]
         for j in range(i + 1, len(gb)):
-            jc, jm = prepped[j][2]
+            jc, jm = gb[j][2]
             if ic != jc:
                 continue
             lcm = (ic, tuple(map(max, im, jm)))
-            spair = _s_pair(prepped[i], prepped[j], lcm, keyf(lcm), p)
-            rem, records = normal_form_vec(spair, prepped, keyf, p, track=True)
+            spair = _s_pair(gb[i], gb[j], lcm, keyf(lcm), p)
+            rem, records = normal_form_vec(spair, gb, keyf, p, track=True)
             assert not rem
             sigma = {(i, tuple(map(sub, lcm[1], im))): one}
             for idx, umono, factor in [(j, tuple(map(sub, lcm[1], jm)), one)] + records:
@@ -362,7 +362,8 @@ def test_a_constant_term_is_not_a_unit():
 
 
 def test_minimization_checks_exactness():
-    one, x1 = {(0, (0,)): 1}, {(0, (1,)): 1}
+    pack = _layout(1).pack
+    one, x1 = {pack((0, (0,))): 1}, {pack((0, (1,))): 1}
     # d0 = [1], d1 = [x1]: the row of d1 under the unit of d0 is not zero
     with pytest.raises(InternalError, match="pruned row of the next matrix"):
         _chain_matrices([[one], [x1]], 1, 1, F5)
@@ -393,8 +394,8 @@ def test_minimal_pairs_give_the_all_pairs_syzygies(field):
         low = 0 if trial % 3 == 2 else 2
         sub = _random_ideal(rng, field, nvars, low, 2, rng.randint(2, 4))
         keyf = pot_key(GREVLEX)
-        gb = buchberger([_vec_to_dict(v) for v in sub.generators], keyf, field)
-        gb = _schreyer_sort(autoreduce(gb, keyf, field), keyf)
+        gb = buchberger([_to_vec(v) for v in sub.generators], keyf, field)
+        gb = _schreyer_sort(autoreduce(gb, keyf, field))
         while gb:
             counter = Counter("pairs", 10 ** 6)
             mine = _schreyer_syzygies(gb, keyf, field, counter)
@@ -404,13 +405,13 @@ def test_minimal_pairs_give_the_all_pairs_syzygies(field):
             if not every:
                 assert not mine
                 break
-            keyf = _schreyer_key([max(g, key=keyf) for g in gb], keyf)
-            reduced = autoreduce(mine, keyf, field)
-            assert reduced == autoreduce(every, keyf, field)
+            keyf = _schreyer_key([d[2] for d in gb], keyf)
+            reduced = autoreduce([_prep(s, keyf, field) for s in mine], keyf, field)
+            assert reduced == autoreduce([_prep(s, keyf, field) for s in every], keyf, field)
             # one syzygy per minimal generator of the leading-term module
             assert (sorted(max(s, key=keyf) for s in mine)
-                    == sorted(max(s, key=keyf) for s in reduced))
-            gb = _schreyer_sort(reduced, keyf)
+                    == sorted(d[2] for d in reduced))
+            gb = _schreyer_sort(reduced)
     assert fewer > 0
 
 

@@ -1,8 +1,10 @@
-"""Every name the package exports has a reader outside the tests.
+"""Every name the package exports, and every module-level private name,
+has a reader outside the tests.
 
 A public name that only its own tests read is surface to maintain with
 no user: it either gets a caller in the library, a demo, a script, the
-benchmark or the README, or it leaves ``__init__``."""
+benchmark or the README, or it leaves ``__init__``.  A private helper
+that only tests call belongs in the tests."""
 
 import ast
 import re
@@ -51,3 +53,22 @@ def test_every_exported_name_has_a_reader():
                    for i, line in enumerate(lines, start=1)):
             unread.append(name)
     assert names and not unread, f"exported but read only by tests: {unread}"
+
+
+def test_every_private_name_has_a_reader():
+    """A module-level private name in the package is read somewhere in
+    the library, a demo, a script or the benchmark, outside its own
+    definition: a helper that only tests call is test code."""
+    texts = [(p.read_text().splitlines(), _definitions(p))
+             for p in _readers() if p.suffix == ".py"]
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for name in _definitions(path):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) and i not in spans.get(name, ())
+                       for lines, spans in texts
+                       for i, line in enumerate(lines, start=1)):
+                unread.append(f"{path.stem}.{name}")
+    assert not unread, f"private names read only by tests: {unread}"

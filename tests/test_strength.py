@@ -14,7 +14,7 @@ from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import Ideal, groebner_basis, membership_cofactors, normal_form
 from smallsub.poly import (Form, Polynomial, gradient, grevlex_key, mono_mul,
                            monomials)
-from smallsub.strength import (CollapseWitness, StrengthReport, _class_domain,
+from smallsub.strength import (CollapseWitness, StrengthReport, _class_count,
                                _class_form, _class_support, _degree_profiles,
                                find_collapse, full_report, strength_exact,
                                strength_lower_bound)
@@ -22,6 +22,13 @@ from smallsub.strength import (CollapseWitness, StrengthReport, _class_domain,
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+
+
+def _class_domain(nvars, degree, p):
+    """Degree-d monomials (grevlex, largest first) and the number of
+    projective classes of nonzero degree-d forms over F_p."""
+    count = _class_count(nvars, degree, p)
+    return sorted(monomials(nvars, degree), key=grevlex_key, reverse=True), count
 
 
 def enumerate_forms(nvars, degree, field):
