@@ -199,7 +199,7 @@ def default_cubic_B3(h: int, budget: Budget | None = None) -> int:
 
     This is a labeled composition default, not a printed constant: the
     closed quadric generator-count formula covers the regular-sequence
-    flavor only, so callers with sharper data should supply their own.
+    flavor only.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -219,16 +219,15 @@ def default_cubic_B3(h: int, budget: Budget | None = None) -> int:
     return best
 
 
-def phi(h: int, d: int, B3: Callable[[int, int], int] | None = None,
-        characteristic: int | None = None,
+def phi(h: int, d: int, characteristic: int | None = None,
         budget: Budget | None = None) -> int:
     """Threshold past which the derivative space of a degree-d form cannot
     lie in an ideal generated by h forms of degree at most d-1.
 
     When the characteristic is known not to divide d the Euler identity
     gives h directly.  Otherwise the value is B3(h, d-1) + 1 for a
-    degree-(d-1) bound B3; without user data the composition default is
-    available for d = 3 only.
+    degree-(d-1) bound B3, which is known for d = 3 only: the
+    composition default :func:`default_cubic_B3`.
     """
     if h < 0 or d < 1:
         raise ValueError("need h >= 0 and d >= 1")
@@ -238,8 +237,7 @@ def phi(h: int, d: int, B3: Callable[[int, int], int] | None = None,
         return h
     if h == 0:
         return 1
-    if B3 is None:
-        if d == 3:
-            return default_cubic_B3(h, budget) + 1
-        raise ValueError(f"no degree-{d - 1} bound data available; supply B3")
-    return B3(h, d - 1) + 1
+    if d != 3:
+        raise ValueError(f"no degree-{d - 1} bound is known: phi needs d = 3 or a "
+                         "characteristic that does not divide d")
+    return default_cubic_B3(h, budget) + 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .budget import Budget, BudgetExceededError, DEFAULT_BUDGET, InternalError
-from .groebner import Ideal, elimination_order
+from .groebner import Ideal, elimination_order, _ambient
 from .poly import (DimensionSequence, Form, GradedSpace, Polynomial, as_form,
                    coordinates_in_span)
 from .strength import CollapseWitness, _class_support, class_count, find_collapse
@@ -41,43 +41,37 @@ EXHAUST_CAP = 4096
 class ThresholdPolicy:
     """Per-degree strength thresholds k(delta, i) steering the descent.
 
-    kind "constant": a single integer or a per-degree mapping.
+    kind "constant": one integer for every degree.
     kind "table":    thresholds from a bound table, k = base(i) + 3(n-1).
     kind "maximal":  descend while any collapse at all is found (capped
                      by ``max_k``, default the variable count).
     """
 
     kind: str
-    value: object = None
+    value: int | None = None
     table: object = None
     max_k: int | None = None
 
     @classmethod
-    def constant(cls, value, **kw) -> "ThresholdPolicy":
-        return cls(kind="constant", value=value, **kw)
+    def constant(cls, value: int) -> "ThresholdPolicy":
+        return cls(kind="constant", value=value)
 
     @classmethod
-    def from_table(cls, table, **kw) -> "ThresholdPolicy":
-        return cls(kind="table", table=table, **kw)
+    def from_table(cls, table) -> "ThresholdPolicy":
+        return cls(kind="table", table=table)
 
     @classmethod
-    def maximal(cls, **kw) -> "ThresholdPolicy":
-        return cls(kind="maximal", **kw)
+    def maximal(cls, max_k: int | None = None) -> "ThresholdPolicy":
+        return cls(kind="maximal", max_k=max_k)
 
     def threshold(self, delta: DimensionSequence, i: int) -> int | None:
         """Collapse size to search for in degree i; None means unbounded."""
         if self.kind == "maximal":
             return None
         if self.kind == "constant":
-            if isinstance(self.value, dict):
-                if i not in self.value:
-                    raise ValueError(f"no threshold configured for degree {i}")
-                t = self.value[i]
-            else:
-                t = int(self.value)
-            if t < 0:
+            if self.value < 0:
                 raise ValueError("thresholds must be nonnegative")
-            return t
+            return self.value
         if self.kind == "table":
             from .bounds import eta_A_i
             return eta_A_i(delta, i, self.table)
@@ -249,9 +243,7 @@ def _memberships(fs: Sequence[Polynomial], gens: Sequence[Form],
                  budget: Budget | None) -> tuple[bool, ...]:
     """:func:`subalgebra_membership` of each f, off one elimination basis."""
     gens = [as_form(g) for g in gens]
-    if not gens:
-        raise ValueError("need at least one generator")
-    nvars, field = gens[0].nvars, gens[0].field
+    nvars, field = _ambient(gens)
     total = nvars + len(gens)
     relations = Ideal([Polynomial.variable(nvars + j, total, field) - g.extended(total)
                        for j, g in enumerate(gens)])

@@ -28,21 +28,21 @@ joins the remainder or a reduction record.  An exponent above
 MAX_EXPONENT, in the input or in a product, raises
 :class:`BudgetExceededError`; a field never wraps into its neighbour.
 
-Each element is prepared once, by the run that makes it: its terms
-keyed, packed and scaled to monic as a divisor (:func:`_prep_codes`).
-:func:`buchberger` and :func:`autoreduce` return their elements as the
-:class:`_Divisors` they reduce by, and their callers read leading terms
-and tail codes off those.  :func:`_prep` keys a vector only when it
-comes from a ``Polynomial`` or changes components, and :func:`_from_vec`
-is the one place where codes turn back into terms.
+Each vector is coded once, by :func:`_coded`, and :func:`_from_vec` is
+the one place where codes turn back into terms.  Each element is
+prepared once, scaled to monic by the run that makes it
+(:func:`_prep_codes`), and :func:`buchberger` and :func:`autoreduce`
+return the :class:`_Divisors` they reduce by.  An :class:`Ideal` caches,
+per order, the key and the reduced divisors of its run, which its
+bases, normal forms and heights all read.
 
 The first divisor of a leading term is memoized per term code
 (:class:`_Divisors`): its index, or "none among the first k", which a
 later lookup resumes from k.  That is exact because a basis only grows
 by appending.  A signature run records the first divisor before its
 regularity check, so the memo that :func:`buchberger` returns serves
-plain reductions against its basis too.  Beside ``Ideal``'s cached
-divisors the memo is cleared past ``_IDEAL_MEMO_CAP``.
+plain reductions against its basis too.  In an ``Ideal``'s cache entry
+the memo is cleared past ``_IDEAL_MEMO_CAP``.
 
 The pair loop is signature-based, in the rewrite-based form ("RB" in
 Eder and Faugere, "A survey on signature-based algorithms for computing
@@ -378,16 +378,16 @@ def _sub_scaled_packed(work: dict, src: dict, u: int, factor, p, guard: int):
             del work[t]
 
 
-def normal_form_vec(vec: VecDict, basis: _Divisors, keyf, p,
-                    track: bool = False, sig: int | None = None):
-    """Full normal form against monic divisors prepared by :func:`_prep`.
+def normal_form_vec(vec: _Codes, basis: _Divisors, p, track: bool = False,
+                    sig: int | None = None):
+    """Full normal form of a :class:`_Codes` vector, which the reduction
+    consumes, against monic prepared divisors.
 
     The first divisor in ``basis`` that divides the leading term reduces
-    it, and the basis remembers it per term.  ``vec`` is a VecDict, or a
-    :class:`_Codes` vector, which the reduction consumes.  Live codes sit
-    in a dict and a min-heap, so the largest term comes off first, and a
-    term that cancels while queued is skipped when it comes off.  Returns
-    the remainder keyed by term codes, largest term first
+    it, and the basis remembers it per term.  Live codes sit in a dict
+    and a min-heap, so the largest term comes off first, and a term that
+    cancels while queued is skipped when it comes off; no key is computed.
+    Returns the remainder keyed by term codes, largest term first
     (:func:`_from_vec` reads it), plus ``(index, mono, coeff)`` reduction
     records when tracking.
 
@@ -399,77 +399,78 @@ def normal_form_vec(vec: VecDict, basis: _Divisors, keyf, p,
     """
     rem: dict = {}
     records = [] if track else None
-    if vec:
-        if isinstance(vec, _Codes):
-            layout, work = vec.layout, vec
-        else:
-            layout = _layout(len(next(iter(vec))[1]))
-            code = layout.code
-            work = {code(term, keyf(term)): c for term, c in vec.items()}
-        heap = list(work)
-        heapify(heap)
-        guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
-        negs, memo = basis.negs, basis.memo
-        if sig is not None:
-            even, odd, shift = layout.even, layout.odd, layout.code_shift
-            offs, scale, radix = basis.offs, basis.scale, basis.radix
-        n = len(negs)
-        get = work.get
-        while heap:
-            h = heappop(heap)
-            c = work.pop(h)
-            if not c:
+    layout, work = vec.layout, vec
+    heap = list(work)
+    heapify(heap)
+    guard, mask, low, unpack = layout.guard, layout.mask, layout.low, layout.unpack
+    negs, memo = basis.negs, basis.memo
+    if sig is not None:
+        even, odd, shift = layout.even, layout.odd, layout.code_shift
+        offs, scale, radix = basis.offs, basis.scale, basis.radix
+    n = len(negs)
+    get = work.get
+    while heap:
+        h = heappop(heap)
+        c = work.pop(h)
+        if not c:
+            continue
+        hit = memo.get(h)
+        if hit is None or hit < 0:
+            for hit in range(0 if hit is None else ~hit, n):
+                if not (h + negs[hit]) & mask:
+                    break
+            else:
+                memo[h] = ~n
+                rem[h] = c
                 continue
-            hit = memo.get(h)
-            if hit is None or hit < 0:
-                for hit in range(0 if hit is None else ~hit, n):
-                    if not (h + negs[hit]) & mask:
+            memo[h] = hit
+        if sig is not None:
+            below = (sig + radix * (h >> shift)
+                     - scale * (((h & even) + ((h & odd) >> _FIELD)) % _DIGIT_SUM))
+            if offs[hit] >= below:
+                for hit in range(hit + 1, n):
+                    if offs[hit] < below and not (h + negs[hit]) & mask:
                         break
                 else:
-                    memo[h] = ~n
                     rem[h] = c
                     continue
-                memo[h] = hit
-            if sig is not None:
-                below = (sig + radix * (h >> shift)
-                         - scale * (((h & even) + ((h & odd) >> _FIELD)) % _DIGIT_SUM))
-                if offs[hit] >= below:
-                    for hit in range(hit + 1, n):
-                        if offs[hit] < below and not (h + negs[hit]) & mask:
-                            break
-                    else:
-                        rem[h] = c
-                        continue
-            _, hlt, _, tail = basis[hit]
-            hu = h - hlt
-            if track:
-                records.append((hit, unpack(hu & low)[1], c))
-            for s, tc in tail:
-                s += hu
-                v = get(s)
-                if v is None:
-                    if s & guard:
-                        raise _exponent_overflow()
-                    heappush(heap, s)
-                    v = 0
-                v -= c * tc
-                work[s] = v % p if p else v
+        _, hlt, _, tail = basis[hit]
+        hu = h - hlt
+        if track:
+            records.append((hit, unpack(hu & low)[1], c))
+        for s, tc in tail:
+            s += hu
+            v = get(s)
+            if v is None:
+                if s & guard:
+                    raise _exponent_overflow()
+                heappush(heap, s)
+                v = 0
+            v -= c * tc
+            work[s] = v % p if p else v
     return (rem, records) if track else rem
 
 
-def _prep(vec: VecDict, keyf, field: CoefficientField) -> tuple:
-    """``vec`` scaled to be monic, as a prepared divisor ``(bias - packed
-    lt, code of lt, lt, tail)``, each tail term as ``(code, coeff)``, with
-    each term's key computed once.  Only for vectors that come from a
-    ``Polynomial`` or change components: an element of a run is prepared
-    by the run (:func:`_prep_codes`)."""
-    layout = _layout(len(next(iter(vec))[1]))
+def _coded(vec: VecDict, keyf, layout: _Layout) -> _Codes:
+    """``vec`` keyed by term codes over its ring's ``layout``: the one
+    place where a VecDict is keyed and packed."""
+    out = _Codes(layout)
     code = layout.code
-    return _prep_codes({code(t, keyf(t)): c for t, c in vec.items()}, layout, field)
+    for term, c in vec.items():
+        out[code(term, keyf(term))] = c
+    return out
+
+
+def _prep(vec: VecDict, keyf, field: CoefficientField) -> tuple:
+    """A nonzero VecDict that no run made, such as a ``Polynomial`` divisor
+    or a Schreyer syzygy, as a prepared divisor."""
+    layout = _layout(len(next(iter(vec))[1]))
+    return _prep_codes(_coded(vec, keyf, layout), layout, field)
 
 
 def _prep_codes(rem: dict, layout: _Layout, field: CoefficientField) -> tuple:
-    """:func:`_prep` of a vector keyed by term codes, such as a remainder."""
+    """A nonzero vector keyed by term codes, scaled to be monic, as a prepared
+    divisor ``(bias - packed lt, code of lt, lt, tail of (code, coeff))``."""
     lt_code = min(rem)  # the largest term
     lc, p = rem[lt_code], field.p
     if lc == field.one:
@@ -544,14 +545,12 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         nvars = len(next(iter(vectors[inputs[0]]))[1])
         layout = _layout(nvars)
         bias, mask, guard, low = layout.bias, layout.mask, layout.guard, layout.low
-        code, degree, shift = layout.code, layout.degree, layout.code_shift
+        degree, shift = layout.degree, layout.code_shift
         zero = (0,) * nvars
         ideal = len({comp for i in inputs for comp, _ in vectors[i]}) == 1
         leads = []
         for i in inputs:
-            vec = coded[i] = _Codes(layout)
-            for term, c in vectors[i].items():
-                vec[code(term, keyf(term))] = c
+            vec = coded[i] = _coded(vectors[i], keyf, layout)
             leads.append((i, -(min(vec) >> shift),
                           max(map(sum, map(itemgetter(1), vectors[i])))))
         # sig key of t * e_i: scale * (deg t + deg v_i) + radix * key(t * lt_i) + i,
@@ -646,7 +645,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
         sig, gen = entry[0], entry[1]
         if gen < 0:  # an input
             i = entry[2]
-            rem = normal_form_vec(coded.pop(i), prepped, keyf, p, sig=sig)
+            rem = normal_form_vec(coded.pop(i), prepped, p, sig=sig)
             if rem:
                 if add(rem, sig, i, 0):
                     break
@@ -672,8 +671,7 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
             raise BudgetExceededError("groebner lcm degree", budget.max_degree)
         pair_counter.tick()
         di, dj = prepped[gen], prepped[other]
-        rem = normal_form_vec(_s_pair(di, dj, (di[2][0], lcm), key, p),
-                              prepped, keyf, p, sig=sig)
+        rem = normal_form_vec(_s_pair(di, dj, (di[2][0], lcm), key, p), prepped, p, sig=sig)
         if rem:
             if add(rem, sig, i, t):
                 break
@@ -690,10 +688,10 @@ def buchberger(vectors: Sequence[VecDict], keyf, field: CoefficientField,
     return prepped
 
 
-def autoreduce(basis: Sequence[tuple], keyf, field: CoefficientField) -> _Divisors:
+def autoreduce(basis: Sequence[tuple], field: CoefficientField) -> _Divisors:
     """Interreduce the prepared divisors of a monic Groebner basis into
-    the unique reduced monic basis, sorted with the largest leading term
-    first.
+    the unique reduced monic basis, as prepared divisors with the
+    largest leading term first.
 
     The elements whose leading term no other one divides are kept, and
     only their tails are reduced, all against the kept elements and one
@@ -710,7 +708,7 @@ def autoreduce(basis: Sequence[tuple], keyf, field: CoefficientField) -> _Diviso
     for neg, lt_code, lt, tail in reversed(minimal):
         vec = _Codes(_layout(len(lt[1])))
         vec.update(tail)
-        rem = normal_form_vec(vec, minimal, keyf, field.p)
+        rem = normal_form_vec(vec, minimal, field.p)
         reduced.append((neg, lt_code, lt, list(rem.items())))
     return reduced
 
@@ -769,6 +767,22 @@ def _ambient(gens: Sequence[Polynomial]):
     return nvars, field
 
 
+def _reduced(gens: Sequence[Polynomial], keyf, field: CoefficientField,
+             budget: Budget | None = None, stats: dict | None = None) -> _Divisors:
+    """The reduced monic basis of nonzero ``gens``, as prepared divisors."""
+    basis = buchberger([_to_vec((g,)) for g in gens], keyf, field,
+                       budget=budget, stats=stats)
+    reduced = autoreduce(basis, field)
+    if stats is not None:
+        stats["reduced_basis_size"] = len(reduced)
+    return reduced
+
+
+def _polys(divisors: _Divisors, nvars: int, field: CoefficientField) -> list[Polynomial]:
+    """The ``Polynomial`` of each prepared divisor of an ideal."""
+    return [_from_vec(_terms(d, field.one), 1, nvars, field)[0] for d in divisors]
+
+
 def groebner_basis(gens: Sequence[Polynomial], order: TermOrder = GREVLEX,
                    budget: Budget | None = None,
                    stats: dict | None = None) -> list[Polynomial]:
@@ -777,13 +791,7 @@ def groebner_basis(gens: Sequence[Polynomial], order: TermOrder = GREVLEX,
     if not gens:
         return []
     nvars, field = _ambient(gens)
-    keyf = pot_key(order)
-    basis = buchberger([_to_vec((g,)) for g in gens], keyf, field,
-                       budget=budget, stats=stats)
-    reduced = autoreduce(basis, keyf, field)
-    if stats is not None:
-        stats["reduced_basis_size"] = len(reduced)
-    return [_from_vec(_terms(d, field.one), 1, nvars, field)[0] for d in reduced]
+    return _polys(_reduced(gens, pot_key(order), field, budget, stats), nvars, field)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -796,7 +804,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     keyf = pot_key(order)
     divisors = _Divisors(_prep(_to_vec((g,)), keyf, f.field)
                          for g in basis if not g.is_zero())
-    rem = normal_form_vec(_to_vec((f,)), divisors, keyf, f.field.p)
+    rem = normal_form_vec(_coded(_to_vec((f,)), keyf, _layout(f.nvars)), divisors, f.field.p)
     return _from_vec(rem.items(), 1, f.nvars, f.field)[0]
 
 
@@ -820,7 +828,7 @@ def membership_cofactors(f: Polynomial, gens: Sequence[Polynomial],
     keyf = pot_key(order)
     basis = buchberger(_tagged([_to_vec((gens[i],)) for i in nonzero], 1, nvars, field.one),
                        keyf, field, budget=budget)
-    rem = normal_form_vec(_to_vec((f,)), basis, keyf, field.p)
+    rem = normal_form_vec(_coded(_to_vec((f,)), keyf, _layout(nvars)), basis, field.p)
     entries = _from_vec(rem.items(), 1 + len(nonzero), nvars, field)
     if not entries[0].is_zero():
         return None
@@ -963,11 +971,10 @@ HEIGHT_SECTIONS = 3
 
 
 class Ideal:
-    """An ideal with cached reduced Groebner bases (write-once per order),
-    each with its prepared divisors and their first-divisor memo once a
-    normal form needs them."""
+    """An ideal with one write-once cache entry per order: the key and the
+    reduced basis as the divisors its run returned, with their memo."""
 
-    __slots__ = ("generators", "nvars", "field", "_gb", "_divisors")
+    __slots__ = ("generators", "nvars", "field", "_gb")
 
     def __init__(self, generators: Iterable[Polynomial], nvars: int | None = None,
                  field: CoefficientField | None = None):
@@ -985,36 +992,34 @@ class Ideal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_gb", {})
-        object.__setattr__(self, "_divisors", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
+    def _entry(self, order: TermOrder, budget: Budget | None) -> tuple:
+        """The cache entry of ``order``, ``(keyf, reduced divisors)``."""
+        sig = order.signature()
+        entry = self._gb.get(sig)
+        if entry is None:
+            keyf = pot_key(order)
+            entry = keyf, (_reduced(self.generators, keyf, self.field, budget)
+                           if self.generators else _Divisors())
+            self._gb[sig] = entry  # idempotent write-once memo
+        return entry
+
     def groebner_basis(self, order: TermOrder = GREVLEX,
                        budget: Budget | None = None) -> list[Polynomial]:
-        sig = order.signature()
-        cached = self._gb.get(sig)
-        if cached is None:
-            cached = tuple(groebner_basis(self.generators, order, budget))
-            self._gb[sig] = cached  # idempotent write-once memo
-        return list(cached)
+        return _polys(self._entry(order, budget)[1], self.nvars, self.field)
 
     def normal_form(self, f: Polynomial, order: TermOrder = GREVLEX,
                     budget: Budget | None = None) -> Polynomial:
         if f.nvars != self.nvars or f.field != self.field:
             raise ValueError("f lives in a different ambient ring")
-        basis = self.groebner_basis(order, budget)
-        if f.is_zero() or not basis:
+        keyf, divisors = self._entry(order, budget)
+        if f.is_zero() or not divisors:
             return f
-        sig = order.signature()
-        cached = self._divisors.get(sig)
-        if cached is None:
-            keyf = pot_key(order)
-            cached = (keyf, _Divisors(_prep(_to_vec((g,)), keyf, self.field)
-                                      for g in basis))
-            self._divisors[sig] = cached  # idempotent write-once memo
-        keyf, divisors = cached
-        rem = normal_form_vec(_to_vec((f,)), divisors, keyf, f.field.p)
+        rem = normal_form_vec(_coded(_to_vec((f,)), keyf, _layout(f.nvars)), divisors,
+                              f.field.p)
         if len(divisors.memo) > _IDEAL_MEMO_CAP:
             divisors.memo.clear()
         return _from_vec(rem.items(), 1, f.nvars, f.field)[0]
@@ -1108,10 +1113,10 @@ class Ideal:
             return 0
         watch = _LeadingSupports(goal, Counter("height search nodes",
                                                (budget or DEFAULT_BUDGET).max_steps))
-        cached = self._gb.get(GREVLEX.signature())
-        if cached:
-            for g in cached:
-                if watch.add(max(g.terms, key=GREVLEX.key)):
+        entry = self._gb.get(GREVLEX.signature())
+        if entry is not None:
+            for d in entry[1]:
+                if watch.add(d[2][1]):
                     break
         else:
             buchberger([_to_vec((g,)) for g in self.generators], pot_key(GREVLEX),
@@ -1125,8 +1130,7 @@ class Ideal:
         """The ideal of h with h * column in the span of ``target`` in
         R^rank, as its reduced grevlex basis (see :func:`_modulo`)."""
         nvars, field = self.nvars, self.field
-        kept = autoreduce(_modulo([column], target, rank, nvars, field, budget),
-                          pot_key(GREVLEX), field)
+        kept = autoreduce(_modulo([column], target, rank, nvars, field, budget), field)
         return Ideal([_from_vec(_terms(d, field.one), rank + 1, nvars, field)[rank]
                       for d in kept], nvars, field)
 

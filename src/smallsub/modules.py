@@ -39,8 +39,8 @@ from typing import Callable, Iterable, Sequence
 from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, InternalError
 from .fields import CoefficientField
 from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
-                       buchberger, normal_form_vec, pot_key, _Divisors, _Layout,
-                       _from_vec, _layout, _modulo, _prep, _s_pair,
+                       buchberger, normal_form_vec, pot_key, _ambient, _coded, _Divisors,
+                       _Layout, _from_vec, _layout, _modulo, _prep, _s_pair,
                        _sub_scaled_packed, _terms, _to_vec)
 from .poly import Monomial, Polynomial
 
@@ -56,23 +56,12 @@ class SubmoduleOfFree:
                  nvars: int | None = None, field: CoefficientField | None = None):
         if rank < 1:
             raise ValueError("ambient rank must be positive")
-        gens: list[Vector] = []
-        for vec in generators:
-            vec = tuple(vec)
-            if len(vec) != rank:
-                raise ValueError(f"vector has {len(vec)} entries, ambient rank is {rank}")
-            if any(not v.is_zero() for v in vec):
-                gens.append(vec)
-        for vec in gens:
-            for v in vec:
-                if nvars is None:
-                    nvars, field = v.nvars, v.field
-                elif (v.nvars, v.field) != (nvars, field):
-                    raise ValueError("entries live in different ambient rings")
+        vecs, nvars, field = _vectors(generators, rank, nvars, field)
         if nvars is None:
             raise ValueError("the zero submodule needs an explicit ambient ring")
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators",
+                           tuple(v for v in vecs if any(not e.is_zero() for e in v)))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
 
@@ -81,9 +70,7 @@ class SubmoduleOfFree:
 
     @classmethod
     def from_ideal_generators(cls, gens: Sequence[Polynomial]) -> "SubmoduleOfFree":
-        if not gens:
-            raise ValueError("need at least one generator")
-        return cls(1, [(g,) for g in gens], gens[0].nvars, gens[0].field)
+        return cls(1, [(g,) for g in gens], *_ambient(gens))
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -92,19 +79,35 @@ class SubmoduleOfFree:
         return f"SubmoduleOfFree(rank={self.rank}, ngens={len(self.generators)})"
 
 
+def _vectors(vectors: Iterable[Sequence[Polynomial]], rank: int, nvars, field) -> tuple:
+    """The vectors as tuples and their ring, or ValueError unless each has
+    ``rank`` entries, all in the ring of ``nvars`` and ``field`` if given."""
+    vecs = tuple(map(tuple, vectors))
+    for vec in vecs:
+        if len(vec) != rank:
+            raise ValueError(f"vector has {len(vec)} entries, ambient rank is {rank}")
+        for v in vec:
+            if nvars is None:
+                nvars, field = v.nvars, v.field
+            elif (v.nvars, v.field) != (nvars, field):
+                raise ValueError("entries live in different ambient rings")
+    return vecs, nvars, field
+
+
 def _contains_all(sub: SubmoduleOfFree, vectors: Iterable[Sequence[Polynomial]],
                   budget: Budget | None) -> bool:
-    """Whether every vector lies in ``sub``: one basis of ``sub``, computed
-    only when a nonzero vector needs it, reduces them in turn until one
-    leaves a remainder."""
+    """Whether every vector, of ``sub``'s rank and ring, lies in ``sub``:
+    one basis of ``sub``, computed only when a nonzero vector needs it,
+    reduces them in turn until one leaves a remainder."""
+    vectors, nvars, field = _vectors(vectors, sub.rank, sub.nvars, sub.field)
     vecs = [d for d in map(_to_vec, vectors) if d]
     if not vecs:
         return True
     if sub.is_zero():
         return False
-    keyf = pot_key(GREVLEX)
-    gb = buchberger([_to_vec(v) for v in sub.generators], keyf, sub.field, budget=budget)
-    return not any(normal_form_vec(v, gb, keyf, sub.field.p) for v in vecs)
+    keyf, layout = pot_key(GREVLEX), _layout(nvars)
+    gb = buchberger([_to_vec(v) for v in sub.generators], keyf, field, budget=budget)
+    return not any(normal_form_vec(_coded(v, keyf, layout), gb, field.p) for v in vecs)
 
 
 def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
@@ -115,8 +118,8 @@ def submodule_contains(sub: SubmoduleOfFree, vec: Sequence[Polynomial],
 def submodule_equals(a: SubmoduleOfFree, b: SubmoduleOfFree,
                      budget: Budget | None = None) -> bool:
     """Equality by two containments, each against one basis per side."""
-    if a.rank != b.rank:
-        raise ValueError("submodules of free modules of different ranks")
+    if (a.rank, a.nvars, a.field) != (b.rank, b.nvars, b.field):
+        raise ValueError("submodules of different free modules")
     return (_contains_all(a, b.generators, budget)
             and _contains_all(b, a.generators, budget))
 
@@ -127,7 +130,9 @@ def submodule_equals(a: SubmoduleOfFree, b: SubmoduleOfFree,
 def syzygies(vectors: Sequence[Sequence[Polynomial]], rank: int,
              nvars: int, field: CoefficientField,
              budget: Budget | None = None) -> list[Vector]:
-    """Generators of the syzygy module of the given vectors in R^rank."""
+    """Generators of the syzygy module of the given vectors in R^rank,
+    whose entries must live in the ring of ``nvars`` and ``field``."""
+    vectors, _, _ = _vectors(vectors, rank, nvars, field)
     kernel = _modulo([_to_vec(v) for v in vectors], [], rank, nvars, field, budget)
     return [_from_vec(_terms(d, field.one), rank + len(vectors), nvars, field)[rank:]
             for d in kernel]
@@ -147,21 +152,16 @@ def kernel_of_map(matrix: Sequence[Sequence[Polynomial]],
         raise ValueError("the matrix needs at least one column")
     if any(len(row) != r for row in matrix):
         raise ValueError("ragged matrix")
-    nvars, field = target.nvars, target.field
-    if any(e.nvars != nvars or e.field != field for row in matrix for e in row):
-        raise ValueError("matrix entries live in a different ambient ring than the target")
-    columns = [_to_vec([row[j] for row in matrix]) for j in range(r)]
-    kernel = _modulo(columns, [_to_vec(v) for v in target.generators], m,
-                     nvars, field, budget)
+    columns, nvars, field = _vectors(zip(*matrix), m, target.nvars, target.field)
+    kernel = _modulo([_to_vec(c) for c in columns], [_to_vec(v) for v in target.generators],
+                     m, nvars, field, budget)
     return SubmoduleOfFree(r, [_from_vec(_terms(d, field.one), m + r, nvars, field)[m:]
                                for d in kernel], nvars, field)
 
 
 def koszul_relations(forms: Sequence[Polynomial]) -> SubmoduleOfFree:
     """The Koszul syzygies F_j e_i - F_i e_j of a list of ring elements."""
-    if not forms:
-        raise ValueError("need at least one form")
-    nvars, field = forms[0].nvars, forms[0].field
+    nvars, field = _ambient(forms)
     c = len(forms)
     zero = Polynomial.zero(nvars, field)
     gens = []
@@ -294,7 +294,7 @@ def _schreyer_syzygies(gb: _Divisors, keyf, field: CoefficientField,
             pairs.tick()
             lcm = (ic, tuple(map(max, im, jm)))
             spair = _s_pair(gb[i], gb[j], lcm, keyf(lcm), p)
-            rem, records = normal_form_vec(spair, gb, keyf, p, track=True)
+            rem, records = normal_form_vec(spair, gb, p, track=True)
             if rem:
                 raise InternalError("S-pair of a Groebner basis did not reduce to zero")
             sigma: VecDict = {(i, tuple(map(sub, lcm[1], im))): one}
@@ -334,7 +334,7 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
         return FreeResolution(sub.rank, [], nvars, field)
     keyf = pot_key(order)
     gb = buchberger([_to_vec(v) for v in sub.generators], keyf, field, budget=budget)
-    gb = _schreyer_sort(autoreduce(gb, keyf, field))
+    gb = _schreyer_sort(autoreduce(gb, field))
     low, one = _layout(nvars).low, field.one
     levels: list[list[dict]] = []  # per map, its columns as packed terms
     while gb:
@@ -346,7 +346,7 @@ def free_resolution(sub: SubmoduleOfFree, order: TermOrder = GREVLEX,
         if not sigmas:
             break
         keyf = _schreyer_key([d[2] for d in gb], keyf)
-        gb = _schreyer_sort(autoreduce([_prep(s, keyf, field) for s in sigmas], keyf, field))
+        gb = _schreyer_sort(autoreduce([_prep(s, keyf, field) for s in sigmas], field))
     base_rank, matrices = _chain_matrices(levels, sub.rank, nvars, field)
     resolution = FreeResolution(base_rank, matrices, nvars, field)
     if not resolution.verify():

@@ -100,8 +100,6 @@ def test_phi_shortcut_and_offset():
     assert phi(7, 3, characteristic=2) == 7      # 2 does not divide 3
     assert phi(7, 4, characteristic=0) == 7
     assert phi(0, 3, characteristic=3) == 1
-    b3 = lambda n, d: 10 * n
-    assert phi(2, 4, B3=b3) == 21
     with pytest.raises(ValueError):
         phi(2, 4, characteristic=2)              # no degree-3 data shipped
 

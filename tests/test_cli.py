@@ -377,7 +377,7 @@ def test_resolution_internal_error_exit_code(capsys, monkeypatch):
     # an S-pair of a Groebner basis that does not reduce to zero is a bug
     from smallsub import modules
 
-    def nonzero_remainder(vec, basis, keyf, p, track=False):
+    def nonzero_remainder(vec, basis, p, track=False):
         rem = {(0, (0, 0)): 1}  # the ring has two variables
         return (rem, []) if track else rem
     monkeypatch.setattr(modules, "normal_form_vec", nonzero_remainder)

@@ -115,11 +115,11 @@ def test_small_subalgebra_rejects_rationals():
 
 
 def test_policy_thresholds():
-    policy = ThresholdPolicy.constant({2: 1, 3: 4})
-    assert policy.threshold(DimensionSequence((0, 1)), 2) == 1
+    policy = ThresholdPolicy.constant(4)
+    assert policy.threshold(DimensionSequence((0, 1)), 2) == 4
     assert policy.threshold(DimensionSequence((0, 0, 1)), 3) == 4
     with pytest.raises(ValueError):
-        policy.threshold(DimensionSequence((0, 0, 0, 1)), 4)
+        ThresholdPolicy.constant(-1).threshold(DimensionSequence((0, 0, 0, 1)), 4)
     from smallsub.bounds import BoundTable
     table_policy = ThresholdPolicy.from_table(BoundTable.default(eta=1))
     assert table_policy.threshold(DimensionSequence((0, 1)), 2) == 1
@@ -133,6 +133,18 @@ def test_subalgebra_membership_examples():
     assert not subalgebra_membership(pp("x1", F5, 1), [Form(pp("x1^2", F5, 1))])
     gens2 = [Form(pp("x1+x2", F5, 2)), Form(pp("x1-x2", F5, 2))]
     assert subalgebra_membership(pp("x1*x2", F5, 2), gens2)
+
+
+def test_subalgebra_membership_checks_the_generators_ring():
+    # x3 in 3 variables would land on the tag variable of the first generator
+    with pytest.raises(ValueError):
+        subalgebra_membership(pp("x1*x2", F5, 2), [Form(pp("x1", F5, 2)),
+                                                   Form(pp("x3", F5, 3))])
+    with pytest.raises(ValueError):
+        subalgebra_membership(pp("x1*x2", F5, 2), [Form(pp("x1", F5, 2)),
+                                                   Form(pp("x2", GF(7), 2))])
+    assert subalgebra_membership(pp("x1*x2", F5, 2), [Form(pp("x1", F5, 2)),
+                                                      Form(pp("x2", F5, 2))])
 
 
 def test_subalgebra_membership_random_consistency():

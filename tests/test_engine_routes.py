@@ -8,18 +8,21 @@ VecDicts, each prepared again by keying every term (``_old_prep``) before
 Schreyer loop that sorts, keys and reduces by re-keyed VecDicts.  Both
 routes must give the same reduced bases, kernels and resolution
 matrices, over F2, F5, F_32003 and Q, ranks 1 to 3, and grevlex, lex and
-elimination orders."""
+elimination orders.  An ``Ideal`` reduces by the divisors of its own run
+and must agree with ``normal_form`` against its basis prepared afresh,
+and a query on a cached basis must prepare nothing."""
 
 import random
 from operator import itemgetter
 
 import pytest
 
-from smallsub import modules
+from smallsub import groebner, modules
 from smallsub.budget import Counter
 from smallsub.fields import GF, QQ
-from smallsub.groebner import (GREVLEX, LEX, autoreduce, buchberger, elimination_order,
-                               normal_form_vec, pot_key, _Codes, _Divisors, _layout,
+from smallsub.groebner import (GREVLEX, LEX, Ideal, autoreduce, buchberger, elimination_order,
+                               normal_form,
+                               normal_form_vec, pot_key, _Codes, _coded, _Divisors, _layout,
                                _modulo, _prep, _tagged, _terms, _to_vec)
 from smallsub.modules import (SubmoduleOfFree, free_resolution, _chain_matrices,
                               _schreyer_key, _schreyer_syzygies)
@@ -66,7 +69,7 @@ def _old_autoreduce(basis, keyf, field):
         vec = _Codes(layout)
         vec[d[1]] = field.one
         vec.update(d[3])
-        rem = normal_form_vec(vec, _Divisors(minimal[:i] + minimal[i + 1:]), keyf, field.p)
+        rem = normal_form_vec(vec, _Divisors(minimal[:i] + minimal[i + 1:]), field.p)
         reduced.append({layout.unpack(h & layout.low): c for h, c in rem.items()})
     reduced.reverse()
     return reduced
@@ -148,15 +151,16 @@ def test_reduced_bases_and_normal_forms_match(field, rank):
         keyf = pot_key(order)
         basis = buchberger(vecs, keyf, field)
         unreduced = _vecs(basis, field.one)
-        assert (_vecs(autoreduce(basis, keyf, field), field.one)
+        assert (_vecs(autoreduce(basis, field), field.one)
                 == _old_autoreduce(unreduced, keyf, field))
         # the run's own divisors, with the memo its signature reductions
         # left, reduce like divisors prepared afresh
         fresh = _Divisors(_prep(g, keyf, field) for g in unreduced)
         for _ in range(4):
             vec = _vec(rng, field, rank, nvars, rng.randint(1, 6), 3)
-            assert (normal_form_vec(vec, basis, keyf, p, track=True)
-                    == normal_form_vec(vec, fresh, keyf, p, track=True))
+            layout = _layout(nvars)
+            assert (normal_form_vec(_coded(vec, keyf, layout), basis, p, track=True)
+                    == normal_form_vec(_coded(vec, keyf, layout), fresh, p, track=True))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -198,3 +202,34 @@ def test_resolution_matrices_match(field, rank, monkeypatch):
             assert _texts(free_resolution(sub, order).matrices) == _texts(expected)
         longest = max(longest, len(levels))
     assert longest >= 2
+
+
+def _poly(vec, nvars, field):
+    return Polynomial(nvars, field, {m: c for (_, m), c in vec.items()})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_ideal_normal_forms_match(field):
+    for rng, nvars, order, vecs in _cases(field, 1, _seed(field, 1) + 3, 8):
+        ideal = Ideal([_poly(v, nvars, field) for v in vecs], nvars, field)
+        basis = ideal.groebner_basis(order)
+        for _ in range(4):
+            f = _poly(_vec(rng, field, 1, nvars, rng.randint(1, 6), 3), nvars, field)
+            assert ideal.normal_form(f, order) == normal_form(f, basis, order)
+
+
+def test_queries_on_a_cached_basis_prepare_nothing(monkeypatch):
+    field = GF(32003)
+    x1, x2, x3 = (Polynomial.variable(i, 3, field) for i in range(3))
+    ideal = Ideal([x1 * x2 - x3 * x3, x1 * x1 + x2 * x3, x2 * x2 - x1])
+    ideal.groebner_basis()
+    prepared = []
+    prep_codes = groebner._prep_codes
+
+    def counting(*args):
+        prepared.append(args)
+        return prep_codes(*args)
+    monkeypatch.setattr(groebner, "_prep_codes", counting)
+    for f in (x1 * x2 - x3 * x3, x1 * x3 + x2, x3 * (x1 * x1 + x2 * x3)):
+        ideal.contains(f)
+    assert not prepared

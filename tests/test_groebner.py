@@ -11,7 +11,7 @@ from smallsub.grammar import parse_polynomial as pp
 from smallsub import groebner
 from smallsub.groebner import (EXPONENT_BITS, GREVLEX, LEX, MAX_EXPONENT,
                                Ideal, _Divisors, _DIGIT_SUM, _FIELD, _KEY_LIMIT,
-                               _exponent_overflow, _prep, _prep_codes,
+                               _coded, _exponent_overflow, _prep, _prep_codes,
                                elimination_order, groebner_basis, leading_form_ideal,
                                membership_cofactors, normal_form,
                                normal_form_vec, pot_key)
@@ -783,13 +783,15 @@ def test_packed_normal_form_matches_tuple_route(field, rank):
                                keyf, field) for _ in range(rng.randint(0, 5))]
             vec = _random_vec(rng, field, rank, nvars, rng.randint(1, 8), 4)
             prepped = [_prep(d, keyf, field) for d in divisors]
-            rem, records = normal_form_vec(vec, _Divisors(prepped), keyf, field.p, track=True)
+            layout = groebner._layout(nvars)
+            rem, records = normal_form_vec(_coded(vec, keyf, layout), _Divisors(prepped),
+                                           field.p, track=True)
             new = _decoded(rem.items(), nvars), records
             old = _tuple_normal_form_vec(vec, [_tuple_prep(d, keyf) for d in divisors],
                                          keyf, field.p, track=True)
             assert new[1] == old[1]
             assert list(new[0].items()) == list(old[0].items())
-            rem = normal_form_vec(vec, _Divisors(prepped), keyf, field.p)
+            rem = normal_form_vec(_coded(vec, keyf, layout), _Divisors(prepped), field.p)
             assert _decoded(rem.items(), nvars) == old[0]
 
 
@@ -937,7 +939,7 @@ def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
     for vec in vectors:
         if vec:
             layout = layout or groebner._layout(len(next(iter(vec))[1]))
-            rem = normal_form_vec(vec, prepped, keyf, p)
+            rem = normal_form_vec(_coded(vec, keyf, layout), prepped, p)
             if rem:
                 add(rem)
     while heap:
@@ -959,7 +961,7 @@ def _buchberger_normal_selection(vectors, keyf, field, rank1=False):
             continue
         pairs.tick()
         rem = normal_form_vec(groebner._s_pair(di, dj, (di[2][0], lcm), key, p),
-                              prepped, keyf, p)
+                              prepped, p)
         if rem:
             add(rem)
     return prepped, pairs.used
@@ -1041,7 +1043,7 @@ def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
             fill = guard - (guard >> EXPONENT_BITS)  # x + fill: a guard bit per nonzero field
         degrees = {sum(m) for _, m in vec}
         homogeneous = homogeneous and len(degrees) == 1
-        rem = normal_form_vec(vec, prepped, keyf, p)
+        rem = normal_form_vec(_coded(vec, keyf, layout), prepped, p)
         if rem:
             add(rem, max(degrees))
     while heap:
@@ -1049,7 +1051,7 @@ def _buchberger_gm_sugar(vectors, keyf, field, rank1=False):
         pairs.tick()
         di, dj = prepped[i], prepped[j]
         rem = normal_form_vec(groebner._s_pair(di, dj, (di[2][0], lcm), key, p),
-                              prepped, keyf, p)
+                              prepped, p)
         if rem:
             add(rem, sugar)
     return prepped, pairs.used
@@ -1133,10 +1135,10 @@ def test_pair_queue_matches_normal_selection(field, rank, monkeypatch):
     counts = [0] * 5
     sigs = []  # the signature key of every regular reduction of one run
 
-    def recording(vec, basis, keyf, p, track=False, sig=None):
+    def recording(vec, basis, p, track=False, sig=None):
         if sig is not None:
             sigs.append(sig)
-        return normal_form_vec(vec, basis, keyf, p, track, sig)
+        return normal_form_vec(vec, basis, p, track, sig)
     monkeypatch.setattr(groebner, "normal_form_vec", recording)
     for keyf, vecs in _queue_cases(field, rank, 97 * rank + (p or 1)):
         stats = {}
@@ -1144,15 +1146,17 @@ def test_pair_queue_matches_normal_selection(field, rank, monkeypatch):
         basis = groebner.buchberger(vecs, keyf, field, stats=stats)
         gm, gm_pairs = _buchberger_gm_sugar(vecs, keyf, field, rank1=rank == 1)
         old, old_pairs = _buchberger_normal_selection(vecs, keyf, field, rank1=rank == 1)
-        reduced = groebner.autoreduce(basis, keyf, field)
-        assert reduced == groebner.autoreduce(gm, keyf, field)
-        assert reduced == groebner.autoreduce(old, keyf, field)
+        reduced = groebner.autoreduce(basis, field)
+        assert reduced == groebner.autoreduce(gm, field)
+        assert reduced == groebner.autoreduce(old, field)
         # the unreduced output is a Groebner basis on its own ...
         basis = [_decoded(groebner._terms(d, field.one), len(d[2][1])) for d in basis]
         divisors = _Divisors(_prep(g, keyf, field) for g in basis)
         for f, g in combinations(basis, 2):
             if max(f, key=keyf)[0] == max(g, key=keyf)[0]:
-                assert not normal_form_vec(_s_poly_vec(f, g, keyf, p), divisors, keyf, p)
+                layout = groebner._layout(len(next(iter(f))[1]))
+                assert not normal_form_vec(_coded(_s_poly_vec(f, g, keyf, p), keyf, layout),
+                                           divisors, p)
         # ... and every input and pair is reduced in increasing signature,
         # one reduction per signature
         assert all(a < b for a, b in zip(sigs, sigs[1:]))
@@ -1221,7 +1225,7 @@ def test_regular_reduction_matches_old_loop(field, rank, monkeypatch):
     p = field.p
     checked = 0
 
-    def both(vec, basis, keyf, p, track=False, sig=None):
+    def both(vec, basis, p, track=False, sig=None):
         nonlocal checked
         if sig is not None:
             work = dict(vec)
@@ -1233,7 +1237,7 @@ def test_regular_reduction_matches_old_loop(field, rank, monkeypatch):
                 _reduce_regular(work, heap, basis, vec.layout, p, sig, old)
             finally:
                 basis.memo = memo
-        rem = normal_form_vec(vec, basis, keyf, p, track, sig)
+        rem = normal_form_vec(vec, basis, p, track, sig)
         if sig is not None:
             assert list(rem.items()) == list(old.items())
             checked += 1
@@ -1256,7 +1260,7 @@ def test_ideal_runs_are_read_off_the_input():
         basis = groebner.buchberger([{(comp, m): c for m, c in g.terms.items()}
                                      for g in gens], keyf, field, stats=stats)
         assert [_decoded(groebner._terms(d, field.one), 5)
-                for d in groebner.autoreduce(basis, keyf, field)] == [
+                for d in groebner.autoreduce(basis, field)] == [
             {(comp, m): c for m, c in g.terms.items()} for g in reduced]
         assert stats["pairs_processed"] == 44
 
@@ -1359,10 +1363,12 @@ def test_first_divisor_memo_resumes_after_appends():
                                  keyf, field)
                 stale = {h: v for h, v in memoized.memo.items() if v < 0}
                 memoized.append(_prep(divisor, keyf, field))
+                layout = groebner._layout(3)
                 for vec in vecs:
-                    with_memo = normal_form_vec(vec, memoized, keyf, field.p, track=True)
-                    without = normal_form_vec(vec, _Divisors(memoized), keyf, field.p,
-                                              track=True)
+                    with_memo = normal_form_vec(_coded(vec, keyf, layout), memoized, field.p,
+                                                track=True)
+                    without = normal_form_vec(_coded(vec, keyf, layout), _Divisors(memoized),
+                                              field.p, track=True)
                     assert with_memo[1] == without[1]
                     assert list(with_memo[0].items()) == list(without[0].items())
                 resumed += sum(memoized.memo[h] != v for h, v in stale.items())
@@ -1378,5 +1384,5 @@ def test_ideal_memo_is_cleared_past_its_cap(monkeypatch):
     for _ in range(20):
         f = random_poly(rng, 4, 3, GF(32003))
         assert ideal.normal_form(f) == normal_form(f, basis)
-        _, divisors = ideal._divisors[GREVLEX.signature()]
+        _, divisors = ideal._gb[GREVLEX.signature()]
         assert len(divisors.memo) <= 5

@@ -176,6 +176,32 @@ def test_submodule_validation():
         SubmoduleOfFree(1, [], None, None)
 
 
+def test_syzygies_check_rank_and_ring():
+    x1, x2 = pp("x1", F5, 2), pp("x2", F5, 2)
+    # a second entry would land in the tag component
+    with pytest.raises(ValueError):
+        syzygies([(x1, x2), (x2,)], 1, 2, F5)
+    # vectors in 2 variables, a ring of 3
+    with pytest.raises(ValueError):
+        syzygies([(x1,), (x2,)], 1, 3, F5)
+    with pytest.raises(ValueError):
+        syzygies([(pp("x1", GF(7), 2),), (pp("x2", GF(7), 2),)], 1, 2, F5)
+    assert syzygies([(x1,), (x2,)], 1, 2, F5) == [(x2, -x1)]
+
+
+def test_submodule_contains_checks_rank_and_ring():
+    x1 = pp("x1", F5, 2)
+    sub = SubmoduleOfFree(1, [(x1,)])
+    for vec in ((pp("x1", F5, 3),), (pp("x1", GF(7), 2),), (x1, x1)):
+        with pytest.raises(ValueError):
+            submodule_contains(sub, vec)
+    with pytest.raises(ValueError):
+        submodule_equals(sub, SubmoduleOfFree(1, [(pp("x1", GF(7), 2),)]))
+    with pytest.raises(ValueError):
+        submodule_equals(SubmoduleOfFree(1, [], 2, F5), SubmoduleOfFree(1, [], 3, F5))
+    assert submodule_contains(sub, (x1 * pp("x2", F5, 2),))
+
+
 # ----- oracles: the minimization by repeated rescans, and all S-pairs -----
 
 
@@ -261,7 +287,7 @@ def _all_pairs_syzygies(gb, keyf, field):
                 continue
             lcm = (ic, tuple(map(max, im, jm)))
             spair = _s_pair(gb[i], gb[j], lcm, keyf(lcm), p)
-            rem, records = normal_form_vec(spair, gb, keyf, p, track=True)
+            rem, records = normal_form_vec(spair, gb, p, track=True)
             assert not rem
             sigma = {(i, tuple(map(sub, lcm[1], im))): one}
             for idx, umono, factor in [(j, tuple(map(sub, lcm[1], jm)), one)] + records:
@@ -395,7 +421,7 @@ def test_minimal_pairs_give_the_all_pairs_syzygies(field):
         sub = _random_ideal(rng, field, nvars, low, 2, rng.randint(2, 4))
         keyf = pot_key(GREVLEX)
         gb = buchberger([_to_vec(v) for v in sub.generators], keyf, field)
-        gb = _schreyer_sort(autoreduce(gb, keyf, field))
+        gb = _schreyer_sort(autoreduce(gb, field))
         while gb:
             counter = Counter("pairs", 10 ** 6)
             mine = _schreyer_syzygies(gb, keyf, field, counter)
@@ -406,8 +432,8 @@ def test_minimal_pairs_give_the_all_pairs_syzygies(field):
                 assert not mine
                 break
             keyf = _schreyer_key([d[2] for d in gb], keyf)
-            reduced = autoreduce([_prep(s, keyf, field) for s in mine], keyf, field)
-            assert reduced == autoreduce([_prep(s, keyf, field) for s in every], keyf, field)
+            reduced = autoreduce([_prep(s, keyf, field) for s in mine], field)
+            assert reduced == autoreduce([_prep(s, keyf, field) for s in every], field)
             # one syzygy per minimal generator of the leading-term module
             assert (sorted(max(s, key=keyf) for s in mine)
                     == sorted(d[2] for d in reduced))
