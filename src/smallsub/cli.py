@@ -12,7 +12,8 @@ on ``gb`` and ``pdim``, ``--verbose`` on ``gb``, ``--seed`` on
 echoes the field, order and seed, with ``Q``, ``grevlex`` and ``0``
 where the subcommand has no such flag; budget-exceeded and
 internal-error reports carry the same block, and a budget-exceeded
-report names the cap that was hit (``cap``).  Reports are byte-identical
+report names the cap that was hit (``cap``); ``descend``'s also carries
+its partial trace (``result``).  Reports are byte-identical
 across runs for fixed inputs, seed and budgets; wall-clock timing is
 added only on request.
 """
@@ -47,6 +48,14 @@ SCHEMA = 1
 
 class CliError(Exception):
     """Argument or input error mapped to exit code 3."""
+
+
+class _Stopped(BudgetExceededError):
+    """A cap that stopped a search whose partial result is still reported."""
+
+    def __init__(self, exc: BudgetExceededError, result: dict):
+        super().__init__(exc.what, exc.limit)
+        self.result = result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -278,8 +287,9 @@ def _cmd_descend(args, field, budget):
         "membership": list(trace.membership),
         "regular_sequence": trace.regular_sequence,
     }
-    code = 0 if (trace.complete and all(trace.membership)) else (2 if not trace.complete else 1)
-    return payload, code
+    if trace.exceeded is not None:
+        raise _Stopped(trace.exceeded, payload)
+    return payload, 0 if all(trace.membership) else 1
 
 
 def _cmd_bounds(args, field, budget):
@@ -500,8 +510,9 @@ def run(argv=None) -> tuple[int, dict | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 3, None
     except BudgetExceededError as exc:
+        partial = {"result": exc.result} if isinstance(exc, _Stopped) else {}
         report = _report(args, budget, error=str(exc), budget_exceeded=True,
-                         cap={"what": exc.what, "limit": exc.limit})
+                         cap={"what": exc.what, "limit": exc.limit}, **partial)
         _print_json(report)
         return 2, report
     except InternalError as exc:

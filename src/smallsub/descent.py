@@ -95,6 +95,8 @@ class DescentTrace:
     exhaustive: bool
     membership: tuple[bool, ...]
     regular_sequence: bool | None
+    #: the cap that stopped the search, when it is not complete
+    exceeded: BudgetExceededError | None = None
 
 
 def descend_step(space: GradedSpace, degree: int,
@@ -186,7 +188,7 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
     Returns the trace with the final homogeneous generators, membership
     checks for every original basis form against them, and the
     regular-sequence verdict.  Budget exhaustion returns the partial
-    trace flagged incomplete instead of raising.
+    trace flagged incomplete, with the error it caught, instead of raising.
     """
     if space.field.p is None:
         raise ValueError("descent search needs a finite prime field")
@@ -194,7 +196,7 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
     original = list(space.basis)
     steps: list[DescentStep] = []
     current = space
-    complete = True
+    exceeded = None
     try:
         while True:
             if len(steps) >= budget.max_steps:
@@ -209,8 +211,9 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
                                      witness=witness,
                                      after=current.dimension_sequence,
                                      regime=regime))
-    except BudgetExceededError:
-        complete = False
+    except BudgetExceededError as exc:
+        exceeded = exc
+    complete = exceeded is None
     exhaustive = complete and all(
         _piece_is_enumerable(current.piece(d), current.field.p)
         for d in range(2, len(current.dimension_sequence) + 1)
@@ -224,7 +227,8 @@ def small_subalgebra(space: GradedSpace, policy: ThresholdPolicy,
         regular = None
     return DescentTrace(steps=tuple(steps), final_generators=gens,
                         complete=complete, exhaustive=exhaustive,
-                        membership=membership, regular_sequence=regular)
+                        membership=membership, regular_sequence=regular,
+                        exceeded=exceeded)
 
 
 def subalgebra_membership(f: Polynomial, gens: Sequence[Form],

@@ -39,7 +39,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class CoefficientField:
+class _Frozen:
+    """Base of the immutable value types, which hold their values in slots.
+
+    Every attribute write or delete raises AttributeError, so constructors
+    write through ``object.__setattr__``.  Pickle, copy and deepcopy carry
+    the slots along the MRO; a private slot is a cache, which comes back
+    as an empty dict.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self):
+        return {name: {} if name.startswith("_") else getattr(self, name)
+                for cls in type(self).__mro__ for name in cls.__dict__.get("__slots__", ())}
+
+    def __setstate__(self, state: dict):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class CoefficientField(_Frozen):
     """F_p when ``p`` is a prime, the rationals when ``p`` is None."""
 
     __slots__ = ("p",)
@@ -48,12 +73,6 @@ class CoefficientField:
         if p is not None and not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientField is immutable")
-
-    def __reduce__(self):
-        return CoefficientField, (self.p,)
 
     @property
     def characteristic(self) -> int:
@@ -83,11 +102,6 @@ class CoefficientField:
         if self.p is not None:
             return pow(value, -1, self.p)
         return 1 / value
-
-    def neg(self, value):
-        if self.p is not None:
-            return -value % self.p
-        return -value
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.p == other.p

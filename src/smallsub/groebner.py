@@ -126,8 +126,8 @@ from operator import itemgetter, lshift, mul
 from struct import Struct
 from typing import Callable, Iterable, Sequence
 
-from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET
-from .fields import CoefficientField
+from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, InternalError
+from .fields import CoefficientField, _Frozen
 from .poly import Monomial, Polynomial, mono_degree
 
 Term = tuple[int, Monomial]
@@ -453,7 +453,10 @@ def normal_form_vec(vec: _Codes, basis: _Divisors, p, track: bool = False,
 
 def _coded(vec: VecDict, keyf, layout: _Layout) -> _Codes:
     """``vec`` keyed by term codes over its ring's ``layout``: the one
-    place where a VecDict is keyed and packed."""
+    place where a VecDict is keyed and packed.  A vector whose first term
+    has more or fewer variables than the layout raises InternalError."""
+    if vec and len(next(iter(vec))[1]) != len(layout.shifts):
+        raise InternalError("a vector's terms do not fit its ring's layout")
     out = _Codes(layout)
     code = layout.code
     for term, c in vec.items():
@@ -970,9 +973,10 @@ class _LeadingSupports:
 HEIGHT_SECTIONS = 3
 
 
-class Ideal:
+class Ideal(_Frozen):
     """An ideal with one write-once cache entry per order: the key and the
-    reduced basis as the divisors its run returned, with their memo."""
+    reduced basis as the divisors its run returned, with their memo.  A
+    pickled or copied ideal starts with an empty cache."""
 
     __slots__ = ("generators", "nvars", "field", "_gb")
 
@@ -992,9 +996,6 @@ class Ideal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_gb", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
 
     def _entry(self, order: TermOrder, budget: Budget | None) -> tuple:
         """The cache entry of ``order``, ``(keyf, reduced divisors)``."""

@@ -37,7 +37,7 @@ from operator import le, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .budget import Budget, BudgetExceededError, Counter, DEFAULT_BUDGET, InternalError
-from .fields import CoefficientField
+from .fields import CoefficientField, _Frozen
 from .groebner import (GREVLEX, MAX_EXPONENT, TermOrder, VecDict, autoreduce,
                        buchberger, normal_form_vec, pot_key, _ambient, _coded, _Divisors,
                        _Layout, _from_vec, _layout, _modulo, _prep, _s_pair,
@@ -47,7 +47,7 @@ from .poly import Monomial, Polynomial
 Vector = tuple[Polynomial, ...]
 
 
-class SubmoduleOfFree:
+class SubmoduleOfFree(_Frozen):
     """A finitely generated submodule of R^rank, given by generator vectors."""
 
     __slots__ = ("rank", "generators", "nvars", "field")
@@ -64,9 +64,6 @@ class SubmoduleOfFree:
                            tuple(v for v in vecs if any(not e.is_zero() for e in v)))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubmoduleOfFree is immutable")
 
     @classmethod
     def from_ideal_generators(cls, gens: Sequence[Polynomial]) -> "SubmoduleOfFree":
@@ -177,7 +174,7 @@ def koszul_relations(forms: Sequence[Polynomial]) -> SubmoduleOfFree:
 # ----- free resolutions -----
 
 
-class FreeResolution:
+class FreeResolution(_Frozen):
     """A chain R^{r_L} -> ... -> R^{r_1} -> R^{base_rank} with composite zero.
 
     ``matrices[k]`` is the (row x column) = (r_k x r_{k+1}) matrix of the
@@ -192,9 +189,6 @@ class FreeResolution:
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeResolution is immutable")
 
     @property
     def length(self) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Iterable, Sequence
 
-from .fields import CoefficientField
+from .fields import CoefficientField, _Frozen
 
 Monomial = tuple[int, ...]
 
@@ -51,7 +51,7 @@ def grevlex_key(m: Monomial):
     return (sum(m), tuple(map(neg, reversed(m))))
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Immutable exact sparse polynomial in a fixed ambient ring."""
 
     __slots__ = ("nvars", "field", "terms")
@@ -77,12 +77,6 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return Polynomial, (self.nvars, self.field, self.terms)
 
     # ----- constructors (plain polynomials on either class) -----
 
@@ -246,8 +240,6 @@ class Form(Polynomial):
         object.__setattr__(self, "terms", poly.terms)
         object.__setattr__(self, "degree", d)
 
-    def __reduce__(self):
-        return Form, (Polynomial(self.nvars, self.field, self.terms),)
 
 def as_form(value: Polynomial) -> Form:
     return value if isinstance(value, Form) else Form(value)
@@ -374,19 +366,13 @@ class DimensionSequence(tuple):
         return sum(self)
 
 
-class GradedSpace:
+class GradedSpace(_Frozen):
     """A finite-dimensional graded span of forms, held as an echelon basis."""
 
     __slots__ = ("basis",)
 
     def __init__(self, basis: Sequence[Form]):
         object.__setattr__(self, "basis", tuple(basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSpace is immutable")
-
-    def __reduce__(self):
-        return GradedSpace, (self.basis,)
 
     @classmethod
     def from_forms(cls, forms: Iterable[Polynomial]) -> "GradedSpace":

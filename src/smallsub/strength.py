@@ -276,40 +276,6 @@ def _products(nvars: int, d: int, e: int, p: int) -> _Products:
     return _Products(nvars, d, e, p)
 
 
-def _extend_span(span: tuple, vec: int, p: int, layout) -> tuple | None:
-    """The reduced echelon form of S + <vec> when the class vec is the least
-    class of that span outside S; None otherwise, and when vec lies in S.
-
-    ``span`` is the reduced echelon form (rows, mask) of S in F_p^m, and
-    ``layout`` the kernel of :func:`_slot_layout` for F_p^m; vec is packed
-    and has leading coefficient 1.  The classes of S + <vec> outside S are
-    those of the coset v' + S, for v' the residual of vec against S, whose
-    lead L is no pivot.  A member s + v' leads at min(lead(s), L), so when
-    no pivot precedes L the least one is v' itself, normalized.  Otherwise
-    the least leads at the first pivot; scaled to 1 there it is
-    r_1 + sum b_k*r_k + mu*v' (r_1 the first row), whose slot at each later
-    pivot is b_k, so every b_k is 0, and mu != 0 makes slot L least: 0, or
-    1 where r_1 has 0 there.  The cost is O(dim S * m) whatever p is: no
-    coset member is listed.
-    """
-    width, norm, reduce, monic = layout
-    slot = (1 << width) - 1
-    rows, mask = span
-    res = reduce(vec, rows, mask)
-    if not res:
-        return None
-    lead, new = monic(res)
-    shift = lead * width
-    least = new
-    if mask & ((1 << shift) - 1):
-        first = rows[((mask & -mask).bit_length() - 1) // width]
-        f = first >> shift & slot
-        least = norm(first + ((p - f) if f else 1) * new)
-    if least != vec:
-        return None
-    return _grow_span(span, lead, new, p, layout)
-
-
 def _grow_span(span: tuple, lead: int, new: int, p: int, layout) -> tuple:
     """The reduced echelon form of S + <new>, for ``new`` zero at every
     pivot of S and 1 at its lead slot ``lead``."""
@@ -325,21 +291,27 @@ def _grow_span(span: tuple, lead: int, new: int, p: int, layout) -> tuple:
 
 
 def _canonical_classes(span: tuple, m: int, p: int, width: int, start: int, stop: int):
-    """The classes of [start, stop) that :func:`_extend_span` accepts, in
-    index order, each as (index, residual): residual is the support
-    [(lead, 1), (a, c), ...] of v', the class's residual modulo S, lead
-    first.
+    """The classes of [start, stop) accepted against S, in index order,
+    each as (index, residual): residual is the support [(lead, 1), (a, c),
+    ...] of v', the class's residual modulo S, lead first.  A class v is
+    accepted when it is the least class of S + <v> outside S.
 
     ``span`` is the reduced echelon form (rows, mask) of S in F_p^m with
     pivots a_1 < ... < a_r, its rows packed in slots of ``width`` bits.
-    Each monic v' zero at every pivot, one per class of F_p^m / S, gives
-    exactly one accepted class v, by :func:`_extend_span`'s case split:
-    v = v' when lead(v') < a_1, else v = r_1 + c*v' with c = p - f for
-    f != 0 the slot of r_1 at lead(v'), and c = 1 for f = 0.  So the
-    accepted classes fall into one family per non-pivot lead L, free in
-    the non-pivot slots after L: v = v' for L < a_1; for L > a_1, v agrees
-    with r_1 before L, is 0 at L when f != 0 and 1 when f = 0, is zero at
-    every pivot after a_1 and free elsewhere after L.  A family's
+    The classes of S + <v> outside S are those of the coset v' + S, whose
+    members s + v' lead at min(lead(s), L), L = lead(v') no pivot.  When
+    no pivot precedes L the least is v' itself, normalized.  Otherwise
+    the least leads at a_1; scaled to 1 there it is r_1 + sum b_k*r_k +
+    mu*v' (r_1 the first row), whose slot at each later pivot is b_k, so
+    every b_k is 0, and mu != 0 makes slot L least: 0, or 1 where r_1 has
+    0 there.  So each monic v' zero at every pivot, one per class of
+    F_p^m / S, gives exactly one accepted class v: v = v' when L < a_1,
+    else v = r_1 + c*v' with c = p - f for f != 0 the slot of r_1 at L,
+    and c = 1 for f = 0.  The accepted classes thus fall into one family
+    per non-pivot lead L, free in the non-pivot slots after L: v = v' for
+    L < a_1; for L > a_1, v agrees with r_1 before L, is 0 at L when
+    f != 0 and 1 when f = 0, is zero at every pivot after a_1 and free
+    elsewhere after L.  A family's
     indices fill no other family's range, and within one family the
     index rises with its free slots read as base-p digits, so each
     family is listed from its first member at or above ``start``, never
@@ -451,9 +423,9 @@ def _collapse_search(target: Form, max_size: int, budget: Budget):
     The walk decides one tuple per chain of block spans, a block being a
     run of equal degrees in the profile: class i is decided at a position
     only when it is the least class of S + <g_i> outside S, for S the span
-    of the classes its block has chosen so far (:func:`_extend_span`).
-    Those classes are generated, not tested (:func:`_canonical_classes`):
-    one per class of the quotient by S, in index order from ``start``.
+    of the classes its block has chosen so far.  Those classes are
+    generated, not tested (:func:`_canonical_classes`): one per class of
+    the quotient by S, in index order from ``start``.
     Every other class i is skipped with every tuple below it.  A skipped
     tuple has the same block spans, and so the same ideal, as a
     lexicographically earlier tuple of the same profile, which the walk

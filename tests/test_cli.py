@@ -114,6 +114,38 @@ def test_descend_subcommand(capsys):
     assert all(result["membership"])
 
 
+def test_descend_table_policy(capsys):
+    code = main(["descend", "--field", "p=2", "--forms", "x1*x2+x3*x4",
+                 "--policy", "table", "--eta", "1"])
+    assert code == 0
+    result = _json_out(capsys)["result"]
+    assert result["policy"] == "table" and result["steps"] == [] and result["s"] == 1
+
+
+def test_descend_budget_report_names_its_cap(capsys):
+    # the search stops at the candidate cap: an exit-2 report like every
+    # other, with the partial trace as its result
+    code = main(["descend", "--field", "p=3", "--max-candidates", "30",
+                 "--forms", "x1*x2+x3*x4+x5*x6; x1^2+x2*x5+x3*x6"])
+    assert code == 2
+    report = _json_out(capsys)
+    assert report["budget_exceeded"] is True
+    assert report["cap"] == {"what": "collapse candidates", "limit": 30}
+    assert report["error"] == "budget exceeded: collapse candidates limit 30"
+    assert report["config"]["budgets"]["max_candidates"] == 30
+    assert report["result"]["complete"] is False and report["result"]["s"] == 2
+
+
+def test_gb_gens_file(capsys, tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("# a comment line\nx1^2+x2^2\nx1*x2\n")
+    assert main(["gb", "--field", "p=5", "--gens-file", str(path)]) == 0
+    from_file = _json_out(capsys)
+    assert main(["gb", "--field", "p=5", "--gens", "x1^2+x2^2; x1*x2"]) == 0
+    assert from_file == _json_out(capsys)
+    assert "x2^3" in from_file["result"]["basis"]
+
+
 def test_descend_forms_file(capsys, tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("# fixture\nx1*x2\n")

@@ -11,9 +11,10 @@ from smallsub.fields import GF, QQ
 from smallsub.grammar import format_polynomial
 from smallsub.grammar import parse_polynomial as pp
 from smallsub.groebner import Ideal, leading_form_ideal, membership_cofactors
-from smallsub.modules import (SubmoduleOfFree, koszul_relations, submodule_contains,
-                              syzygies)
-from smallsub.poly import Form, Polynomial, coordinates_in_span, echelon_basis
+from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
+                              koszul_relations, submodule_contains, syzygies)
+from smallsub.poly import (Form, GradedSpace, Polynomial, coordinates_in_span,
+                           echelon_basis)
 
 F5 = GF(5)
 TEXTS = ["x1^2 + 2*x2*x3", "x2^2 - x1*x3", "x3^2"]
@@ -88,13 +89,49 @@ def test_constructors_return_plain_polynomials_on_either_class():
             cls.variable(2, 2, F5)
 
 
+def _answers(value, poly, vectors):
+    """What a value of each type answers: itself for the types with an
+    equality, a graded space's basis, and the queries of the others."""
+    if isinstance(value, Ideal):
+        return (value.groebner_basis(), value.contains(poly), value.contains(poly * poly),
+                value.height())
+    if isinstance(value, SubmoduleOfFree):
+        return [submodule_contains(value, v) for v in vectors]
+    if isinstance(value, FreeResolution):
+        return value.ranks, value.verify()
+    if isinstance(value, GradedSpace):
+        return value.basis, tuple(value.dimension_sequence)
+    return value, hash(value)
+
+
 @pytest.mark.parametrize("field", [F5, QQ], ids=["GF(5)", "QQ"])
 def test_pickle_and_copy_round_trips(field):
+    # every value type is immutable, and pickle, copy and deepcopy give
+    # back an equal value, or for the types with no equality, one that
+    # answers the same; the queried ideal holds a cached basis, whose key
+    # closure does not pickle, so its twins start with an empty cache
+    forms, polys = _forms_and_polys(field)
     poly = pp("x1^2 + 2*x2*x3 - 1", field, 3)
-    form = Form(pp(TEXTS[0], field, 3))
-    for value in (field, poly, form):
+    queried = Ideal(polys)
+    assert queried.contains(polys[0] * poly) and queried._gb
+    sub = SubmoduleOfFree(2, [(polys[0], polys[1]), (polys[2], polys[0])])
+    vectors = [(polys[1] * polys[0], polys[1] * polys[1]),
+               (polys[0], Polynomial.zero(3, field))]
+    assert _answers(sub, poly, vectors) == [True, False]
+    resolution = free_resolution(sub)
+    values = (field, poly, forms[0], GradedSpace.from_forms(forms), Ideal(polys), queried,
+              sub, resolution)
+    for value in values:
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                      copy.deepcopy(value)):
             assert type(twin) is type(value)
-            assert twin == value and hash(twin) == hash(value)
+            assert _answers(twin, poly, vectors) == _answers(value, poly, vectors)
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = None
+    form = forms[0]
     assert pickle.loads(pickle.dumps(form)).degree == copy.deepcopy(form).degree == 2

@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 
-from smallsub.budget import Budget, BudgetExceededError, Counter
+from smallsub.budget import Budget, BudgetExceededError, Counter, InternalError
 from smallsub.fields import GF, QQ
 from smallsub.grammar import parse_polynomial as pp
 from smallsub import groebner
@@ -829,6 +829,15 @@ def test_cofactor_past_the_cap_is_budget_exceeded():
     with pytest.raises(BudgetExceededError, match="monomial exponent"):
         groebner._sub_scaled_packed({}, expr, layout.pack((0, (0, 1))), 1, 5,
                                     layout.guard)
+
+
+def test_a_term_off_its_layout_is_an_internal_error():
+    # packing x2*x3 into the two fields of a 2-variable layout would drop
+    # x3 and read it as x2; the engine's own callers never mix rings
+    with pytest.raises(InternalError):
+        groebner.buchberger([{(0, (1, 0)): 1}, {(0, (0, 1, 1)): 1}], pot_key(GREVLEX), F5)
+    with pytest.raises(InternalError):
+        _coded({(0, (1,)): 1}, pot_key(GREVLEX), groebner._layout(2))
 
 
 def test_exponents_up_to_the_cap_stay_exact():

@@ -8,6 +8,7 @@ that only tests call belongs in the tests."""
 
 import ast
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -30,6 +31,14 @@ def _definitions(path: Path) -> dict[str, set[int]]:
         for name in names:
             spans.setdefault(name, set()).update(range(node.lineno, node.end_lineno + 1))
     return spans
+
+
+def _code_names(path: Path) -> list[tuple[int, str]]:
+    """The (line, name) of each name token in a source file: code only,
+    so no string, docstring or comment."""
+    with path.open("rb") as f:
+        return [(tok.start[0], tok.string) for tok in tokenize.tokenize(f.readline)
+                if tok.type == tokenize.NAME]
 
 
 def _readers() -> list[Path]:
@@ -56,19 +65,17 @@ def test_every_exported_name_has_a_reader():
 
 
 def test_every_private_name_has_a_reader():
-    """A module-level private name in the package is read somewhere in
+    """A module-level private name in the package is read by the code of
     the library, a demo, a script or the benchmark, outside its own
-    definition: a helper that only tests call is test code."""
-    texts = [(p.read_text().splitlines(), _definitions(p))
-             for p in _readers() if p.suffix == ".py"]
+    definition: a helper that only tests call is test code, whatever
+    docstrings or comments mention it."""
+    texts = [(_code_names(p), _definitions(p)) for p in _readers() if p.suffix == ".py"]
     unread = []
     for path in sorted(SRC.glob("*.py")):
         for name in _definitions(path):
             if not name.startswith("_") or name.startswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(line) and i not in spans.get(name, ())
-                       for lines, spans in texts
-                       for i, line in enumerate(lines, start=1)):
+            if not any(token == name and i not in spans.get(name, ())
+                       for names, spans in texts for i, token in names):
                 unread.append(f"{path.stem}.{name}")
     assert not unread, f"private names read only by tests: {unread}"

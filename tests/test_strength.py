@@ -649,6 +649,42 @@ def _pairs(span):
     return None if span is None else tuple(sorted(span[0].items()))
 
 
+def _extend_span(span: tuple, vec: int, p: int, layout) -> tuple | None:
+    """The reduced echelon form of S + <vec> when the class vec is the least
+    class of that span outside S; None otherwise, and when vec lies in S.
+
+    ``span`` is the reduced echelon form (rows, mask) of S in F_p^m, and
+    ``layout`` the kernel of ``strength._slot_layout`` for F_p^m; vec is packed
+    and has leading coefficient 1.  The classes of S + <vec> outside S are
+    those of the coset v' + S, for v' the residual of vec against S, whose
+    lead L is no pivot.  A member s + v' leads at min(lead(s), L), so when
+    no pivot precedes L the least one is v' itself, normalized.  Otherwise
+    the least leads at the first pivot; scaled to 1 there it is
+    r_1 + sum b_k*r_k + mu*v' (r_1 the first row), whose slot at each later
+    pivot is b_k, so every b_k is 0, and mu != 0 makes slot L least: 0, or
+    1 where r_1 has 0 there.  ``strength._canonical_classes`` generates the
+    classes this accepts; this tests them one at a time.
+    """
+    width, norm, reduce, monic = layout
+    slot = (1 << width) - 1
+    rows, mask = span
+    res = reduce(vec, rows, mask)
+    if not res:
+        return None
+    lead, new = monic(res)
+    shift = lead * width
+    least = new
+    if mask & ((1 << shift) - 1):
+        first = rows[((mask & -mask).bit_length() - 1) // width]
+        f = first >> shift & slot
+        least = norm(first + ((p - f) if f else 1) * new)
+    if least != vec:
+        return None
+    return strength._grow_span(span, lead, new, p, layout)
+
+
+
+
 def _least_new_class(span_rows, vec, p):
     """The least class of S + <vec> outside S, by listing the whole span."""
     basis = [row for _, row in span_rows] + [vec]
@@ -686,9 +722,9 @@ def test_extend_span_matches_brute_force_cosets(p):
         vec = _class_vector(rng.randrange(count), m, p)
         layout = strength._slot_layout(p, m)
         width = layout[0]
-        grown = _pairs(strength._extend_span(_span(_packed(span_rows, width), width),
-                                             sum(x << j * width for j, x in enumerate(vec)),
-                                             p, layout))
+        grown = _pairs(_extend_span(_span(_packed(span_rows, width), width),
+                                    sum(x << j * width for j, x in enumerate(vec)),
+                                    p, layout))
         if _least_new_class(span_rows, vec, p) == vec:
             basis = [row for _, row in span_rows] + [vec]
             assert grown == _packed(_rref(basis, p), width), (span_rows, vec)
@@ -713,7 +749,7 @@ def test_accepted_tuples_are_one_per_subspace(m, r, p, subspaces):
             accepted.append(_pairs(span))
             return
         for i in range(start, count):
-            grown = strength._extend_span(span, vecs[i], p, layout)
+            grown = _extend_span(span, vecs[i], p, layout)
             if grown is not None:
                 walk(i + 1, grown, left - 1)
 
@@ -861,7 +897,7 @@ def test_canonical_classes_match_extend_span(p, slots):
         vecs = [sum(c << a * width for a, c in _class_support(i, m, p)) for i in range(count)]
         for rank in range(min(m, 3) + 1):
             span = _seeded_span(rng, m, p, rank)
-            grown = [strength._extend_span(span, vec, p, layout) for vec in vecs]
+            grown = [_extend_span(span, vec, p, layout) for vec in vecs]
             accepted = [i for i in range(count) if grown[i] is not None]
             generated = list(strength._canonical_classes(span, m, p, width, 0, count))
             assert [i for i, _ in generated] == accepted, (m, span)
