@@ -175,7 +175,7 @@ def _ring_weights(kind: str, elim: int, n: int) -> tuple[tuple[int, ...], int]:
     return weights, _span(weights)
 
 
-class TermOrder:
+class TermOrder(_Frozen):
     """A monomial order on ring monomials: grevlex, lex, or a block
     elimination order that eliminates the first ``elim`` variables."""
 
@@ -186,8 +186,8 @@ class TermOrder:
             raise ValueError(f"unknown order kind {kind!r}")
         if kind == "elim" and elim < 1:
             raise ValueError("elimination order needs a positive block size")
-        self.kind = kind
-        self.elim = elim
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "elim", elim)
 
     def key(self, mono: Monomial) -> int:
         """The integer key w . mono: a larger key is a larger monomial."""

@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallsub import strength
 from smallsub.budget import Budget, InternalError
@@ -486,3 +490,59 @@ def test_strength_max_k_zero_claims_no_field_caveat(capsys):
 def test_negative_caps_and_characteristics_exit_code(capsys, argv):
     assert main(argv) == 3
     assert "must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "--nvars", "-1", "--gens", "3"],
+    ["pdim", "--nvars", "-1", "--gens", "x1; 3"],
+    ["strength", "--nvars", "-2", "--form", "x1^2"],
+    ["descend", "--nvars", "-1", "--forms", "x1*x2"],
+], ids=["gb", "pdim", "strength", "descend"])
+def test_negative_nvars_exit_code(capsys, argv):
+    # malformed input, also for a text that names no variable
+    assert main(argv[:1] + ["--field", "p=5"] + argv[1:]) == 3
+    assert "must be nonnegative (at position 0)" in capsys.readouterr().err
+
+
+# ----- property: any input text ends in an exit code, never an exception -----
+
+_ALPHABET = "x0123456789+-*^ ;"
+
+
+@st.composite
+def _form_lists(draw):
+    """One to three forms of degree 1 to 3 in x1..x4, joined by ';',
+    with up to two characters of the alphabet inserted."""
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        text = ""
+        for i in range(draw(st.integers(1, 3))):
+            sign = draw(st.sampled_from(["", "-"] if i == 0 else [" + ", " - "]))
+            coeff = draw(st.sampled_from(["", "", "2*", "3*"]))
+            factors = draw(st.lists(st.sampled_from(["x1", "x2", "x3", "x4"]),
+                                    min_size=degree, max_size=degree))
+            text += sign + coeff + "*".join(factors)
+        forms.append(text)
+    text = "; ".join(forms)
+    stray = draw(st.text(alphabet=_ALPHABET, max_size=2))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + stray + text[at:]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["gb", "strength", "certify", "descend"]),
+       st.one_of(st.text(alphabet=_ALPHABET, max_size=14), _form_lists()),
+       st.sampled_from([None, -1, 0, 1, 2, 3]),
+       st.sampled_from(["p=2", "p=5", "Q"]))
+def test_cli_ends_in_an_exit_code(command, text, nvars, field):
+    flag = {"gb": "--gens", "strength": "--form"}.get(command, "--forms")
+    argv = [command, "--field", field, f"{flag}={text}", "--max-pairs", "40",
+            "--max-degree", "8", "--max-candidates", "40", "--max-steps", "40"]
+    if nvars is not None:
+        argv += ["--nvars", str(nvars)]
+    if command == "certify":
+        argv += ["--eta", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code, _ = run(argv)
+    assert code in (0, 1, 2, 3)

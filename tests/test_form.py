@@ -10,7 +10,8 @@ from smallsub.descent import subalgebra_membership
 from smallsub.fields import GF, QQ
 from smallsub.grammar import format_polynomial
 from smallsub.grammar import parse_polynomial as pp
-from smallsub.groebner import Ideal, leading_form_ideal, membership_cofactors
+from smallsub.groebner import (GREVLEX, LEX, Ideal, TermOrder, elimination_order,
+                              leading_form_ideal, membership_cofactors)
 from smallsub.modules import (FreeResolution, SubmoduleOfFree, free_resolution,
                               koszul_relations, submodule_contains, syzygies)
 from smallsub.poly import (Form, GradedSpace, Polynomial, coordinates_in_span,
@@ -101,6 +102,8 @@ def _answers(value, poly, vectors):
         return value.ranks, value.verify()
     if isinstance(value, GradedSpace):
         return value.basis, tuple(value.dimension_sequence)
+    if isinstance(value, TermOrder):
+        return value.signature(), repr(value)
     return value, hash(value)
 
 
@@ -120,7 +123,7 @@ def test_pickle_and_copy_round_trips(field):
     assert _answers(sub, poly, vectors) == [True, False]
     resolution = free_resolution(sub)
     values = (field, poly, forms[0], GradedSpace.from_forms(forms), Ideal(polys), queried,
-              sub, resolution)
+              sub, resolution, GREVLEX, LEX, elimination_order(2))
     for value in values:
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                      copy.deepcopy(value)):

@@ -5,12 +5,151 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallsub.fields import GF, QQ
+from smallsub import grammar
+from smallsub.budget import InternalError
+from smallsub.fields import GF, QQ, CoefficientField
 from smallsub.grammar import (MAX_VARIABLES, ParseError, format_polynomial,
                               parse_forms_file, parse_generators, parse_polynomial)
 from smallsub.poly import Polynomial
 
 F5 = GF(5)
+
+
+# ----- the oracle: the token-by-token parser the pattern reader replaced -----
+
+_TOKEN_CHARS = set("+-*^")
+
+
+def _integer(text: str, i: int, j: int) -> int:
+    """The decimal literal text[i:j]; Python refuses to convert one longer
+    than its int-string digit limit (4300 digits by default)."""
+    try:
+        return int(text[i:j])
+    except ValueError:
+        raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
+
+
+def _tokenize(text: str):
+    tokens = []  # (kind, value, pos); kinds: int, var, op
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _TOKEN_CHARS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", _integer(text, i, j), i))
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j == i + 1:
+                raise ParseError("variable needs an index, like x1", i)
+            idx = _integer(text, i + 1, j)
+            if idx < 1:
+                raise ParseError("variable indices start at x1", i)
+            if idx > MAX_VARIABLES:
+                raise ParseError(f"variable x{idx} exceeds the cap of "
+                                 f"{MAX_VARIABLES} variables", i)
+            tokens.append(("var", idx - 1, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def _oracle_polynomial(text: str, field: CoefficientField,
+                       nvars: int | None = None) -> Polynomial:
+    if nvars is not None and nvars > MAX_VARIABLES:
+        raise ParseError(f"{nvars} variables exceed the cap of {MAX_VARIABLES}", 0)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text", 0)
+    max_index = max((v for k, v, _ in tokens if k == "var"), default=-1)
+    if nvars is None:
+        nvars = max_index + 1 if max_index >= 0 else 1
+    elif max_index >= nvars:
+        _, _, pos = next(t for t in tokens if t[0] == "var" and t[1] == max_index)
+        raise ParseError(f"variable x{max_index + 1} exceeds ambient size {nvars}", pos)
+
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
+
+    def take():
+        nonlocal pos
+        tok = peek()
+        pos += 1
+        return tok
+
+    def parse_factor():
+        kind, value, at = take()
+        if kind == "int":
+            return int(value), (0,) * nvars
+        if kind == "var":
+            exps = [0] * nvars
+            exp = 1
+            if peek()[0] == "op" and peek()[1] == "^":
+                take()
+                k2, v2, at2 = take()
+                if k2 != "int":
+                    raise ParseError("exponent must be an integer", at2)
+                exp = v2
+            exps[value] = exp
+            return 1, tuple(exps)
+        raise ParseError("expected a coefficient or a variable", at)
+
+    def parse_term():
+        coeff, mono = parse_factor()
+        while peek()[0] == "op" and peek()[1] == "*":
+            take()
+            c2, m2 = parse_factor()
+            coeff *= c2
+            mono = tuple(a + b for a, b in zip(mono, m2))
+        return coeff, mono
+
+    terms: list[tuple[tuple[int, ...], int]] = []
+    sign = 1
+    kind, value, _ = peek()
+    if kind == "op" and value in "+-":
+        take()
+        sign = -1 if value == "-" else 1
+    while True:
+        coeff, mono = parse_term()
+        terms.append((mono, sign * coeff))
+        kind, value, at = peek()
+        if kind is None:
+            break
+        if kind == "op" and value in "+-":
+            take()
+            sign = -1 if value == "-" else 1
+            continue
+        raise ParseError("expected '+' or '-' between terms", at)
+    return Polynomial(nvars, field, terms)
+
+
+def _oracle_generators(text: str, field: CoefficientField,
+                       nvars: int | None = None) -> list[Polynomial]:
+    chunks = [c for c in (piece.strip() for piece in text.split(";")) if c]
+    if not chunks:
+        raise ParseError("no generators given", 0)
+    if nvars is None:
+        nvars = 1
+        for chunk in chunks:
+            for kind, value, _ in _tokenize(chunk):
+                if kind == "var":
+                    nvars = max(nvars, value + 1)
+    return [_oracle_polynomial(chunk, field, nvars) for chunk in chunks]
 
 
 def test_parse_basic():
@@ -154,3 +293,106 @@ def test_format_parse_roundtrip_over_q_up_to_scalar(case):
     scalar = Fraction(g.terms.get(mono, 0)) / c
     assert scalar != 0
     assert g == f.scale(scalar)
+
+
+@pytest.mark.parametrize("nvars", [-1, -2])
+def test_negative_ambient_size_is_a_parse_error(nvars):
+    # rejected before the text is read, also when it names no variable;
+    # 0 variables allow constants
+    for parse, text in ((parse_polynomial, "3"), (parse_polynomial, "x1^2"),
+                        (parse_generators, "x1; 3"), (parse_forms_file, "x1\n3\n")):
+        with pytest.raises(ParseError) as err:
+            parse(text, F5, nvars)
+        assert err.value.position == 0
+        assert f"ambient size {nvars} must be nonnegative" in str(err.value)
+    assert parse_polynomial("3", F5, 0) == Polynomial.constant(3, 0, F5)
+
+
+def test_error_routine_without_an_error_is_internal():
+    with pytest.raises(InternalError):
+        grammar._fail(["x1 + 2", "x2"], None)
+
+
+@pytest.mark.parametrize("parse, text, nvars, message, position", [
+    (parse_polynomial, "x1 + * x2 $", None, "unexpected character '$'", 10),
+    (parse_polynomial, "x1 +* x2 x0", 2, "variable indices start at x1", 9),
+    (parse_polynomial, "x3 + * x1", 2, "variable x3 exceeds ambient size 2", 0),
+    (parse_polynomial, "x1 x3 x3", 2, "variable x3 exceeds ambient size 2", 3),
+    (parse_polynomial, "x1^", 1, "exponent must be an integer", 3),
+    (parse_generators, "x1 +* x2; $", None, "unexpected character '$'", 0),
+    (parse_generators, "x1 +* x2; $", 2, "expected a coefficient or a variable", 4),
+    (parse_generators, "x1; x2^2^3", None, "expected '+' or '-' between terms", 4),
+])
+def test_errors_keep_their_precedence(parse, text, nvars, message, position):
+    # lexical errors first (in every chunk when the ambient size is
+    # inferred), then the ambient size, then syntax, chunk by chunk
+    with pytest.raises(ParseError) as err:
+        parse(text, F5, nvars)
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_overlong_literal_comes_before_a_syntax_error(default_int_digit_limit):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1 + * " + "9" * (default_int_digit_limit + 1), F5)
+    assert err.value.position == 7 and "too long" in str(err.value)
+
+
+# ----- differential: the pattern reader against the oracle -----
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\u2003"])
+#: Stray tokens: syntax errors (some only after a valid factor), lexical
+#: errors, and a separator for generator lists.
+_STRAY = st.sampled_from(["^", "^2", "*", "+", "-", "x", "x0", f"x{MAX_VARIABLES + 1}",
+                          "$", "²", ";", "7"])
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Texts built from the grammar with random spacing, signs, leading
+    zeros, Unicode digits and repeated factors and monomials; some chain
+    two exponents, and some have up to two stray tokens inserted."""
+    literal = st.sampled_from(["0", "1", "2", "3", "4", "7", "12", "007", "٣"])
+    variable = st.sampled_from(["x1", "x2", "x3", "x4", "x01", "x٣"])
+    tokens = []
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["+", "-"] if i else ["", "", "+", "-"]))
+        if sign:
+            tokens.append(sign)
+        for j in range(draw(st.integers(1, 3))):
+            if j:
+                tokens.append("*")
+            if draw(st.booleans()):
+                tokens.append(draw(literal))
+                continue
+            factor = draw(variable)
+            for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 1, 2]))):  # 2: x1^2^3
+                factor += draw(_SPACE) + "^" + draw(_SPACE) + draw(literal)
+            tokens.append(factor)
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_STRAY))
+    return "".join(draw(_SPACE) + t for t in tokens) + draw(_SPACE)
+
+
+_RAW_TEXTS = st.text(alphabet="x0123456789+-*^ \t٣\u2003;", max_size=30)
+
+
+def _outcome(parse, text, field, nvars):
+    """The polynomials read, terms in order with coefficient types, or
+    the ParseError's message and position."""
+    try:
+        result = parse(text, field, nvars)
+    except ParseError as exc:
+        return str(exc), exc.position
+    return [(f.nvars, f.field, [(m, c, type(c)) for m, c in f.terms.items()])
+            for f in (result if isinstance(result, list) else [result])]
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(st.one_of(_grammar_texts(), _RAW_TEXTS),
+       st.sampled_from([GF(2), F5, QQ]),
+       st.sampled_from([None, 0, 1, 2, 3, MAX_VARIABLES + 1]))
+def test_reader_agrees_with_the_oracle(text, field, nvars):
+    assert (_outcome(parse_polynomial, text, field, nvars)
+            == _outcome(_oracle_polynomial, text, field, nvars))
+    assert (_outcome(parse_generators, text, field, nvars)
+            == _outcome(_oracle_generators, text, field, nvars))
